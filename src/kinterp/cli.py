@@ -3,14 +3,18 @@
 Every option can also come from a flat ``key = value`` config file passed via
 ``--config``; explicit flags win over file values, unknown keys are rejected
 by name, and the fully resolved configuration is echoed into the output
-directory so any run can be repeated exactly.
+directory so any run can be repeated exactly.  One table per subcommand gives
+its keys, flags, and echo order; model and training defaults come only from
+the ``tiny_config``/``full_config`` presets and ``TrainConfig``.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .errors import (
     CheckpointError,
@@ -22,12 +26,13 @@ from .errors import (
     UnsupportedSizeError,
 )
 from .kspace import read_volume, write_volume
-from .model import ALL_PLANES, ModelConfig
+from .model import ALL_PLANES, ModelConfig, full_config, tiny_config
 from .phantom import DatasetSpec, make_dataset
 from .pipeline import (
     TrainConfig,
     evaluate,
     infer,
+    load_manifest,
     train,
     write_pgm_frames,
     write_report_csv,
@@ -41,41 +46,17 @@ EXIT_MISSING_FILE = 3
 EXIT_FORMAT = 4
 EXIT_DIMENSION = 5
 
-_COMMAND_KEYS = {
-    "dataset": ["seed", "out", "dims", "n_train", "n_test"],
-    "mask": ["seed", "out", "dims", "R"],
-    "train": [
-        "seed",
-        "out",
-        "manifest",
-        "dims",
-        "R",
-        "steps",
-        "tiny",
-        "max_lr",
-        "warmup_fraction",
-        "initial_div",
-        "final_div",
-        "embed_dim",
-        "n_heads",
-        "n_layers",
-        "mlp_ratio",
-        "kirm_patch",
-        "kirm_planes",
-        "loss_weight_hdr",
-        "hdr_eps",
-    ],
-    "infer": ["out", "input", "checkpoint", "mask"],
-    "eval": ["seed", "out", "checkpoint", "manifest", "R"],
-}
-
 
 def _parse_config_file(path: str) -> dict[str, str]:
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(f"config file {p} does not exist")
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{p}: config file is not UTF-8 text") from exc
     values: dict[str, str] = {}
-    for lineno, line in enumerate(p.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -84,42 +65,6 @@ def _parse_config_file(path: str) -> dict[str, str]:
         key, _, raw = stripped.partition("=")
         values[key.strip()] = raw.strip()
     return values
-
-
-class _Resolver:
-    """Merge flag values, config-file values, and defaults for one command."""
-
-    def __init__(self, command: str, args: argparse.Namespace):
-        self.command = command
-        file_cfg = _parse_config_file(args.config) if args.config else {}
-        allowed = set(_COMMAND_KEYS[command])
-        for key in file_cfg:
-            if key not in allowed:
-                raise ConfigError(f"unknown config key {key!r} for command {command!r}")
-        self.file_cfg = file_cfg
-        self.args = args
-        self.resolved: dict[str, str] = {}
-
-    def get(self, key: str, cast, default=None, required: bool = False):
-        flag = getattr(self.args, key, None)
-        if flag is not None:
-            value = cast(flag) if isinstance(flag, str) else flag
-        elif key in self.file_cfg:
-            value = cast(self.file_cfg[key])
-        else:
-            value = default
-        if value is None and required:
-            raise ConfigError(f"missing required option {key!r} for {self.command!r}")
-        if value is not None:
-            self.resolved[key] = _format_value(value)
-        return value
-
-    def write_echo(self, out_dir: Path) -> Path:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        lines = [f"{key} = {self.resolved[key]}" for key in _COMMAND_KEYS[self.command] if key in self.resolved]
-        path = out_dir / "resolved_config.txt"
-        path.write_text("\n".join(lines) + "\n")
-        return path
 
 
 def _format_value(value) -> str:
@@ -184,17 +129,71 @@ def _cast_float(raw) -> float:
         raise ConfigError(f"expected a number, got {raw!r}") from exc
 
 
+# ---- config keys -----------------------------------------------------------
+
+
+class _Key(NamedTuple):
+    """One config key; ``flag`` is "option" (--name), "switch" (--name, no
+    value), "positional", or None when only a config file sets the key."""
+
+    name: str
+    cast: Callable = str
+    default: object = None
+    required: bool = False
+    flag: str | None = "option"
+    help: str | None = None
+
+
+_MODEL_FIELDS = {f.name for f in fields(ModelConfig)}
+_TRAIN_FIELDS = {f.name for f in fields(TrainConfig)} - {"model", "manifest"}
+
+
+class _Resolver:
+    """Cast one command's keys from flags, config file, and table defaults."""
+
+    def __init__(self, command: str, args: argparse.Namespace):
+        self.keys = _COMMANDS[command].keys
+        file_cfg = _parse_config_file(args.config) if args.config else {}
+        allowed = {key.name for key in self.keys}
+        for name in file_cfg:
+            if name not in allowed:
+                raise ConfigError(f"unknown config key {name!r} for command {command!r}")
+        self.values: dict[str, object] = {}
+        for key in self.keys:
+            flag = getattr(args, key.name, None)
+            if flag is not None:
+                value = key.cast(flag)
+            elif key.name in file_cfg:
+                value = key.cast(file_cfg[key.name])
+            else:
+                value = key.default
+            if value is None and key.required:
+                raise ConfigError(f"missing required option {key.name!r} for {command!r}")
+            if value is not None:
+                self.values[key.name] = value
+
+    def write_echo(self, out_dir: Path, built: dict | None = None) -> Path:
+        """Echo every key in table order: as set, else as ``built`` holds it."""
+        merged = {**(built or {}), **self.values}
+        lines = [
+            f"{key.name} = {_format_value(merged[key.name])}"
+            for key in self.keys
+            if merged.get(key.name) is not None
+        ]
+        out_dir.mkdir(parents=True, exist_ok=True)
+        path = out_dir / "resolved_config.txt"
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+
 # ---- subcommands -----------------------------------------------------------
 
 
 def _cmd_dataset(args) -> int:
     res = _Resolver("dataset", args)
-    seed = res.get("seed", _cast_int, 0)
-    out = Path(res.get("out", str, required=True))
-    dims = res.get("dims", _cast_dims, (32, 32, 8))
-    n_train = res.get("n_train", _cast_int, 4)
-    n_test = res.get("n_test", _cast_int, 2)
-    manifest = make_dataset(out, n_train, n_test, DatasetSpec(*dims), seed)
+    v = res.values
+    out = Path(v["out"])
+    manifest = make_dataset(out, v["n_train"], v["n_test"], DatasetSpec(*v["dims"]), v["seed"])
     res.write_echo(out)
     print(f"wrote {manifest}")
     return EXIT_OK
@@ -202,11 +201,9 @@ def _cmd_dataset(args) -> int:
 
 def _cmd_mask(args) -> int:
     res = _Resolver("mask", args)
-    seed = res.get("seed", _cast_int, 0)
-    out = Path(res.get("out", str, required=True))
-    dims = res.get("dims", _cast_dims, (32, 32, 8))
-    r = res.get("R", _cast_float, 4.0)
-    mask = generate_mask(dims[1], dims[2], r, seed)
+    v = res.values
+    out = Path(v["out"])
+    mask = generate_mask(v["dims"][1], v["dims"][2], v["R"], v["seed"])
     out.mkdir(parents=True, exist_ok=True)
     path = out / "mask.kmask"
     save_mask(mask, path)
@@ -215,66 +212,41 @@ def _cmd_mask(args) -> int:
     return EXIT_OK
 
 
-def _model_config(res: _Resolver, dims: tuple[int, int, int]) -> ModelConfig:
-    tiny = res.get("tiny", _cast_bool, False)
-    defaults = dict(embed_dim=32, n_heads=4, n_layers=2) if tiny else dict(
-        embed_dim=512, n_heads=8, n_layers=8
-    )
-    return ModelConfig(
-        x_dim=dims[0],
-        y_dim=dims[1],
-        t_dim=dims[2],
-        embed_dim=res.get("embed_dim", _cast_int, defaults["embed_dim"]),
-        n_heads=res.get("n_heads", _cast_int, defaults["n_heads"]),
-        n_layers=res.get("n_layers", _cast_int, defaults["n_layers"]),
-        mlp_ratio=res.get("mlp_ratio", _cast_int, 4),
-        kirm_patch=res.get("kirm_patch", _cast_int, 4),
-        kirm_planes=res.get("kirm_planes", _cast_planes, ALL_PLANES),
-        loss_weight_hdr=res.get("loss_weight_hdr", _cast_float, 1.0),
-        hdr_eps=res.get("hdr_eps", _cast_float, 0.5),
-    )
-
-
-def _cmd_train(args) -> int:
-    res = _Resolver("train", args)
-    seed = res.get("seed", _cast_int, 0)
-    out = Path(res.get("out", str, required=True))
-    manifest = Path(res.get("manifest", str, required=True))
-    steps = res.get("steps", _cast_int, 200)
-    r_train = res.get("R", _cast_float, 4.0)
-    dims = res.get("dims", _cast_dims)
+def _train_config(values: dict) -> TrainConfig:
+    """Apply the explicitly set keys to the chosen preset and TrainConfig."""
+    manifest = Path(values["manifest"])
+    dims = values.get("dims")
     if dims is None:
-        from .pipeline import load_manifest
-
         pairs = load_manifest(manifest).get("train", [])
         if not pairs:
             raise FormatError(f"manifest {manifest} has no train sequences")
         probe = read_volume(pairs[0][1])
         dims = (probe.x_dim, probe.y_dim, probe.t_dim)
-        res.resolved["dims"] = _format_value(dims)
-    cfg = TrainConfig(
-        model=_model_config(res, dims),
-        manifest=manifest,
-        r_train=r_train,
-        steps=steps,
-        seed=seed,
-        max_lr=res.get("max_lr", _cast_float, 1e-4),
-        warmup_fraction=res.get("warmup_fraction", _cast_float, 0.3),
-        initial_div=res.get("initial_div", _cast_float, 25.0),
-        final_div=res.get("final_div", _cast_float, 1e4),
-    )
+    preset = tiny_config if values["tiny"] else full_config
+    model = preset(*dims, **{k: v for k, v in values.items() if k in _MODEL_FIELDS})
+    overrides = {k: v for k, v in values.items() if k in _TRAIN_FIELDS}
+    if "R" in values:
+        overrides["r_train"] = values["R"]
+    return TrainConfig(model=model, manifest=manifest, **overrides)
+
+
+def _cmd_train(args) -> int:
+    res = _Resolver("train", args)
+    cfg = _train_config(res.values)
+    out = Path(res.values["out"])
     result = train(cfg, out)
-    res.write_echo(out)
+    m = cfg.model
+    built = {**vars(m), **vars(cfg), "R": cfg.r_train, "dims": (m.x_dim, m.y_dim, m.t_dim)}
+    res.write_echo(out, built)
     print(f"wrote {result.checkpoint_path} and {result.log_path}")
     return EXIT_OK
 
 
 def _cmd_infer(args) -> int:
     res = _Resolver("infer", args)
-    out = Path(res.get("out", str, required=True))
-    input_path = Path(res.get("input", str, required=True))
-    checkpoint = Path(res.get("checkpoint", str, required=True))
-    mask_path = Path(res.get("mask", str, required=True))
+    out, input_path, checkpoint, mask_path = (
+        Path(res.values[k]) for k in ("out", "input", "checkpoint", "mask")
+    )
     for p in (input_path, checkpoint, mask_path):
         if not p.exists():
             raise FileNotFoundError(f"{p} does not exist")
@@ -292,14 +264,11 @@ def _cmd_infer(args) -> int:
 
 def _cmd_eval(args) -> int:
     res = _Resolver("eval", args)
-    seed = res.get("seed", _cast_int, 0)
-    out = Path(res.get("out", str, required=True))
-    checkpoint = Path(res.get("checkpoint", str, required=True))
-    manifest = Path(res.get("manifest", str, required=True))
-    r_values = res.get("R", _cast_r_list, [4.0])
+    v = res.values
+    out, checkpoint, manifest = (Path(v[k]) for k in ("out", "checkpoint", "manifest"))
     if not checkpoint.exists():
         raise FileNotFoundError(f"{checkpoint} does not exist")
-    model_reports, baseline_reports = evaluate(checkpoint, manifest, r_values, seed)
+    model_reports, baseline_reports = evaluate(checkpoint, manifest, v["R"], v["seed"])
     out.mkdir(parents=True, exist_ok=True)
     report_path = out / "report.csv"
     baseline_path = out / "baseline.csv"
@@ -318,6 +287,68 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
+_OUT = _Key("out", required=True, help="output directory")
+_SEED = _Key("seed", _cast_int, 0)
+
+
+class _Command(NamedTuple):
+    help: str
+    run: Callable[[argparse.Namespace], int]
+    keys: tuple[_Key, ...]
+
+
+# Each command lists the keys it accepts, in echo order.  Keys that feed
+# ModelConfig or TrainConfig have no default here: they take the dataclass's.
+_COMMANDS = {
+    "dataset": _Command("generate a phantom dataset with manifest", _cmd_dataset, (
+        _SEED,
+        _OUT,
+        _Key("dims", _cast_dims, (32, 32, 8), help="volume extents X,Y,T"),
+        _Key("n_train", _cast_int, 4),
+        _Key("n_test", _cast_int, 2),
+    )),
+    "mask": _Command("generate a ky-t undersampling mask", _cmd_mask, (
+        _SEED,
+        _OUT,
+        _Key("dims", _cast_dims, (32, 32, 8), help="volume extents X,Y,T (Y and T are used)"),
+        _Key("R", _cast_float, 4.0, help="nominal acceleration factor"),
+    )),
+    "train": _Command("train an interpolation model", _cmd_train, (
+        _Key("seed", _cast_int),
+        _OUT,
+        _Key("manifest", required=True),
+        _Key("dims", _cast_dims, help="volume extents X,Y,T (default: from manifest)"),
+        _Key("R", _cast_float, help="training acceleration factor"),
+        _Key("steps", _cast_int),
+        _Key("tiny", _cast_bool, False, flag="switch", help=tiny_config.__doc__),
+        *(
+            _Key(name, _cast_float, flag=None)
+            for name in ("max_lr", "warmup_fraction", "initial_div", "final_div")
+        ),
+        *(
+            _Key(name, _cast_int, flag=None)
+            for name in ("embed_dim", "n_heads", "n_layers", "mlp_ratio", "kirm_patch")
+        ),
+        _Key("kirm_planes", _cast_planes, flag=None),
+        _Key("loss_weight_hdr", _cast_float, flag=None),
+        _Key("hdr_eps", _cast_float, flag=None),
+    )),
+    "infer": _Command("reconstruct one undersampled volume", _cmd_infer, (
+        _OUT,
+        _Key("input", required=True, flag="positional", help="undersampled k-space .kvol"),
+        _Key("checkpoint", required=True),
+        _Key("mask", required=True, help="path to the .kmask sampling pattern"),
+    )),
+    "eval": _Command("score a checkpoint on the test split", _cmd_eval, (
+        _SEED,
+        _OUT,
+        _Key("checkpoint", required=True),
+        _Key("manifest", required=True),
+        _Key("R", _cast_r_list, [4.0], help="comma-separated acceleration factors"),
+    )),
+}
+
+
 # ---- wiring -----------------------------------------------------------------
 
 
@@ -327,51 +358,20 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Transformer k-space interpolation for dynamic MRI (desk scale)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--out", help="output directory")
-
-    p = sub.add_parser("dataset", help="generate a phantom dataset with manifest")
-    common(p)
-    p.add_argument("--seed")
-    p.add_argument("--dims", help="volume extents X,Y,T")
-    p.add_argument("--n-train", dest="n_train")
-    p.add_argument("--n-test", dest="n_test")
-    p.set_defaults(func=_cmd_dataset)
-
-    p = sub.add_parser("mask", help="generate a ky-t undersampling mask")
-    common(p)
-    p.add_argument("--seed")
-    p.add_argument("--dims", help="volume extents X,Y,T (Y and T are used)")
-    p.add_argument("--R", help="nominal acceleration factor")
-    p.set_defaults(func=_cmd_mask)
-
-    p = sub.add_parser("train", help="train an interpolation model")
-    common(p)
-    p.add_argument("--seed")
-    p.add_argument("--manifest")
-    p.add_argument("--dims", help="volume extents X,Y,T (default: from manifest)")
-    p.add_argument("--R", help="training acceleration factor")
-    p.add_argument("--steps")
-    p.add_argument("--tiny", action="store_const", const=True, default=None,
-                   help="use the desk-scale model preset (d=32, 2 layers, 4 heads)")
-    p.set_defaults(func=_cmd_train)
-
-    p = sub.add_parser("infer", help="reconstruct one undersampled volume")
-    common(p)
-    p.add_argument("input", nargs="?", default=None, help="undersampled k-space .kvol")
-    p.add_argument("--checkpoint")
-    p.add_argument("--mask", help="path to the .kmask sampling pattern")
-    p.set_defaults(func=_cmd_infer)
-
-    p = sub.add_parser("eval", help="score a checkpoint on the test split")
-    common(p)
-    p.add_argument("--seed")
-    p.add_argument("--checkpoint")
-    p.add_argument("--manifest")
-    p.add_argument("--R", help="comma-separated acceleration factors")
-    p.set_defaults(func=_cmd_eval)
+        # --out leads the listing, as it does for every command.
+        for key in sorted(command.keys, key=lambda k: k.name != "out"):
+            if key.flag == "positional":
+                p.add_argument(key.name, nargs="?", default=None, help=key.help)
+            elif key.flag == "switch":
+                p.add_argument(f"--{key.name}", action="store_const", const=True,
+                               default=None, help=key.help)
+            elif key.flag == "option":
+                p.add_argument(f"--{key.name.replace('_', '-')}", dest=key.name,
+                               help=key.help)
+        p.set_defaults(func=command.run)
     return parser
 
 

@@ -2,10 +2,11 @@
 
 Volumes carry a domain tag ("image" or "kspace") that only the transforms
 flip, plus a ``scale`` field recording the divisor that maps the current data
-back to its source frame.  Spatial extents must be powers of two: the 2D
-transform is a radix-2 Cooley-Tukey FFT applied per frame with the DC
-component at (X//2, Y//2) and orthonormal scaling, so Parseval holds exactly
-up to roundoff.
+back to its source frame.  The 2D transform is NumPy's FFT applied per
+frame with the DC component at (X//2, Y//2) and orthonormal scaling, so
+Parseval holds exactly up to roundoff.  Spatial extents must be powers of
+two: NumPy would accept any size, but the transforms keep this as a stated
+contract and reject other extents with :class:`UnsupportedSizeError`.
 """
 
 from __future__ import annotations
@@ -81,56 +82,19 @@ def _require_power_of_two(n: int, label: str) -> None:
         raise UnsupportedSizeError(f"{label} extent {n} is not a power of two")
 
 
-def _bit_reversal(n: int) -> np.ndarray:
-    levels = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.intp)
-    for _ in range(levels):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    return rev
-
-
-def _fft_along(data: np.ndarray, axis: int, inverse: bool) -> np.ndarray:
-    """Radix-2 Cooley-Tukey transform along one axis (standard DFT convention)."""
-    n = data.shape[axis]
-    _require_power_of_two(n, "fft")
-    y = np.moveaxis(data, axis, 0)
-    lead = y.shape[0]
-    rest = y.shape[1:]
-    y = y.reshape(lead, -1)[_bit_reversal(n)]
-    sign = 1.0 if inverse else -1.0
-    size = 2
-    while size <= n:
-        half = size // 2
-        w = np.exp(sign * 2j * np.pi * np.arange(half) / size)
-        y = y.reshape(n // size, size, -1)
-        even = y[:, :half]
-        odd = y[:, half:] * w[None, :, None]
-        y = np.concatenate([even + odd, even - odd], axis=1).reshape(n, -1)
-        size *= 2
-    if inverse:
-        y = y / n
-    return np.moveaxis(y.reshape((lead,) + rest), 0, axis)
-
-
-def _shift(data: np.ndarray, axis: int, forward: bool) -> np.ndarray:
-    n = data.shape[axis]
-    return np.roll(data, n // 2 if forward else -(n // 2), axis=axis)
+def _centered(transform, v: ComplexVolume) -> np.ndarray:
+    """Apply an orthonormal ``np.fft`` transform per frame, DC at (X//2, Y//2)."""
+    _require_power_of_two(v.x_dim, "fft x")
+    _require_power_of_two(v.y_dim, "fft y")
+    work = np.fft.ifftshift(v.as_complex(), axes=(0, 1))
+    return np.fft.fftshift(transform(work, axes=(0, 1), norm="ortho"), axes=(0, 1))
 
 
 def fft2(v: ComplexVolume) -> ComplexVolume:
     """Centered orthonormal 2D FFT applied independently per frame."""
     if v.domain != DOMAIN_IMAGE:
         raise DomainError("fft2 expects an image-domain volume")
-    _require_power_of_two(v.x_dim, "fft x")
-    _require_power_of_two(v.y_dim, "fft y")
-    work = v.as_complex()
-    for axis in (0, 1):
-        work = _shift(work, axis, forward=False)
-        work = _fft_along(work, axis, inverse=False)
-        work = _shift(work, axis, forward=True)
-    work /= np.sqrt(v.x_dim * v.y_dim)
+    work = _centered(np.fft.fft2, v)
     return ComplexVolume(work.real, work.imag, DOMAIN_KSPACE, v.scale)
 
 
@@ -138,14 +102,7 @@ def ifft2(v: ComplexVolume) -> ComplexVolume:
     """Inverse of :func:`fft2`."""
     if v.domain != DOMAIN_KSPACE:
         raise DomainError("ifft2 expects a k-space volume")
-    _require_power_of_two(v.x_dim, "fft x")
-    _require_power_of_two(v.y_dim, "fft y")
-    work = v.as_complex()
-    for axis in (0, 1):
-        work = _shift(work, axis, forward=False)
-        work = _fft_along(work, axis, inverse=True)
-        work = _shift(work, axis, forward=True)
-    work *= np.sqrt(v.x_dim * v.y_dim)
+    work = _centered(np.fft.ifft2, v)
     return ComplexVolume(work.real, work.imag, DOMAIN_IMAGE, v.scale)
 
 

@@ -163,7 +163,6 @@ class KSpaceInterpolator:
     def __init__(self, config: ModelConfig, seed: int = 0):
         self.config = config
         self.params: dict[str, Tensor] = {}
-        self.attention_records: list[np.ndarray] | None = None
         self._rng = np.random.default_rng(seed)
         c = config
         # Normalized k-space entries are O(1/sqrt(XY)) away from the center;
@@ -232,9 +231,6 @@ class KSpaceInterpolator:
         for p in self.params.values():
             p.grad = None
 
-    def record_attention(self, enabled: bool) -> None:
-        self.attention_records = [] if enabled else None
-
     def position_table(self, plane: str) -> np.ndarray:
         return self._pos_tables[plane].copy()
 
@@ -275,8 +271,6 @@ class KSpaceInterpolator:
         v = split(h @ p[f"{base}.attn.wv"] + p[f"{base}.attn.bv"])
         scores = (q @ nc.transpose(k, (0, 2, 1))) * (1.0 / np.sqrt(dh))
         attn = nc.softmax_lastaxis(scores)
-        if self.attention_records is not None:
-            self.attention_records.append(attn.data.copy())
         out = nc.reshape(nc.transpose(attn @ v, (1, 0, 2)), (n, d))
         return out @ p[f"{base}.attn.wo"] + p[f"{base}.attn.bo"]
 
@@ -564,7 +558,10 @@ def load_params(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<I", r.take(4))
-        name = r.take(name_len).decode("utf-8")
+        try:
+            name = r.take(name_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{path}: tensor name is not UTF-8") from exc
         (rank,) = struct.unpack("<I", r.take(4))
         shape = struct.unpack(f"<{rank}I", r.take(4 * rank))
         n_values = int(np.prod(shape)) if rank else 1

@@ -135,8 +135,12 @@ def load_manifest(path: str | Path) -> dict[str, list[tuple[Path, Path]]]:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"manifest {path} does not exist")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: manifest is not UTF-8 text") from exc
     table: dict[str, dict[str, dict[str, Path]]] = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         parts = line.split()

@@ -158,7 +158,10 @@ def save_mask(mask: SamplingMask, path: str | Path) -> None:
 
 def load_mask(path: str | Path) -> SamplingMask:
     path = Path(path)
-    lines = path.read_text().splitlines()
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: mask file is not UTF-8 text") from exc
     if not lines:
         raise FormatError(f"{path}: empty mask file")
     head = lines[0].split()
@@ -170,12 +173,13 @@ def load_mask(path: str | Path) -> SamplingMask:
         seed = int(head[5])
     except ValueError as exc:
         raise FormatError(f"{path}: unparsable mask header {lines[0]!r}") from exc
+    if min(y_dim, t_dim) < 1:
+        raise FormatError(f"{path}: non-positive extent in mask header")
     rows = lines[1:]
     if len(rows) != t_dim:
         raise FormatError(f"{path}: expected {t_dim} rows, found {len(rows)}")
-    bits = np.zeros((y_dim, t_dim), dtype=np.uint8)
     for t, row in enumerate(rows):
         if len(row) != y_dim or set(row) - {"0", "1"}:
             raise FormatError(f"{path}: bad mask row {t}")
-        bits[:, t] = np.frombuffer(row.encode(), dtype=np.uint8) - ord("0")
-    return SamplingMask(bits, r_nominal, seed)
+    flat = np.frombuffer("".join(rows).encode(), dtype=np.uint8) - ord("0")
+    return SamplingMask(flat.reshape(t_dim, y_dim).T, r_nominal, seed)

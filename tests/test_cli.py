@@ -1,8 +1,11 @@
 """Exit codes, config-file resolution, and artifact layout of the CLI."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from kinterp import cli
 from kinterp.cli import (
     EXIT_DIMENSION,
     EXIT_FORMAT,
@@ -12,7 +15,8 @@ from kinterp.cli import (
     main,
 )
 from kinterp.kspace import read_volume, write_volume
-from kinterp.pipeline import load_manifest
+from kinterp.model import full_config, tiny_config
+from kinterp.pipeline import TrainConfig, load_manifest
 from kinterp.sampling import apply_mask, load_mask
 
 
@@ -147,6 +151,57 @@ def test_resolved_config_reruns_identically(workspace, tmp_path):
     }
 
 
+def _record_train(monkeypatch) -> list[TrainConfig]:
+    """Stand in for the training run; the CLI still resolves and echoes."""
+    seen = []
+
+    def fake_train(cfg, out_dir):
+        seen.append(cfg)
+        return SimpleNamespace(checkpoint_path="ckpt", log_path="log")
+
+    monkeypatch.setattr(cli, "train", fake_train)
+    return seen
+
+
+def test_train_echo_lists_every_key(workspace, tmp_path, monkeypatch):
+    """With only the required flags, train echoes every default in table order."""
+    _record_train(monkeypatch)
+    out = tmp_path / "run"
+    manifest = workspace["data"] / "manifest.txt"
+    assert main(["train", "--tiny", "--out", str(out), "--manifest", str(manifest)]) == EXIT_OK
+    assert (out / "resolved_config.txt").read_text().splitlines() == [
+        "seed = 0",
+        f"out = {out}",
+        f"manifest = {manifest}",
+        "dims = 16,16,2",
+        "R = 4.0",
+        "steps = 200",
+        "tiny = true",
+        "max_lr = 0.0001",
+        "warmup_fraction = 0.3",
+        "initial_div = 25.0",
+        "final_div = 10000.0",
+        "embed_dim = 32",
+        "n_heads = 4",
+        "n_layers = 2",
+        "mlp_ratio = 4",
+        "kirm_patch = 4",
+        "kirm_planes = ky-t,kx-t,kx-ky",
+        "loss_weight_hdr = 1.0",
+        "hdr_eps = 0.5",
+    ]
+
+
+@pytest.mark.parametrize("flags, preset", [(["--tiny"], tiny_config), ([], full_config)],
+                         ids=["tiny", "full"])
+def test_train_config_is_the_preset(workspace, tmp_path, monkeypatch, flags, preset):
+    """The CLI adds no defaults of its own (checked without building the model)."""
+    seen = _record_train(monkeypatch)
+    manifest = workspace["data"] / "manifest.txt"
+    assert main(["train", *flags, "--out", str(tmp_path), "--manifest", str(manifest)]) == 0
+    assert seen == [TrainConfig(model=preset(16, 16, 2), manifest=manifest)]
+
+
 def test_unknown_config_key_rejected(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("momentum = 0.9\n")
@@ -156,6 +211,8 @@ def test_unknown_config_key_rejected(tmp_path):
 def test_malformed_config_line_rejected(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("seed 7\n")
+    assert main(["mask", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
+    cfg.write_bytes(b"seed = \xff\n")  # not UTF-8
     assert main(["mask", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
 
 
@@ -209,6 +266,13 @@ def test_format_errors(workspace, tmp_path):
         "--checkpoint", str(workspace["run"] / "checkpoint.kgin"),
         "--mask", str(workspace["masks"] / "mask.kmask"),
     ]) == EXIT_FORMAT
+    bad_mask = tmp_path / "bad.kmask"
+    for header in (b"KMASK v1 -4 2 4 0\n", b"KMASK v1 16 2 4 \xe9\n"):
+        bad_mask.write_bytes(header)
+        assert main([
+            "infer", str(workspace["data"] / "test_000.kspace.kvol"), "--out", str(tmp_path),
+            "--checkpoint", str(workspace["run"] / "checkpoint.kgin"), "--mask", str(bad_mask),
+        ]) == EXIT_FORMAT
     bad_ckpt = tmp_path / "bad.kgin"
     bad_ckpt.write_bytes(b"XXXX" + b"\x00" * 64)
     assert main([

@@ -220,33 +220,6 @@ def test_encode_rejects_empty_batch():
         m.encode(sampled)
 
 
-def test_singleton_attention_is_one():
-    m = KSpaceInterpolator(ModelConfig(8, 8, 2))
-    bits = np.zeros((8, 2))
-    bits[3, 0] = 1
-    sampled, _ = m.split_by_mask(m.tokenize_kyt(kvol(8, 8, 2)), SamplingMask(bits, 8.0))
-    m.record_attention(True)
-    m.encode(sampled)
-    assert len(m.attention_records) == m.config.n_layers
-    for rec in m.attention_records:
-        assert rec.shape == (m.config.n_heads, 1, 1)
-        assert np.all(rec == 1.0)
-
-
-def test_attention_rows_stochastic_everywhere():
-    m = KSpaceInterpolator(ModelConfig(8, 8, 2))
-    mask = generate_mask(8, 2, 2.0, seed=0)
-    m.record_attention(True)
-    m.forward(kvol(8, 8, 2), mask)
-    # encoder + decoder + three refinement stacks, n_layers records each
-    assert len(m.attention_records) == 5 * m.config.n_layers
-    for rec in m.attention_records:
-        assert np.all(rec >= 0)
-        assert np.allclose(rec.sum(axis=-1), 1.0, atol=1e-12)
-    m.record_attention(False)
-    assert m.attention_records is None
-
-
 def test_forward_shapes_and_determinism():
     m = KSpaceInterpolator(ModelConfig(8, 16, 2), seed=3)
     v = kvol(8, 16, 2)
@@ -487,6 +460,10 @@ def test_checkpoint_rejects_malformed(tmp_path):
     with pytest.raises(CheckpointError):
         load_params(bad)
     bad.write_bytes(blob + b"\x00")
+    with pytest.raises(CheckpointError):
+        load_params(bad)
+    at = blob.index(b"kgin.proj_in.w")
+    bad.write_bytes(blob[:at] + b"\xff" + blob[at + 1 :])  # tensor name not UTF-8
     with pytest.raises(CheckpointError):
         load_params(bad)
 

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import oracles
 from kinterp import numcore as nc
@@ -169,9 +169,12 @@ def test_softmax_gradient():
 
 
 @given(st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=8))
+@example([3.7])
 def test_softmax_rows_sum_to_one(values):
     out = nc.softmax_lastaxis(Tensor(np.array(values)))
     assert abs(float(out.data.sum()) - 1.0) < 1e-6
+    if len(values) == 1:  # attention over a single key is exactly one
+        assert out.data[0] == 1.0
 
 
 def test_abs_and_mean_gradients_away_from_kink():

@@ -172,6 +172,9 @@ def test_load_manifest_errors(tmp_path):
     bad.write_text("train image a.image.kvol\n")  # kspace half missing
     with pytest.raises(FormatError):
         load_manifest(bad)
+    bad.write_bytes(b"train image \xff.image.kvol\n")  # not UTF-8
+    with pytest.raises(FormatError):
+        load_manifest(bad)
 
 
 def test_load_manifest_tolerates_blank_lines(small_root):
