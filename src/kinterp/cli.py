@@ -20,6 +20,7 @@ from .errors import (
     CheckpointError,
     ConfigError,
     DimensionError,
+    DomainError,
     FormatError,
     KInterpError,
     SpecError,
@@ -385,7 +386,9 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: missing-file: {exc}", file=sys.stderr)
         return EXIT_MISSING_FILE
-    except (FormatError, CheckpointError) as exc:
+    # Every volume the CLI sees comes from a file, so a wrong domain is a
+    # wrong header tag in that file.
+    except (FormatError, CheckpointError, DomainError) as exc:
         print(f"error: format: {exc}", file=sys.stderr)
         return EXIT_FORMAT
     except (DimensionError, UnsupportedSizeError) as exc:

@@ -1,5 +1,8 @@
 """Complex 2D+t volumes, centered orthonormal FFTs, and .kvol binary I/O.
 
+A volume is one real [T, Y, X, 2] float64 array holding (re, im) on the last
+axis: the layout the model tokenizes, the losses compare and the .kvol
+payload stores.  ``re`` and ``im`` are (X, Y, T) views of that array.
 Volumes carry a domain tag ("image" or "kspace") that only the transforms
 flip, plus a ``scale`` field recording the divisor that maps the current data
 back to its source frame.  The 2D transform is NumPy's FFT applied per
@@ -35,46 +38,54 @@ _HEADER = struct.Struct("<4sIIIIBd")
 
 @dataclass
 class ComplexVolume:
-    """A complex X x Y x T volume stored as separate float64 re/im arrays."""
+    """A complex X x Y x T volume stored as one float64 [T, Y, X, 2] array.
 
-    re: np.ndarray
-    im: np.ndarray
+    ``re`` and ``im`` are (X, Y, T) views of ``data``; writes through them
+    land in ``data``.
+    """
+
+    data: np.ndarray
     domain: str
     scale: float = 1.0
 
     def __post_init__(self):
-        self.re = np.ascontiguousarray(np.asarray(self.re, dtype=np.float64))
-        self.im = np.ascontiguousarray(np.asarray(self.im, dtype=np.float64))
-        if self.re.ndim != 3 or self.im.shape != self.re.shape:
-            raise DimensionError("volume needs matching 3D re/im arrays")
+        self.data = np.ascontiguousarray(np.asarray(self.data, dtype=np.float64))
+        if self.data.ndim != 4 or self.data.shape[-1] != 2:
+            raise DimensionError("volume needs a [T, Y, X, 2] array")
         if self.domain not in (DOMAIN_IMAGE, DOMAIN_KSPACE):
             raise DomainError(f"unknown volume domain {self.domain!r}")
-        if not (np.all(np.isfinite(self.re)) and np.all(np.isfinite(self.im))):
+        if not np.all(np.isfinite(self.data)):
             raise DegenerateInputError("volume contains non-finite values")
         if not (np.isfinite(self.scale) and self.scale > 0):
             raise DegenerateInputError(f"volume scale must be positive, got {self.scale}")
 
     @property
+    def re(self) -> np.ndarray:
+        return self.data[..., 0].T
+
+    @property
+    def im(self) -> np.ndarray:
+        return self.data[..., 1].T
+
+    @property
     def x_dim(self) -> int:
-        return self.re.shape[0]
+        return self.data.shape[2]
 
     @property
     def y_dim(self) -> int:
-        return self.re.shape[1]
+        return self.data.shape[1]
 
     @property
     def t_dim(self) -> int:
-        return self.re.shape[2]
+        return self.data.shape[0]
 
     def as_complex(self) -> np.ndarray:
         return self.re + 1j * self.im
 
-    def copy(self) -> "ComplexVolume":
-        return ComplexVolume(self.re.copy(), self.im.copy(), self.domain, self.scale)
-
 
 def magnitude(v: ComplexVolume) -> np.ndarray:
-    return np.hypot(v.re, v.im)
+    """|v| as a C-contiguous (X, Y, T) array, which fixes the metrics' summation order."""
+    return np.ascontiguousarray(np.hypot(v.re, v.im))
 
 
 def _require_power_of_two(n: int, label: str) -> None:
@@ -83,27 +94,30 @@ def _require_power_of_two(n: int, label: str) -> None:
 
 
 def _centered(transform, v: ComplexVolume) -> np.ndarray:
-    """Apply an orthonormal ``np.fft`` transform per frame, DC at (X//2, Y//2)."""
+    """Apply an orthonormal ``np.fft`` transform per frame, DC at (X//2, Y//2).
+
+    Axes (2, 1) make NumPy transform Y first, then X; that order fixes the
+    rounding of the result.
+    """
     _require_power_of_two(v.x_dim, "fft x")
     _require_power_of_two(v.y_dim, "fft y")
-    work = np.fft.ifftshift(v.as_complex(), axes=(0, 1))
-    return np.fft.fftshift(transform(work, axes=(0, 1), norm="ortho"), axes=(0, 1))
+    work = np.fft.ifftshift(v.data[..., 0] + 1j * v.data[..., 1], axes=(1, 2))
+    work = np.fft.fftshift(transform(work, axes=(2, 1), norm="ortho"), axes=(1, 2))
+    return np.stack([work.real, work.imag], axis=-1)
 
 
 def fft2(v: ComplexVolume) -> ComplexVolume:
     """Centered orthonormal 2D FFT applied independently per frame."""
     if v.domain != DOMAIN_IMAGE:
         raise DomainError("fft2 expects an image-domain volume")
-    work = _centered(np.fft.fft2, v)
-    return ComplexVolume(work.real, work.imag, DOMAIN_KSPACE, v.scale)
+    return ComplexVolume(_centered(np.fft.fft2, v), DOMAIN_KSPACE, v.scale)
 
 
 def ifft2(v: ComplexVolume) -> ComplexVolume:
     """Inverse of :func:`fft2`."""
     if v.domain != DOMAIN_KSPACE:
         raise DomainError("ifft2 expects a k-space volume")
-    work = _centered(np.fft.ifft2, v)
-    return ComplexVolume(work.real, work.imag, DOMAIN_IMAGE, v.scale)
+    return ComplexVolume(_centered(np.fft.ifft2, v), DOMAIN_IMAGE, v.scale)
 
 
 def normalize(v: ComplexVolume) -> ComplexVolume:
@@ -111,12 +125,12 @@ def normalize(v: ComplexVolume) -> ComplexVolume:
     peak = float(np.max(magnitude(v)))
     if peak == 0.0:
         raise DegenerateInputError("cannot normalize an all-zero volume")
-    return ComplexVolume(v.re / peak, v.im / peak, v.domain, v.scale * peak)
+    return ComplexVolume(v.data / peak, v.domain, v.scale * peak)
 
 
 def denormalize(v: ComplexVolume) -> ComplexVolume:
     """Multiply the data by ``scale`` and reset the tag to 1."""
-    return ComplexVolume(v.re * v.scale, v.im * v.scale, v.domain, 1.0)
+    return ComplexVolume(v.data * v.scale, v.domain, 1.0)
 
 
 def write_volume(v: ComplexVolume, path: str | Path) -> None:
@@ -130,12 +144,9 @@ def write_volume(v: ComplexVolume, path: str | Path) -> None:
     header = _HEADER.pack(
         _KVOL_MAGIC, _KVOL_VERSION, v.x_dim, v.y_dim, v.t_dim, domain_code, v.scale
     )
-    interleaved = np.empty((v.t_dim, v.y_dim, v.x_dim, 2), dtype="<f4")
-    interleaved[..., 0] = v.re.transpose(2, 1, 0)
-    interleaved[..., 1] = v.im.transpose(2, 1, 0)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(interleaved.tobytes())
+        fh.write(v.data.astype("<f4").tobytes())
 
 
 def read_volume(path: str | Path) -> ComplexVolume:
@@ -161,8 +172,6 @@ def read_volume(path: str | Path) -> ComplexVolume:
         raise FormatError(
             f"{path}: payload holds {len(payload)} bytes, header implies {expected}"
         )
-    flat = np.frombuffer(payload, dtype="<f4").reshape(t, y, x, 2)
-    re = flat[..., 0].transpose(2, 1, 0).astype(np.float64)
-    im = flat[..., 1].transpose(2, 1, 0).astype(np.float64)
+    data = np.frombuffer(payload, dtype="<f4").reshape(t, y, x, 2)
     domain = DOMAIN_IMAGE if domain_code == 0 else DOMAIN_KSPACE
-    return ComplexVolume(re, im, domain, float(scale))
+    return ComplexVolume(data, domain, float(scale))

@@ -123,16 +123,12 @@ class ForwardResult:
 
 
 def volume_to_array(v: ComplexVolume) -> np.ndarray:
-    """Repack an (X, Y, T) complex volume as a real [T, Y, X, 2] array."""
-    return np.ascontiguousarray(np.stack([v.re, v.im], axis=-1).transpose(2, 1, 0, 3))
+    """A copy of the volume's real [T, Y, X, 2] array."""
+    return v.data.copy()
 
 
 def array_to_volume(arr: np.ndarray, domain: str, scale: float = 1.0) -> ComplexVolume:
-    if arr.ndim != 4 or arr.shape[-1] != 2:
-        raise DimensionError("expected a [T, Y, X, 2] array")
-    re = np.ascontiguousarray(arr[..., 0].transpose(2, 1, 0), dtype=np.float64)
-    im = np.ascontiguousarray(arr[..., 1].transpose(2, 1, 0), dtype=np.float64)
-    return ComplexVolume(re, im, domain, scale)
+    return ComplexVolume(arr, domain, scale)
 
 
 # Wavelength ceiling of the sinusoidal tables.  The classic 10000 suits
@@ -564,7 +560,7 @@ def load_params(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
             raise CheckpointError(f"{path}: tensor name is not UTF-8") from exc
         (rank,) = struct.unpack("<I", r.take(4))
         shape = struct.unpack(f"<{rank}I", r.take(4 * rank))
-        n_values = int(np.prod(shape)) if rank else 1
+        n_values = math.prod(shape)
         payload = r.take(4 * n_values)
         tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
     if r.at != len(blob):

@@ -171,8 +171,7 @@ def generate(spec: PhantomSpec) -> ComplexVolume:
     )
     phase_map = np.exp(1j * psi)
 
-    re = np.zeros((spec.x_dim, spec.y_dim, spec.t_dim))
-    im = np.zeros_like(re)
+    data = np.zeros((spec.t_dim, spec.y_dim, spec.x_dim, 2))
     for t in range(spec.t_dim):
         params = _frame_params(spec, ellipses, t)
         _check_in_view(params, t)
@@ -188,9 +187,9 @@ def generate(spec: PhantomSpec) -> ComplexVolume:
             frame += amp * (ramp * ramp * (3.0 - 2.0 * ramp))
         frame = frame.reshape(spec.x_dim, sup, spec.y_dim, sup).mean(axis=(1, 3))
         frame = frame * phase_map
-        re[:, :, t] = frame.real
-        im[:, :, t] = frame.imag
-    return ComplexVolume(re, im, DOMAIN_IMAGE, 1.0)
+        data[t, :, :, 0] = frame.real.T
+        data[t, :, :, 1] = frame.imag.T
+    return ComplexVolume(data, DOMAIN_IMAGE, 1.0)
 
 
 @dataclass(frozen=True)
@@ -205,12 +204,7 @@ class DatasetSpec:
 
 
 def _float32_quantize(v: ComplexVolume) -> ComplexVolume:
-    return ComplexVolume(
-        v.re.astype(np.float32).astype(np.float64),
-        v.im.astype(np.float32).astype(np.float64),
-        v.domain,
-        v.scale,
-    )
+    return ComplexVolume(v.data.astype(np.float32).astype(np.float64), v.domain, v.scale)
 
 
 def make_dataset(
@@ -246,7 +240,7 @@ def make_dataset(
             )
             image = generate(pspec)
             peak = float(np.max(magnitude(image)))
-            image = ComplexVolume(image.re / peak, image.im / peak, DOMAIN_IMAGE, 1.0)
+            image = ComplexVolume(image.data / peak, DOMAIN_IMAGE, 1.0)
             image = _float32_quantize(image)
             kvol = fft2(image)
             image_name = f"{split}_{i:03d}.image.kvol"

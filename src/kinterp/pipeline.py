@@ -308,9 +308,7 @@ def infer(
     masked, _ = apply_mask(undersampled, mask)
     normed = normalize(masked)
     result = model.forward(normed, mask)
-    estimate = array_to_volume(
-        np.asarray(result.stages[2].data, dtype=np.float64), DOMAIN_KSPACE, normed.scale
-    )
+    estimate = array_to_volume(result.stages[2].data, DOMAIN_KSPACE, normed.scale)
     consistent = data_consistency(estimate, normed, mask)
     denormalized = denormalize(consistent)
     return ReconResult(

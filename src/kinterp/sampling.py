@@ -121,10 +121,8 @@ def apply_mask(
     if v.domain != DOMAIN_KSPACE:
         raise DomainError("apply_mask expects a k-space volume")
     _check_mask_dims(v, mask)
-    keep = mask.bits.astype(bool)[None, :, :]
-    masked = ComplexVolume(
-        np.where(keep, v.re, 0.0), np.where(keep, v.im, 0.0), v.domain, v.scale
-    )
+    keep = mask.bits.T.astype(bool)[:, :, None, None]
+    masked = ComplexVolume(np.where(keep, v.data, 0.0), v.domain, v.scale)
     t_idx, ky_idx = np.nonzero(mask.bits.T)
     indices = [(int(ky), int(t)) for t, ky in zip(t_idx, ky_idx)]
     return masked, indices
@@ -136,15 +134,12 @@ def data_consistency(
     """Replace the estimate at sampled columns with the acquired data, bit-exactly."""
     if estimate.domain != DOMAIN_KSPACE or sampled.domain != DOMAIN_KSPACE:
         raise DomainError("data consistency operates on k-space volumes")
-    if estimate.re.shape != sampled.re.shape:
+    if estimate.data.shape != sampled.data.shape:
         raise DimensionError("estimate and sampled volumes must share a shape")
     _check_mask_dims(estimate, mask)
-    keep = mask.bits.astype(bool)[None, :, :]
+    keep = mask.bits.T.astype(bool)[:, :, None, None]
     return ComplexVolume(
-        np.where(keep, sampled.re, estimate.re),
-        np.where(keep, sampled.im, estimate.im),
-        estimate.domain,
-        estimate.scale,
+        np.where(keep, sampled.data, estimate.data), estimate.domain, estimate.scale
     )
 
 
@@ -175,6 +170,8 @@ def load_mask(path: str | Path) -> SamplingMask:
         raise FormatError(f"{path}: unparsable mask header {lines[0]!r}") from exc
     if min(y_dim, t_dim) < 1:
         raise FormatError(f"{path}: non-positive extent in mask header")
+    if not (math.isfinite(r_nominal) and r_nominal > 0):
+        raise FormatError(f"{path}: bad acceleration {head[4]!r} in mask header")
     rows = lines[1:]
     if len(rows) != t_dim:
         raise FormatError(f"{path}: expected {t_dim} rows, found {len(rows)}")

@@ -3,7 +3,9 @@
 Everything here is deliberately brute-force so it cannot share an algorithm
 (and therefore a bug) with the library code it checks: the DFT is a direct
 matrix product, the metrics loop over explicit windows, and gradients come
-from central finite differences.
+from central finite differences.  ``xyt_volume`` builds a volume from
+separate (X, Y, T) re/im arrays by an explicit transpose, so tests state
+their inputs in the axis order they index.
 """
 
 from __future__ import annotations
@@ -12,7 +14,14 @@ import math
 
 import numpy as np
 
+from kinterp.kspace import ComplexVolume
+
 FD_STEP = 1e-6
+
+
+def xyt_volume(re, im, domain: str, scale: float = 1.0) -> ComplexVolume:
+    """A volume whose ``re``/``im`` views equal the given (X, Y, T) arrays."""
+    return ComplexVolume(np.stack([re.T, im.T], axis=-1), domain, scale)
 
 
 def rel_err(a, b) -> float:

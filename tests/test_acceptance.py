@@ -153,9 +153,9 @@ def test_criterion_1_gradient_suite():
     bits[[0, 2], 0] = 1
     bits[[1, 3], 1] = 1
     mask = SamplingMask(bits, 2.0)
-    from kinterp.kspace import DOMAIN_KSPACE, ComplexVolume
+    from kinterp.kspace import DOMAIN_KSPACE
 
-    v = ComplexVolume(
+    v = oracles.xyt_volume(
         rng.standard_normal((4, 4, 2)), rng.standard_normal((4, 4, 2)), DOMAIN_KSPACE
     )
     target4 = rng.standard_normal((2, 4, 4, 2))
@@ -189,9 +189,9 @@ def test_criterion_1_gradient_suite():
 @records(2, "fft and metric oracles")
 def test_criterion_2_oracles():
     started = time.monotonic()
-    from kinterp.kspace import DOMAIN_IMAGE, ComplexVolume
+    from kinterp.kspace import DOMAIN_IMAGE
 
-    v = ComplexVolume(
+    v = oracles.xyt_volume(
         RNG.standard_normal((8, 8, 1)), RNG.standard_normal((8, 8, 1)), DOMAIN_IMAGE
     )
     got = fft2(v).as_complex()
@@ -298,10 +298,10 @@ def test_criterion_6_variable_r_generalization(generalize_run, dataset_manifests
 @records(7, "zero-residual refinement init")
 def test_criterion_7_zero_residual_init():
     started = time.monotonic()
-    from kinterp.kspace import DOMAIN_KSPACE, ComplexVolume
+    from kinterp.kspace import DOMAIN_KSPACE
 
     rng = np.random.default_rng(5)
-    v = ComplexVolume(
+    v = oracles.xyt_volume(
         rng.standard_normal((16, 16, 2)), rng.standard_normal((16, 16, 2)), DOMAIN_KSPACE
     )
     mask = generate_mask(16, 2, 4.0, seed=0)

@@ -267,12 +267,19 @@ def test_format_errors(workspace, tmp_path):
         "--mask", str(workspace["masks"] / "mask.kmask"),
     ]) == EXIT_FORMAT
     bad_mask = tmp_path / "bad.kmask"
-    for header in (b"KMASK v1 -4 2 4 0\n", b"KMASK v1 16 2 4 \xe9\n"):
-        bad_mask.write_bytes(header)
+    rows = b"1010101010101010\n" * 2
+    for header in (b"KMASK v1 -4 2 4 0\n", b"KMASK v1 16 2 4 \xe9\n", b"KMASK v1 16 2 nan 0\n"):
+        bad_mask.write_bytes(header + rows)
         assert main([
             "infer", str(workspace["data"] / "test_000.kspace.kvol"), "--out", str(tmp_path),
             "--checkpoint", str(workspace["run"] / "checkpoint.kgin"), "--mask", str(bad_mask),
         ]) == EXIT_FORMAT
+    # an image-domain volume where k-space is expected: a wrong header tag
+    assert main([
+        "infer", str(workspace["data"] / "test_000.image.kvol"), "--out", str(tmp_path),
+        "--checkpoint", str(workspace["run"] / "checkpoint.kgin"),
+        "--mask", str(workspace["masks"] / "mask.kmask"),
+    ]) == EXIT_FORMAT
     bad_ckpt = tmp_path / "bad.kgin"
     bad_ckpt.write_bytes(b"XXXX" + b"\x00" * 64)
     assert main([

@@ -29,7 +29,7 @@ RNG = np.random.default_rng(7)
 
 
 def random_volume(x, y, t, domain=DOMAIN_IMAGE, scale=1.0, rng=RNG):
-    return ComplexVolume(
+    return oracles.xyt_volume(
         rng.standard_normal((x, y, t)),
         rng.standard_normal((x, y, t)),
         domain,
@@ -75,7 +75,7 @@ def test_center_impulse_is_flat_spectrum():
     x, y = 8, 16
     re = np.zeros((x, y, 1))
     re[x // 2, y // 2, 0] = 1.0
-    k = fft2(ComplexVolume(re, np.zeros_like(re), DOMAIN_IMAGE))
+    k = fft2(oracles.xyt_volume(re, np.zeros_like(re), DOMAIN_IMAGE))
     assert np.allclose(k.re, 1.0 / np.sqrt(x * y), atol=1e-12)
     assert np.allclose(k.im, 0.0, atol=1e-12)
 
@@ -83,7 +83,7 @@ def test_center_impulse_is_flat_spectrum():
 def test_constant_image_concentrates_at_dc():
     x, y = 8, 8
     ones = np.ones((x, y, 1))
-    k = fft2(ComplexVolume(ones, np.zeros_like(ones), DOMAIN_IMAGE))
+    k = fft2(oracles.xyt_volume(ones, np.zeros_like(ones), DOMAIN_IMAGE))
     want = np.zeros((x, y, 1))
     want[x // 2, y // 2, 0] = np.sqrt(x * y)
     assert oracles.rel_err(k.re, want) < 1e-12
@@ -93,7 +93,7 @@ def test_constant_image_concentrates_at_dc():
 def test_linearity():
     a = random_volume(8, 8, 2)
     b = random_volume(8, 8, 2)
-    summed = ComplexVolume(a.re + b.re, a.im + b.im, DOMAIN_IMAGE)
+    summed = oracles.xyt_volume(a.re + b.re, a.im + b.im, DOMAIN_IMAGE)
     ka, kb, ks = fft2(a), fft2(b), fft2(summed)
     assert oracles.rel_err(ks.re, ka.re + kb.re) < 1e-12
     assert oracles.rel_err(ks.im, ka.im + kb.im) < 1e-12
@@ -139,7 +139,7 @@ def test_roundtrip_property(xp, yp, t, seed):
 
 
 def test_magnitude():
-    v = ComplexVolume(
+    v = oracles.xyt_volume(
         np.full((1, 1, 1), 3.0), np.full((1, 1, 1), 4.0), DOMAIN_IMAGE
     )
     assert magnitude(v)[0, 0, 0] == 5.0
@@ -148,19 +148,19 @@ def test_magnitude():
 def test_volume_validation():
     ok = np.zeros((2, 2, 1))
     with pytest.raises(DimensionError):
-        ComplexVolume(np.zeros((2, 2)), np.zeros((2, 2)), DOMAIN_IMAGE)
-    with pytest.raises(DimensionError):
-        ComplexVolume(ok, np.zeros((2, 2, 2)), DOMAIN_IMAGE)
+        oracles.xyt_volume(np.zeros((2, 2)), np.zeros((2, 2)), DOMAIN_IMAGE)
+    with pytest.raises(DimensionError):  # last axis is not (re, im)
+        ComplexVolume(np.zeros((1, 2, 2, 3)), DOMAIN_IMAGE)
     with pytest.raises(DomainError):
-        ComplexVolume(ok, ok, "frequency")
+        oracles.xyt_volume(ok, ok, "frequency")
     bad = ok.copy()
     bad[0, 0, 0] = np.nan
     with pytest.raises(DegenerateInputError):
-        ComplexVolume(bad, ok, DOMAIN_IMAGE)
+        oracles.xyt_volume(bad, ok, DOMAIN_IMAGE)
     with pytest.raises(DegenerateInputError):
-        ComplexVolume(ok, ok, DOMAIN_IMAGE, scale=0.0)
+        oracles.xyt_volume(ok, ok, DOMAIN_IMAGE, scale=0.0)
     with pytest.raises(DegenerateInputError):
-        ComplexVolume(ok, ok, DOMAIN_IMAGE, scale=-1.0)
+        oracles.xyt_volume(ok, ok, DOMAIN_IMAGE, scale=-1.0)
 
 
 def test_normalize_peak_and_scale_composition():
@@ -178,7 +178,7 @@ def test_normalize_peak_and_scale_composition():
 def test_normalize_rejects_zero_volume():
     z = np.zeros((4, 4, 1))
     with pytest.raises(DegenerateInputError):
-        normalize(ComplexVolume(z, z, DOMAIN_IMAGE))
+        normalize(oracles.xyt_volume(z, z, DOMAIN_IMAGE))
 
 
 @given(seed=st.integers(min_value=0, max_value=2**31), scale=st.floats(0.1, 10.0))
@@ -198,7 +198,7 @@ def test_kvol_roundtrip_bitwise(tmp_path):
     rng = np.random.default_rng(3)
     re = rng.standard_normal((8, 4, 3)).astype(np.float32).astype(np.float64)
     im = rng.standard_normal((8, 4, 3)).astype(np.float32).astype(np.float64)
-    v = ComplexVolume(re, im, DOMAIN_KSPACE, scale=1.25)
+    v = oracles.xyt_volume(re, im, DOMAIN_KSPACE, scale=1.25)
     path = tmp_path / "v.kvol"
     write_volume(v, path)
     back = read_volume(path)
@@ -208,9 +208,37 @@ def test_kvol_roundtrip_bitwise(tmp_path):
     assert back.scale == v.scale
 
 
+def test_kvol_payload_layout(tmp_path):
+    """Payload order is t, ky, kx (fastest), each sample an (re, im) pair."""
+    re = np.fromfunction(lambda x, y, t: 100 * t + 10 * y + x, (2, 2, 2))
+    im = -re - 0.5
+    path = tmp_path / "v.kvol"
+    write_volume(oracles.xyt_volume(re, im, DOMAIN_KSPACE), path)
+    payload = np.frombuffer(path.read_bytes()[29:], dtype="<f4")  # 29-byte header
+    want = [
+        value
+        for t in range(2)
+        for y in range(2)
+        for x in range(2)
+        for value in (re[x, y, t], im[x, y, t])
+    ]
+    assert payload.tolist() == want
+
+
+def test_re_im_are_xyt_views_of_data():
+    v = random_volume(4, 3, 2, rng=np.random.default_rng(0))
+    assert v.data.shape == (2, 3, 4, 2)
+    assert v.re.shape == v.im.shape == (4, 3, 2)
+    assert np.shares_memory(v.re, v.data) and np.shares_memory(v.im, v.data)
+    v.re[1, 2, 0] = 7.0
+    v.im[3, 0, 1] = -7.0
+    assert v.data[0, 2, 1, 0] == 7.0
+    assert v.data[1, 0, 3, 1] == -7.0
+
+
 def test_kvol_write_quantizes_to_float32(tmp_path):
     re = np.full((2, 2, 1), 1.0 + 2.0**-40)
-    v = ComplexVolume(re, np.zeros_like(re), DOMAIN_IMAGE)
+    v = oracles.xyt_volume(re, np.zeros_like(re), DOMAIN_IMAGE)
     path = tmp_path / "q.kvol"
     write_volume(v, path)
     assert read_volume(path).re[0, 0, 0] == 1.0

@@ -5,6 +5,8 @@ base point, matching the stop-gradient convention of the loss itself, and
 compares autodiff against central finite differences entry-by-entry.
 """
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from kinterp.errors import (
     DomainError,
     PartitionError,
 )
-from kinterp.kspace import DOMAIN_IMAGE, DOMAIN_KSPACE, ComplexVolume
+from kinterp.kspace import DOMAIN_IMAGE, DOMAIN_KSPACE
 from kinterp.model import (
     ALL_PLANES,
     PLANE_KX_KY,
@@ -48,7 +50,7 @@ RNG = np.random.default_rng(123)
 
 
 def kvol(x, y, t, rng=RNG):
-    return ComplexVolume(
+    return oracles.xyt_volume(
         rng.standard_normal((x, y, t)), rng.standard_normal((x, y, t)), DOMAIN_KSPACE
     )
 
@@ -151,7 +153,7 @@ def test_zero_volume_tokens_are_position_codes():
     """With zero k-space and zero-init bias the tokens reduce to the table."""
     m = KSpaceInterpolator(ModelConfig(8, 8, 2))
     z = np.zeros((8, 8, 2))
-    batch = m.tokenize_kyt(ComplexVolume(z, z, DOMAIN_KSPACE))
+    batch = m.tokenize_kyt(oracles.xyt_volume(z, z, DOMAIN_KSPACE))
     assert np.array_equal(batch.tokens.data, m.position_table(PLANE_KY_T))
 
 
@@ -176,7 +178,7 @@ def test_position_table_rows_unique():
 
 def test_tokenize_rejects_bad_inputs():
     m = KSpaceInterpolator(ModelConfig(8, 8, 2))
-    img = ComplexVolume(np.zeros((8, 8, 2)), np.zeros((8, 8, 2)), DOMAIN_IMAGE)
+    img = oracles.xyt_volume(np.zeros((8, 8, 2)), np.zeros((8, 8, 2)), DOMAIN_IMAGE)
     with pytest.raises(DomainError):
         m.tokenize_kyt(img)
     with pytest.raises(DimensionError):
@@ -464,6 +466,12 @@ def test_checkpoint_rejects_malformed(tmp_path):
         load_params(bad)
     at = blob.index(b"kgin.proj_in.w")
     bad.write_bytes(blob[:at] + b"\xff" + blob[at + 1 :])  # tensor name not UTF-8
+    with pytest.raises(CheckpointError):
+        load_params(bad)
+    at += len(b"kgin.proj_in.w")
+    (rank,) = struct.unpack_from("<I", blob, at)
+    huge = struct.pack("<4I", 3, 2**20, 2**20, 2**24)  # 2**64 values: 0 in int64
+    bad.write_bytes(blob[:at] + huge + blob[at + 4 + 4 * rank :])
     with pytest.raises(CheckpointError):
         load_params(bad)
 

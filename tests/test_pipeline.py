@@ -1,6 +1,9 @@
 """Metrics against brute-force oracles, training loop contracts, inference
 data-consistency, and evaluation report plumbing."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,7 +18,6 @@ from kinterp.errors import (
 )
 from kinterp.kspace import (
     DOMAIN_KSPACE,
-    ComplexVolume,
     fft2,
     ifft2,
     magnitude,
@@ -321,7 +323,7 @@ def test_infer_accepts_checkpoint_path(short_checkpoint):
 
 def test_infer_rejects_dimension_mismatch():
     model = KSpaceInterpolator(tiny_config(16, 16, 2), seed=0)
-    v = ComplexVolume(
+    v = oracles.xyt_volume(
         np.zeros((16, 16, 4)), np.zeros((16, 16, 4)), DOMAIN_KSPACE
     )
     with pytest.raises(DimensionError):
@@ -414,9 +416,27 @@ def test_write_pgm_frames(tmp_path):
 
 
 def test_write_pgm_constant_frame(tmp_path):
-    v = ComplexVolume(
+    v = oracles.xyt_volume(
         np.full((8, 8, 1), 2.0), np.zeros((8, 8, 1)), DOMAIN_KSPACE
     )
     paths = write_pgm_frames(v, tmp_path)
     blob = paths[0].read_bytes()
     assert set(blob[len(b"P5\n8 8\n255\n"):]) == {0}
+
+
+# ------------------------------------------------------------ desk script
+
+
+def test_desk_run_smoke(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "desk_run.py"
+    spec = importlib.util.spec_from_file_location("desk_run", script)
+    desk_run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(desk_run)
+    assert desk_run.main([
+        "--out", str(tmp_path), "--dims", "16,16,2",
+        "--n-train", "1", "--n-test", "1", "--steps", "2",
+    ]) == 0
+    for name in ("report.csv", "baseline.csv", "mask.kmask"):
+        assert (tmp_path / name).is_file()
+    for name in ("reference", "zero_filled", "recon"):
+        assert (tmp_path / "frames" / name).is_dir()

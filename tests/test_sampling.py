@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles
 from kinterp.errors import DimensionError, DomainError, FormatError, SpecError
-from kinterp.kspace import DOMAIN_IMAGE, DOMAIN_KSPACE, ComplexVolume
+from kinterp.kspace import DOMAIN_IMAGE, DOMAIN_KSPACE
 from kinterp.sampling import (
     SamplingMask,
     apply_mask,
@@ -22,7 +23,7 @@ RNG = np.random.default_rng(11)
 
 
 def kvol(x, y, t, rng=RNG):
-    return ComplexVolume(
+    return oracles.xyt_volume(
         rng.standard_normal((x, y, t)), rng.standard_normal((x, y, t)), DOMAIN_KSPACE
     )
 
@@ -170,7 +171,7 @@ def test_apply_mask_full_mask_is_identity():
 
 
 def test_apply_mask_rejects_image_domain_and_bad_dims():
-    img = ComplexVolume(np.zeros((4, 8, 2)), np.zeros((4, 8, 2)), DOMAIN_IMAGE)
+    img = oracles.xyt_volume(np.zeros((4, 8, 2)), np.zeros((4, 8, 2)), DOMAIN_IMAGE)
     mask = generate_mask(8, 2, 2.0, seed=0)
     with pytest.raises(DomainError):
         apply_mask(img, mask)
@@ -216,7 +217,7 @@ def test_data_consistency_all_ones_mask_returns_sampled():
 def test_data_consistency_domain_and_shape_checks():
     mask = generate_mask(8, 2, 2.0, seed=0)
     ksp = kvol(4, 8, 2)
-    img = ComplexVolume(np.zeros((4, 8, 2)), np.zeros((4, 8, 2)), DOMAIN_IMAGE)
+    img = oracles.xyt_volume(np.zeros((4, 8, 2)), np.zeros((4, 8, 2)), DOMAIN_IMAGE)
     with pytest.raises(DomainError):
         data_consistency(img, ksp, mask)
     with pytest.raises(DomainError):
@@ -277,3 +278,7 @@ def test_kmask_rejects_malformed_files(tmp_path):
     path.write_bytes(b"KMASK v1 8 1 2 0\n1010\xff101\n")  # not UTF-8
     with pytest.raises(FormatError):
         load_mask(path)
+    for r in ("nan", "0", "-4"):  # acceleration must be finite and positive
+        path.write_text(f"KMASK v1 8 1 {r} 0\n10101010\n")
+        with pytest.raises(FormatError):
+            load_mask(path)
