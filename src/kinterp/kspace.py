@@ -174,4 +174,7 @@ def read_volume(path: str | Path) -> ComplexVolume:
         )
     data = np.frombuffer(payload, dtype="<f4").reshape(t, y, x, 2)
     domain = DOMAIN_IMAGE if domain_code == 0 else DOMAIN_KSPACE
-    return ComplexVolume(data, domain, float(scale))
+    try:
+        return ComplexVolume(data, domain, float(scale))
+    except DegenerateInputError as exc:
+        raise FormatError(f"{path}: {exc}") from exc

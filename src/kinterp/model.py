@@ -255,20 +255,9 @@ class KSpaceInterpolator:
 
     def _attention(self, h: Tensor, base: str) -> Tensor:
         p = self.params
-        n, d = h.shape
-        heads = self.config.n_heads
-        dh = d // heads
-
-        def split(x):
-            return nc.transpose(nc.reshape(x, (n, heads, dh)), (1, 0, 2))
-
-        q = split(h @ p[f"{base}.attn.wq"] + p[f"{base}.attn.bq"])
-        k = split(h @ p[f"{base}.attn.wk"] + p[f"{base}.attn.bk"])
-        v = split(h @ p[f"{base}.attn.wv"] + p[f"{base}.attn.bv"])
-        scores = (q @ nc.transpose(k, (0, 2, 1))) * (1.0 / np.sqrt(dh))
-        attn = nc.softmax_lastaxis(scores)
-        out = nc.reshape(nc.transpose(attn @ v, (1, 0, 2)), (n, d))
-        return out @ p[f"{base}.attn.wo"] + p[f"{base}.attn.bo"]
+        q, k, v = (nc.linear(h, p[f"{base}.attn.w{c}"], p[f"{base}.attn.b{c}"]) for c in "qkv")
+        out = nc.attention(q, k, v, self.config.n_heads)
+        return nc.linear(out, p[f"{base}.attn.wo"], p[f"{base}.attn.bo"])
 
     def _stack(self, x: Tensor, prefix: str) -> Tensor:
         p = self.params
@@ -277,8 +266,8 @@ class KSpaceInterpolator:
             h = nc.layernorm(x, p[f"{base}.ln1.gain"], p[f"{base}.ln1.bias"])
             x = x + self._attention(h, base)
             h = nc.layernorm(x, p[f"{base}.ln2.gain"], p[f"{base}.ln2.bias"])
-            u = nc.gelu(h @ p[f"{base}.mlp.w1"] + p[f"{base}.mlp.b1"])
-            x = x + (u @ p[f"{base}.mlp.w2"] + p[f"{base}.mlp.b2"])
+            u = nc.gelu(nc.linear(h, p[f"{base}.mlp.w1"], p[f"{base}.mlp.b1"]))
+            x = x + nc.linear(u, p[f"{base}.mlp.w2"], p[f"{base}.mlp.b2"])
         return nc.layernorm(x, p[f"{prefix}.norm.gain"], p[f"{prefix}.norm.bias"])
 
     # ---- tokenization ---------------------------------------------------
@@ -321,8 +310,8 @@ class KSpaceInterpolator:
             raise DomainError("tokenization expects a k-space volume")
         self._check_volume(k)
         raw = Tensor(volume_to_array(k).reshape(-1, self.plane_channels(PLANE_KY_T)))
-        tokens = (raw * self._token_scale) @ self.params["kgin.proj_in.w"]
-        tokens = tokens + self.params["kgin.proj_in.b"]
+        p = self.params
+        tokens = nc.linear(raw * self._token_scale, p["kgin.proj_in.w"], p["kgin.proj_in.b"])
         tokens = tokens + Tensor(self._pos_tables[PLANE_KY_T])
         return TokenBatch(tokens, self.plane_coords(PLANE_KY_T), PLANE_KY_T)
 
@@ -376,23 +365,22 @@ class KSpaceInterpolator:
         order[unsampled_n] = len(sampled_n) + np.arange(len(unsampled_n))
         seq = nc.take_rows(nc.concat_rows([feats.tokens, mask_rows]), order)
         seq = self._stack(seq, "kgin.dec")
-        out = seq @ self.params["kgin.proj_out.w"] + self.params["kgin.proj_out.b"]
+        out = nc.linear(seq, self.params["kgin.proj_out.w"], self.params["kgin.proj_out.b"])
         return self._plane_restore(out, PLANE_KY_T)
 
     def refine(self, interpolated: Tensor) -> tuple[Tensor, Tensor, Tensor]:
         """Apply the three residual refinement blocks (disabled planes: identity)."""
+        p = self.params
         current = interpolated
         stages = []
         for plane in ALL_PLANES:
             if plane in self.config.kirm_planes:
                 prefix = f"kirm.{plane}"
                 tokens = self._plane_raw(current, plane) * self._token_scale
-                tokens = tokens @ self.params[f"{prefix}.proj_in.w"]
-                tokens = tokens + self.params[f"{prefix}.proj_in.b"]
+                tokens = nc.linear(tokens, p[f"{prefix}.proj_in.w"], p[f"{prefix}.proj_in.b"])
                 tokens = tokens + Tensor(self._pos_tables[plane])
                 feats = self._stack(tokens, prefix)
-                res = feats @ self.params[f"{prefix}.proj_out.w"]
-                res = res + self.params[f"{prefix}.proj_out.b"]
+                res = nc.linear(feats, p[f"{prefix}.proj_out.w"], p[f"{prefix}.proj_out.b"])
                 current = current + self._plane_restore(res, plane)
             stages.append(current)
         return stages[0], stages[1], stages[2]

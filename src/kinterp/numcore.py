@@ -5,6 +5,14 @@ that ``backward()`` can replay the tape in reverse topological order.  The
 engine runs in one of two global precision modes: ``"test"`` (float64, used
 for gradient checks) and ``"train"`` (float32).  The graph is freed as it is
 consumed by ``backward()``, so one step's activations never outlive the step.
+
+Finiteness is checked at the boundaries, not per op: a leaf ``Tensor(...)``
+rejects NaN/inf (``NonFiniteError``), the training loop rejects a non-finite
+loss, and ``adam_step`` rejects a non-finite gradient and names the
+parameter.  Op outputs and intermediate gradients are not scanned, so an op
+that overflows on finite inputs yields inf/NaN that the next boundary catches.
+Transformer layers use the fused ``linear`` and ``attention`` nodes, which
+record one tape node each with a hand-written backward.
 """
 
 from __future__ import annotations
@@ -135,7 +143,6 @@ class Tensor:
         for node in reversed(order):
             if node.grad is None:
                 continue
-            _check_finite(node.grad, f"gradient of {node.name or 'tensor'}")
             if node._backward is not None:
                 node._backward(node.grad)
             node._backward = None
@@ -149,10 +156,14 @@ def _coerce(value) -> Tensor:
 
 
 def _result(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
-    out = Tensor(data, requires_grad=any(p.requires_grad for p in parents))
-    if out.requires_grad:
-        out._parents = tuple(p for p in parents if p.requires_grad)
-        out._backward = backward
+    """An op's output node; unlike a leaf, its values are not scanned."""
+    out = Tensor.__new__(Tensor)
+    out.data = np.ascontiguousarray(np.asarray(data, dtype=active_dtype()))
+    out.grad = None
+    out.name = None
+    out._parents = tuple(p for p in parents if p.requires_grad)
+    out.requires_grad = bool(out._parents)
+    out._backward = backward if out.requires_grad else None
     return out
 
 
@@ -160,8 +171,11 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # A C-ordered copy: ``g`` may be a view shared with another operand,
+        # and a transposed layout would change later BLAS results.
+        t.grad = np.array(g, dtype=t.data.dtype, order="C")
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -225,6 +239,70 @@ def matmul(a, b) -> Tensor:
         _accumulate(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape))
 
     return _result(data, (a, b), backward)
+
+
+def linear(x, w, b) -> Tensor:
+    """``x @ w + b`` for [n, d_in] rows as one node."""
+    x, w, b = _coerce(x), _coerce(w), _coerce(b)
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise DimensionError(f"linear needs [n, d_in] @ [d_in, d_out], got {x.shape} @ {w.shape}")
+    if b.shape != (w.shape[1],):
+        raise DimensionError(f"linear bias {b.shape} does not match {w.shape[1]} outputs")
+    data = x.data @ w.data
+    data += b.data
+
+    def backward(g):
+        _accumulate(x, g @ w.data.T)
+        _accumulate(w, x.data.T @ g)
+        _accumulate(b, g.sum(axis=0))
+
+    return _result(data, (x, w, b), backward)
+
+
+def attention(q, k, v, heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention over [n, d] rows, as one node.
+
+    Splits d into ``heads`` slices, computes softmax(q k^T / sqrt(d/heads)) v
+    per head and merges the heads back to [n, d].  Backward keeps only the
+    attention probabilities.
+    """
+    q, k, v = _coerce(q), _coerce(k), _coerce(v)
+    if q.data.ndim != 2 or q.shape != k.shape or q.shape != v.shape:
+        raise DimensionError(
+            f"attention needs equal [n, d] q/k/v, got {q.shape}, {k.shape}, {v.shape}"
+        )
+    n, d = q.shape
+    if heads < 1 or d % heads:
+        raise DimensionError(f"attention width {d} not divisible by {heads} heads")
+    dh = d // heads
+    # A float64 scalar would promote the [heads, n, n] scores to float64.
+    scale = q.data.dtype.type(1.0 / math.sqrt(dh))
+
+    def split(a):
+        return a.reshape(n, heads, dh).transpose(1, 0, 2)
+
+    def merge(a):
+        return a.transpose(1, 0, 2).reshape(n, d)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    probs = qh @ kh.transpose(0, 2, 1)
+    probs *= scale
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    data = merge(probs @ vh)
+
+    def backward(g):
+        gh = split(g)
+        _accumulate(v, merge(probs.transpose(0, 2, 1) @ gh))
+        gs = gh @ vh.transpose(0, 2, 1)
+        gs -= (gs * probs).sum(axis=-1, keepdims=True)
+        gs *= probs
+        gs *= scale
+        _accumulate(q, merge(gs @ kh))
+        _accumulate(k, merge((qh.transpose(0, 2, 1) @ gs).transpose(0, 2, 1)))
+
+    return _result(data, (q, k, v), backward)
 
 
 def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
@@ -291,7 +369,7 @@ def gelu(x: Tensor) -> Tensor:
     """GELU with the tanh approximation."""
     x = _coerce(x)
     v = x.data
-    inner = _GELU_C * (v + 0.044715 * v**3)
+    inner = _GELU_C * (v + 0.044715 * (v * v * v))
     t = np.tanh(inner)
     data = 0.5 * v * (1.0 + t)
 

@@ -294,17 +294,9 @@ def infer(
     """Interpolate, enforce data consistency, denormalize, go to image space."""
     if not isinstance(model, KSpaceInterpolator):
         model = from_checkpoint(model)
-    c = model.config
-    if (undersampled.x_dim, undersampled.y_dim, undersampled.t_dim) != (
-        c.x_dim,
-        c.y_dim,
-        c.t_dim,
-    ):
-        raise DimensionError(
-            f"input volume ({undersampled.x_dim}, {undersampled.y_dim}, "
-            f"{undersampled.t_dim}) does not match the model "
-            f"({c.x_dim}, {c.y_dim}, {c.t_dim})"
-        )
+    # The forward checks extents too, but normalize would reject an all-zero
+    # input of the wrong shape first, with a less telling error.
+    model._check_volume(undersampled)
     masked, _ = apply_mask(undersampled, mask)
     normed = normalize(masked)
     result = model.forward(normed, mask)

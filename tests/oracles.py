@@ -5,7 +5,9 @@ Everything here is deliberately brute-force so it cannot share an algorithm
 matrix product, the metrics loop over explicit windows, and gradients come
 from central finite differences.  ``xyt_volume`` builds a volume from
 separate (X, Y, T) re/im arrays by an explicit transpose, so tests state
-their inputs in the axis order they index.
+their inputs in the axis order they index.  ``unfused_linear`` and
+``unfused_attention`` spell the fused ``numcore`` ops as compositions of the
+elementary ops, whose gradients the FD suite checks one by one.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import math
 
 import numpy as np
 
+from kinterp import numcore as nc
 from kinterp.kspace import ComplexVolume
 
 FD_STEP = 1e-6
@@ -22,6 +25,24 @@ FD_STEP = 1e-6
 def xyt_volume(re, im, domain: str, scale: float = 1.0) -> ComplexVolume:
     """A volume whose ``re``/``im`` views equal the given (X, Y, T) arrays."""
     return ComplexVolume(np.stack([re.T, im.T], axis=-1), domain, scale)
+
+
+def unfused_linear(x, w, b):
+    """``numcore.linear`` as ``matmul`` then a broadcast ``add``."""
+    return nc.add(nc.matmul(x, w), b)
+
+
+def unfused_attention(q, k, v, heads: int):
+    """``numcore.attention`` as reshape/transpose/matmul/mul/softmax nodes."""
+    n, d = q.shape
+    dh = d // heads
+
+    def split(t):
+        return nc.transpose(nc.reshape(t, (n, heads, dh)), (1, 0, 2))
+
+    scores = nc.mul(nc.matmul(split(q), nc.transpose(split(k), (0, 2, 1))), 1.0 / math.sqrt(dh))
+    out = nc.matmul(nc.softmax_lastaxis(scores), split(v))
+    return nc.reshape(nc.transpose(out, (1, 0, 2)), (n, d))
 
 
 def rel_err(a, b) -> float:

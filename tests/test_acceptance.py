@@ -97,6 +97,10 @@ def test_criterion_1_gradient_suite():
     # keep |.| inputs away from the kink at zero
     safe = RNG.uniform(0.2, 1.0, size=(4, 3)) * RNG.choice([-1.0, 1.0], size=(4, 3))
     draw = lambda *shape: RNG.normal(size=shape)
+    # The fused ops draw from their own stream, so every other check here
+    # keeps the inputs it had before they joined the table.
+    fused_rng = np.random.default_rng(778)
+    fused_draw = lambda *shape: fused_rng.normal(size=shape)
     per_op = {
         "add": (lambda a, b: nc.mean_all((a + b) * (a + b)), [draw(3, 4), draw(4)]),
         "sub": (lambda a, b: nc.mean_all((a - b) * (a - b)), [draw(3, 4), draw(3, 4)]),
@@ -120,6 +124,14 @@ def test_criterion_1_gradient_suite():
         "softmax_lastaxis": (
             lambda a, w: nc.mean_all(nc.softmax_lastaxis(a) * w),
             [draw(3, 5), draw(3, 5)],
+        ),
+        "linear": (
+            lambda x, w, b: nc.mean_all(nc.linear(x, w, b) * nc.linear(x, w, b)),
+            [fused_draw(3, 4), fused_draw(4, 2), fused_draw(2)],
+        ),
+        "attention": (
+            lambda q, k, v, w: nc.mean_all(nc.attention(q, k, v, 2) * w),
+            [fused_draw(5, 4), fused_draw(5, 4), fused_draw(5, 4), fused_draw(5, 4)],
         ),
         "abs": (lambda a: nc.mean_all(nc.abs_(a) * nc.abs_(a)), [safe]),
         "mean_all": (lambda a: nc.mean_all(a * a), [draw(7)]),

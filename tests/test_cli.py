@@ -274,6 +274,16 @@ def test_format_errors(workspace, tmp_path):
             "infer", str(workspace["data"] / "test_000.kspace.kvol"), "--out", str(tmp_path),
             "--checkpoint", str(workspace["run"] / "checkpoint.kgin"), "--mask", str(bad_mask),
         ]) == EXIT_FORMAT
+    # a payload holding NaN
+    nan_kvol = tmp_path / "nan.kvol"
+    blob = bytearray((workspace["data"] / "test_000.kspace.kvol").read_bytes())
+    blob[-4:] = np.array([np.nan], dtype="<f4").tobytes()
+    nan_kvol.write_bytes(bytes(blob))
+    assert main([
+        "infer", str(nan_kvol), "--out", str(tmp_path),
+        "--checkpoint", str(workspace["run"] / "checkpoint.kgin"),
+        "--mask", str(workspace["masks"] / "mask.kmask"),
+    ]) == EXIT_FORMAT
     # an image-domain volume where k-space is expected: a wrong header tag
     assert main([
         "infer", str(workspace["data"] / "test_000.image.kvol"), "--out", str(tmp_path),

@@ -275,6 +275,20 @@ def test_kvol_rejects_payload_length_mismatch(tmp_path):
         read_volume(path)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_kvol_rejects_non_finite_payload(tmp_path, bad):
+    v = random_volume(4, 4, 2)
+    path = tmp_path / "nan.kvol"
+    write_volume(v, path)
+    blob = bytearray(path.read_bytes())
+    # overwrite the first payload float
+    payload_at = len(blob) - v.data.size * 4
+    blob[payload_at : payload_at + 4] = np.array([bad], dtype="<f4").tobytes()
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match="nan.kvol"):
+        read_volume(path)
+
+
 def test_kvol_rejects_bad_version_and_domain(tmp_path):
     import struct
 

@@ -119,6 +119,71 @@ def test_take_rows_gradient_accumulates_duplicates():
     check_grad(lambda x: nc.mean_all(nc.take_rows(x, idx) * nc.take_rows(x, idx)), a)
 
 
+# ---- fused ops against their unfused compositions ------------------------------
+
+
+def _run_with_grads(build, arrays, weight):
+    """Output and per-operand gradients of ``mean(build(*leaves) * weight)``."""
+    leaves = [Tensor(a, requires_grad=True) for a in arrays]
+    out = build(*leaves)
+    nc.mean_all(out * Tensor(weight)).backward()
+    return out.data, [t.grad for t in leaves]
+
+
+def _assert_matches_composition(fused, unfused, arrays, weight):
+    out, grads = _run_with_grads(fused, arrays, weight)
+    ref_out, ref_grads = _run_with_grads(unfused, arrays, weight)
+    assert out.shape == ref_out.shape
+    assert oracles.rel_err(out, ref_out) <= 1e-12
+    for i, (g, ref) in enumerate(zip(grads, ref_grads)):
+        assert g.shape == ref.shape, f"operand {i}"
+        assert oracles.rel_err(g, ref) <= 1e-12, f"operand {i}"
+
+
+@given(
+    n=st.integers(1, 9),
+    heads=st.sampled_from([1, 2, 4]),
+    head_dim=st.integers(1, 3),
+    d_out=st.integers(1, 5),
+    seed=st.integers(0, 2**16),
+)
+@example(n=1, heads=1, head_dim=1, d_out=1, seed=0)
+@example(n=1, heads=4, head_dim=2, d_out=3, seed=1)
+def test_fused_ops_match_unfused_composition(n, heads, head_dim, d_out, seed):
+    assert nc.get_mode() == "test"  # float64
+    rng = np.random.default_rng(seed)
+    d = heads * head_dim
+    x, w, b = rng.normal(size=(n, d)), rng.normal(size=(d, d_out)), rng.normal(size=d_out)
+    _assert_matches_composition(
+        nc.linear, oracles.unfused_linear, [x, w, b], rng.normal(size=(n, d_out))
+    )
+    qkv = [rng.normal(size=(n, d)) * 2.0 for _ in range(3)]
+    _assert_matches_composition(
+        lambda q, k, v: nc.attention(q, k, v, heads),
+        lambda q, k, v: oracles.unfused_attention(q, k, v, heads),
+        qkv,
+        rng.normal(size=(n, d)),
+    )
+
+
+def test_fused_ops_reject_mismatched_shapes():
+    x = Tensor(np.ones((3, 4)))
+    with pytest.raises(DimensionError):
+        nc.linear(x, Tensor(np.ones((5, 2))), Tensor(np.ones(2)))  # inner extents
+    with pytest.raises(DimensionError):
+        nc.linear(x, Tensor(np.ones((4, 2))), Tensor(np.ones(3)))  # bias width
+    with pytest.raises(DimensionError):
+        nc.linear(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((4, 2))), Tensor(np.ones(2)))
+    with pytest.raises(DimensionError):
+        nc.attention(x, x, Tensor(np.ones((3, 2))), 2)  # v width
+    with pytest.raises(DimensionError):
+        nc.attention(x, Tensor(np.ones((2, 4))), x, 2)  # k rows
+    with pytest.raises(DimensionError):
+        nc.attention(x, x, x, 3)  # 4 not divisible by 3 heads
+    with pytest.raises(DimensionError):
+        nc.attention(Tensor(np.ones(4)), Tensor(np.ones(4)), Tensor(np.ones(4)), 1)
+
+
 def test_gelu_values_and_gradient():
     assert nc.gelu(Tensor(np.array(0.0))).item() == 0.0
     assert abs(nc.gelu(Tensor(np.array(10.0))).item() - 10.0) < 1e-6
@@ -203,6 +268,19 @@ def test_backward_requires_scalar_root():
 def test_non_finite_forward_rejected():
     with pytest.raises(NonFiniteError):
         Tensor(np.array([1.0, np.nan]))
+
+
+def test_overflowing_op_is_caught_at_adam_not_per_op():
+    # Finiteness is checked at the boundaries: an op on finite leaves may
+    # overflow without raising; the optimizer then names the bad parameter.
+    p = Tensor(np.array([1e200, 1.0]), requires_grad=True, name="enc.w")
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss = nc.mean_all(p * p * p)
+        assert not np.isfinite(loss.data).all()
+        loss.backward()
+    assert not np.isfinite(p.grad).all()
+    with pytest.raises(TrainingError, match="enc.w"):
+        adam_step([("enc.w", p)], [p.grad], OptimizerState(), lr=0.1)
 
 
 def test_grad_shape_matches_parameter():

@@ -15,6 +15,7 @@ from kinterp.errors import (
     DimensionError,
     FormatError,
     SpecError,
+    TrainingError,
 )
 from kinterp.kspace import (
     DOMAIN_KSPACE,
@@ -259,6 +260,24 @@ def test_train_log_interval_subsets_csv(small_root, tmp_path):
     lines = result.log_path.read_text().splitlines()
     steps = [int(line.split(",")[0]) for line in lines[1:]]
     assert steps == [0, 4, 5]  # multiples of the interval plus the final step
+
+
+def test_train_rejects_non_finite_loss(small_root, tmp_path, monkeypatch):
+    # Ops do not scan their outputs; the loss check in the loop is the boundary
+    # that turns a forward gone non-finite into a TrainingError.
+    original = pipeline.total_loss
+
+    def overflowing(*args, **kwargs):
+        total, l1v, hdrv = original(*args, **kwargs)
+        with np.errstate(over="ignore"):
+            return total * 1e30 * 1e30, l1v, hdrv  # finite factors, float32 inf
+
+    monkeypatch.setattr(pipeline, "total_loss", overflowing)
+    cfg = TrainConfig(
+        model=tiny_config(16, 16, 2), manifest=small_root["manifest"], steps=1
+    )
+    with pytest.raises(TrainingError, match="non-finite loss at step 0"):
+        train(cfg, tmp_path / "out")
 
 
 def test_train_reads_only_train_kspace(small_root, tmp_path, monkeypatch):
