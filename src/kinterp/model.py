@@ -153,6 +153,65 @@ def _plane_pos_table(n_inner: int, n_outer: int, dim: int) -> np.ndarray:
     )
 
 
+def _plane_channels(c: ModelConfig, plane: str) -> int:
+    if plane == PLANE_KY_T:
+        return 2 * c.x_dim
+    if plane == PLANE_KX_T:
+        return 2 * c.y_dim
+    if plane == PLANE_KX_KY:
+        return 2 * c.kirm_patch**2 * c.t_dim
+    raise ConfigError(f"unknown plane {plane!r}")
+
+
+def _stack_table(c: ModelConfig, prefix: str) -> dict[str, tuple[tuple[int, ...], str]]:
+    d, hidden = c.embed_dim, c.embed_dim * c.mlp_ratio
+    table = {}
+    for i in range(c.n_layers):
+        base = f"{prefix}.{i}"
+        for ln in ("ln1", "ln2"):
+            table[f"{base}.{ln}.gain"] = ((d,), "ones")
+            table[f"{base}.{ln}.bias"] = ((d,), "zeros")
+        for proj in ("wq", "wk", "wv", "wo"):
+            table[f"{base}.attn.{proj}"] = ((d, d), "normal")
+        for bias in ("bq", "bk", "bv", "bo"):
+            table[f"{base}.attn.{bias}"] = ((d,), "zeros")
+        table[f"{base}.mlp.w1"] = ((d, hidden), "normal")
+        table[f"{base}.mlp.b1"] = ((hidden,), "zeros")
+        table[f"{base}.mlp.w2"] = ((hidden, d), "normal")
+        table[f"{base}.mlp.b2"] = ((d,), "zeros")
+    table[f"{prefix}.norm.gain"] = ((d,), "ones")
+    table[f"{prefix}.norm.bias"] = ((d,), "zeros")
+    return table
+
+
+def param_table(c: ModelConfig) -> dict[str, tuple[tuple[int, ...], str]]:
+    """Every parameter as name -> (shape, init), in creation and draw order.
+
+    ``init`` is "normal" (clipped N(0, 0.02) draw), "zeros" or "ones".  Nothing
+    is allocated, so a checkpoint header can be checked against it first.
+    """
+    d = c.embed_dim
+    chan = _plane_channels(c, PLANE_KY_T)
+    table = {
+        "kgin.proj_in.w": ((chan, d), "normal"),
+        "kgin.proj_in.b": ((d,), "zeros"),
+        "kgin.mask_token": ((d,), "zeros"),
+        **_stack_table(c, "kgin.enc"),
+        **_stack_table(c, "kgin.dec"),
+        "kgin.proj_out.w": ((d, chan), "normal"),
+        "kgin.proj_out.b": ((chan,), "zeros"),
+    }
+    for plane in c.kirm_planes:
+        chan = _plane_channels(c, plane)
+        prefix = f"kirm.{plane}"
+        table[f"{prefix}.proj_in.w"] = ((chan, d), "normal")
+        table[f"{prefix}.proj_in.b"] = ((d,), "zeros")
+        table.update(_stack_table(c, prefix))
+        table[f"{prefix}.proj_out.w"] = ((d, chan), "zeros")
+        table[f"{prefix}.proj_out.b"] = ((chan,), "zeros")
+    return table
+
+
 class KSpaceInterpolator:
     """The full interpolation model: tokenizer, encoder/decoder, refinement."""
 
@@ -172,51 +231,13 @@ class KSpaceInterpolator:
             self._pos_tables[PLANE_KX_KY] = _plane_pos_table(
                 c.x_dim // c.kirm_patch, c.y_dim // c.kirm_patch, c.embed_dim
             )
-        d = c.embed_dim
-        chan = self.plane_channels(PLANE_KY_T)
-        self._param("kgin.proj_in.w", self._draw((chan, d)))
-        self._param("kgin.proj_in.b", np.zeros(d))
-        self._param("kgin.mask_token", np.zeros(d))
-        self._stack_params("kgin.enc")
-        self._stack_params("kgin.dec")
-        self._param("kgin.proj_out.w", self._draw((d, chan)))
-        self._param("kgin.proj_out.b", np.zeros(chan))
-        for plane in c.kirm_planes:
-            chan = self.plane_channels(plane)
-            prefix = f"kirm.{plane}"
-            self._param(f"{prefix}.proj_in.w", self._draw((chan, d)))
-            self._param(f"{prefix}.proj_in.b", np.zeros(d))
-            self._stack_params(prefix)
-            self._param(f"{prefix}.proj_out.w", np.zeros((d, chan)))
-            self._param(f"{prefix}.proj_out.b", np.zeros(chan))
+        fill = {"normal": self._draw, "zeros": np.zeros, "ones": np.ones}
+        for name, (shape, init) in param_table(c).items():
+            self.params[name] = Tensor(fill[init](shape), requires_grad=True, name=name)
 
     def _draw(self, shape: tuple[int, ...]) -> np.ndarray:
         draw = self._rng.normal(0.0, _INIT_STD, size=shape)
         return np.clip(draw, -2 * _INIT_STD, 2 * _INIT_STD)
-
-    def _param(self, name: str, value: np.ndarray) -> Tensor:
-        t = Tensor(value, requires_grad=True, name=name)
-        self.params[name] = t
-        return t
-
-    def _stack_params(self, prefix: str) -> None:
-        d = self.config.embed_dim
-        hidden = d * self.config.mlp_ratio
-        for i in range(self.config.n_layers):
-            base = f"{prefix}.{i}"
-            for ln in ("ln1", "ln2"):
-                self._param(f"{base}.{ln}.gain", np.ones(d))
-                self._param(f"{base}.{ln}.bias", np.zeros(d))
-            for proj in ("wq", "wk", "wv", "wo"):
-                self._param(f"{base}.attn.{proj}", self._draw((d, d)))
-            for bias in ("bq", "bk", "bv", "bo"):
-                self._param(f"{base}.attn.{bias}", np.zeros(d))
-            self._param(f"{base}.mlp.w1", self._draw((d, hidden)))
-            self._param(f"{base}.mlp.b1", np.zeros(hidden))
-            self._param(f"{base}.mlp.w2", self._draw((hidden, d)))
-            self._param(f"{base}.mlp.b2", np.zeros(d))
-        self._param(f"{prefix}.norm.gain", np.ones(d))
-        self._param(f"{prefix}.norm.bias", np.zeros(d))
 
     # ---- introspection -------------------------------------------------
 
@@ -231,14 +252,7 @@ class KSpaceInterpolator:
         return self._pos_tables[plane].copy()
 
     def plane_channels(self, plane: str) -> int:
-        c = self.config
-        if plane == PLANE_KY_T:
-            return 2 * c.x_dim
-        if plane == PLANE_KX_T:
-            return 2 * c.y_dim
-        if plane == PLANE_KX_KY:
-            return 2 * c.kirm_patch**2 * c.t_dim
-        raise ConfigError(f"unknown plane {plane!r}")
+        return _plane_channels(self.config, plane)
 
     def plane_coords(self, plane: str) -> np.ndarray:
         c = self.config
@@ -556,6 +570,21 @@ def load_params(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
     return config, tensors
 
 
+def _check_tensors(config: ModelConfig, tensors: dict[str, np.ndarray], path) -> None:
+    """Match a checkpoint's tensor table against ``param_table(config)``."""
+    expected = param_table(config)
+    if set(tensors) != set(expected):
+        raise CheckpointError(f"{path}: checkpoint tensor names do not match the model")
+    for name, arr in tensors.items():
+        if arr.shape != expected[name][0]:
+            raise CheckpointError(f"{path}: checkpoint tensor {name} has shape {arr.shape}")
+
+
+def _assign(model: KSpaceInterpolator, tensors: dict[str, np.ndarray]) -> None:
+    for name, arr in tensors.items():
+        model.params[name].data = np.ascontiguousarray(arr.astype(nc.active_dtype()))
+
+
 def load_into(model: KSpaceInterpolator, path: str | Path) -> None:
     """Load tensors into an existing model; configs must match exactly."""
     config, tensors = load_params(path)
@@ -563,18 +592,18 @@ def load_into(model: KSpaceInterpolator, path: str | Path) -> None:
         raise CheckpointError(
             f"checkpoint config {config} does not match model config {model.config}"
         )
-    if set(tensors) != set(model.params):
-        raise CheckpointError("checkpoint tensor names do not match the model")
-    for name, arr in tensors.items():
-        target = model.params[name]
-        if arr.shape != target.data.shape:
-            raise CheckpointError(f"checkpoint tensor {name} has shape {arr.shape}")
-        target.data = np.ascontiguousarray(arr.astype(nc.active_dtype()))
+    _check_tensors(config, tensors, path)
+    _assign(model, tensors)
 
 
 def from_checkpoint(path: str | Path) -> KSpaceInterpolator:
-    """Construct a model from a checkpoint file."""
-    config, _ = load_params(path)
+    """Construct a model from a checkpoint file.
+
+    The tensor table is checked against the header's config before the model
+    is built, so a header alone cannot make it allocate a model.
+    """
+    config, tensors = load_params(path)
+    _check_tensors(config, tensors, path)
     model = KSpaceInterpolator(config, seed=0)
-    load_into(model, path)
+    _assign(model, tensors)
     return model

@@ -12,7 +12,10 @@ loss, and ``adam_step`` rejects a non-finite gradient and names the
 parameter.  Op outputs and intermediate gradients are not scanned, so an op
 that overflows on finite inputs yields inf/NaN that the next boundary catches.
 Transformer layers use the fused ``linear`` and ``attention`` nodes, which
-record one tape node each with a hand-written backward.
+record one tape node each with a hand-written backward.  ``attention`` runs
+its query rows in chunks of at most ``ATTENTION_BLOCK`` score entries and
+keeps at most one block of probabilities for backward, recomputing the rest,
+so a node holds O(n d + block) memory instead of a [heads, n, n] map.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ _active_mode = "test"
 
 LAYERNORM_EPS = 1e-5
 _GELU_C = math.sqrt(2.0 / math.pi)
+# Score entries (heads x query rows x keys) that one attention chunk may hold.
+ATTENTION_BLOCK = 1 << 18
 
 
 def set_mode(mode: str) -> None:
@@ -263,8 +268,10 @@ def attention(q, k, v, heads: int) -> Tensor:
     """Multi-head scaled dot-product attention over [n, d] rows, as one node.
 
     Splits d into ``heads`` slices, computes softmax(q k^T / sqrt(d/heads)) v
-    per head and merges the heads back to [n, d].  Backward keeps only the
-    attention probabilities.
+    per head and merges the heads back to [n, d].  Query rows run in chunks of
+    at most ``ATTENTION_BLOCK`` score entries, each against every key, so each
+    row's softmax is exact.  The node keeps the probabilities of the leading
+    chunks that fit in one block; backward reuses them and recomputes the rest.
     """
     q, k, v = _coerce(q), _coerce(k), _coerce(v)
     if q.data.ndim != 2 or q.shape != k.shape or q.shape != v.shape:
@@ -272,11 +279,15 @@ def attention(q, k, v, heads: int) -> Tensor:
             f"attention needs equal [n, d] q/k/v, got {q.shape}, {k.shape}, {v.shape}"
         )
     n, d = q.shape
+    if n == 0:
+        raise DimensionError("attention needs at least one query row")
     if heads < 1 or d % heads:
         raise DimensionError(f"attention width {d} not divisible by {heads} heads")
     dh = d // heads
-    # A float64 scalar would promote the [heads, n, n] scores to float64.
+    # A float64 scalar would promote the float32 scores to float64.
     scale = q.data.dtype.type(1.0 / math.sqrt(dh))
+    rows = max(1, ATTENTION_BLOCK // (heads * n))
+    spans = [(s, min(s + rows, n)) for s in range(0, n, rows)]
 
     def split(a):
         return a.reshape(n, heads, dh).transpose(1, 0, 2)
@@ -285,22 +296,49 @@ def attention(q, k, v, heads: int) -> Tensor:
         return a.transpose(1, 0, 2).reshape(n, d)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    probs = qh @ kh.transpose(0, 2, 1)
-    probs *= scale
-    probs -= probs.max(axis=-1, keepdims=True)
-    np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
-    data = merge(probs @ vh)
+
+    def probs(s, e):
+        p = qh[:, s:e] @ kh.transpose(0, 2, 1)
+        p *= scale
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        return p
+
+    data = np.empty((n, d), dtype=q.data.dtype)
+    # Chunk start -> probabilities, one block in total at most.  With rows
+    # = block // (heads n) only the first chunk can fit, and only when
+    # heads * n <= block: a whole desk-scale map is one chunk, kept entire.
+    kept: dict[int, np.ndarray] = {}
+    room = ATTENTION_BLOCK
+    for s, e in spans:
+        p = probs(s, e)
+        data.reshape(n, heads, dh)[s:e] = (p @ vh).transpose(1, 0, 2)
+        if p.size <= room:
+            kept[s] = p
+            room -= p.size
 
     def backward(g):
         gh = split(g)
-        _accumulate(v, merge(probs.transpose(0, 2, 1) @ gh))
-        gs = gh @ vh.transpose(0, 2, 1)
-        gs -= (gs * probs).sum(axis=-1, keepdims=True)
-        gs *= probs
-        gs *= scale
-        _accumulate(q, merge(gs @ kh))
-        _accumulate(k, merge((qh.transpose(0, 2, 1) @ gs).transpose(0, 2, 1)))
+        dq = np.empty_like(g)
+        for s, e in spans:
+            p = kept[s] if s in kept else probs(s, e)
+            gc = gh[:, s:e]
+            dv_part = p.transpose(0, 2, 1) @ gc
+            gs = gc @ vh.transpose(0, 2, 1)
+            gs -= (gs * p).sum(axis=-1, keepdims=True)
+            gs *= p
+            gs *= scale
+            dq.reshape(n, heads, dh)[s:e] = (gs @ kh).transpose(1, 0, 2)
+            dkt_part = qh[:, s:e].transpose(0, 2, 1) @ gs  # [heads, dh, n]
+            if s == 0:
+                dv, dkt = dv_part, dkt_part
+            else:
+                dv += dv_part
+                dkt += dkt_part
+        _accumulate(v, merge(dv))
+        _accumulate(q, dq)
+        _accumulate(k, merge(dkt.transpose(0, 2, 1)))
 
     return _result(data, (q, k, v), backward)
 

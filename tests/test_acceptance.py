@@ -74,6 +74,18 @@ def _grad_matches_fd(build, *arrays, tol):
         assert oracles.rel_err(t.grad, fd) < tol, f"operand {i}"
 
 
+def _with_attention_block(block, build):
+    """``build`` run with ``nc.ATTENTION_BLOCK`` set to ``block``; the chunk
+    layout is fixed in the forward pass, so backward needs no patch."""
+
+    def inner(*args):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nc, "ATTENTION_BLOCK", block)
+            return build(*args)
+
+    return inner
+
+
 def _recon_vs_zero_filled_psnr(checkpoint, image_path, kspace_path, r, mask_seed):
     reference = read_volume(image_path)
     gt = read_volume(kspace_path)
@@ -101,6 +113,8 @@ def test_criterion_1_gradient_suite():
     # keeps the inputs it had before they joined the table.
     fused_rng = np.random.default_rng(778)
     fused_draw = lambda *shape: fused_rng.normal(size=shape)
+    chunked_rng = np.random.default_rng(779)
+    chunked_draw = lambda *shape: chunked_rng.normal(size=shape)
     per_op = {
         "add": (lambda a, b: nc.mean_all((a + b) * (a + b)), [draw(3, 4), draw(4)]),
         "sub": (lambda a, b: nc.mean_all((a - b) * (a - b)), [draw(3, 4), draw(3, 4)]),
@@ -132,6 +146,14 @@ def test_criterion_1_gradient_suite():
         "attention": (
             lambda q, k, v, w: nc.mean_all(nc.attention(q, k, v, 2) * w),
             [fused_draw(5, 4), fused_draw(5, 4), fused_draw(5, 4), fused_draw(5, 4)],
+        ),
+        # 2 heads x 7 rows: chunks of 2 + 2 + 2 + 1 query rows, only the
+        # first kept by the 28-entry block, the rest recomputed in backward
+        "attention (chunked)": (
+            _with_attention_block(
+                28, lambda q, k, v, w: nc.mean_all(nc.attention(q, k, v, 2) * w)
+            ),
+            [chunked_draw(7, 4) for _ in range(4)],
         ),
         "abs": (lambda a: nc.mean_all(nc.abs_(a) * nc.abs_(a)), [safe]),
         "mean_all": (lambda a: nc.mean_all(a * a), [draw(7)]),

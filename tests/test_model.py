@@ -476,6 +476,34 @@ def test_checkpoint_rejects_malformed(tmp_path):
         load_params(bad)
 
 
+def test_from_checkpoint_checks_tensors_before_building(tmp_path, monkeypatch):
+    def never_built(self, *args, **kwargs):
+        raise AssertionError("model built before its tensors were checked")
+
+    # A 64-byte file: a full-preset header with an empty tensor table.
+    c = full_config(256, 256, 32)
+    dims = (c.x_dim, c.y_dim, c.t_dim, c.embed_dim, c.n_heads, c.n_layers, c.mlp_ratio)
+    config = (*dims, c.kirm_patch, 0b111, c.loss_weight_hdr, c.hdr_eps)  # 0b111: all planes
+    empty = tmp_path / "empty.kgin"
+    empty.write_bytes(struct.pack("<4sI9IddI", b"KGIN", 1, *config, 0))
+    assert empty.stat().st_size == 64
+
+    # Every name present, but one [chan, d] weight stored as [d, chan].
+    m = KSpaceInterpolator(ModelConfig(8, 8, 2), seed=17)
+    path = tmp_path / "m.kgin"
+    save_params(m, path)
+    blob = path.read_bytes()
+    at = blob.index(b"kgin.proj_in.w") + len(b"kgin.proj_in.w")
+    chan, d = m.params["kgin.proj_in.w"].shape
+    swapped = tmp_path / "swapped.kgin"
+    swapped.write_bytes(blob[:at] + struct.pack("<3I", 2, d, chan) + blob[at + 12 :])
+
+    monkeypatch.setattr(KSpaceInterpolator, "__init__", never_built)
+    for bad in (empty, swapped):
+        with pytest.raises(CheckpointError):
+            from_checkpoint(bad)
+
+
 def test_load_into_rejects_config_mismatch(tmp_path):
     m = KSpaceInterpolator(ModelConfig(8, 8, 2), seed=16)
     path = tmp_path / "m.kgin"

@@ -5,6 +5,7 @@ oracle in 64-bit mode (h=1e-6, rel. 1e-4), per the gradient acceptance gate.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -182,6 +183,47 @@ def test_fused_ops_reject_mismatched_shapes():
         nc.attention(x, x, x, 3)  # 4 not divisible by 3 heads
     with pytest.raises(DimensionError):
         nc.attention(Tensor(np.ones(4)), Tensor(np.ones(4)), Tensor(np.ones(4)), 1)
+    empty = Tensor(np.ones((0, 4)))
+    with pytest.raises(DimensionError):
+        nc.attention(empty, empty, empty, 2)  # no query rows
+
+
+# rows per chunk = max(1, block // (heads * n)): 1 with every chunk over the
+# block (none kept); 4, as chunks of 4 + 4 + 1 rows (the first kept); and 2,
+# as four chunks of 32 entries of which only the first fits the block of 40.
+@pytest.mark.parametrize(
+    "n, heads, block",
+    [(7, 2, 9), (9, 2, 72), (8, 2, 40)],
+    ids=["one-row-chunks", "ragged-last-chunk", "partly-kept-prefix"],
+)
+def test_chunked_attention_matches_unfused_composition(monkeypatch, n, heads, block):
+    assert nc.get_mode() == "test"  # float64
+    monkeypatch.setattr(nc, "ATTENTION_BLOCK", block)
+    rng = np.random.default_rng(n * heads)
+    d = heads * 3
+    _assert_matches_composition(
+        lambda q, k, v: nc.attention(q, k, v, heads),
+        lambda q, k, v: oracles.unfused_attention(q, k, v, heads),
+        [rng.normal(size=(n, d)) * 2.0 for _ in range(3)],
+        rng.normal(size=(n, d)),
+    )
+
+
+def test_attention_memory_stays_below_half_a_probability_map():
+    n, heads, d = 1024, 4, 32
+    half_map = heads * n * n * np.dtype(np.float32).itemsize // 2  # 8 MiB
+    rng = np.random.default_rng(5)
+    with nc.use_mode("train"):
+        q, k, v = (Tensor(rng.normal(size=(n, d)), requires_grad=True) for _ in range(3))
+        w = Tensor(rng.normal(size=(n, d)))
+        tracemalloc.start()
+        try:
+            nc.mean_all(nc.attention(q, k, v, heads) * w).backward()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert all(t.grad is not None and t.grad.dtype == np.float32 for t in (q, k, v))
+    assert peak < half_map, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_gelu_values_and_gradient():
