@@ -216,9 +216,18 @@ class KSpaceInterpolator:
     """The full interpolation model: tokenizer, encoder/decoder, refinement."""
 
     def __init__(self, config: ModelConfig, seed: int = 0):
-        self.config = config
-        self.params: dict[str, Tensor] = {}
         self._rng = np.random.default_rng(seed)
+        fill = {"normal": self._draw, "zeros": np.zeros, "ones": np.ones}
+        table = param_table(config)
+        self._build(config, {name: fill[init](shape) for name, (shape, init) in table.items()})
+
+    def _build(self, config: ModelConfig, arrays: dict[str, np.ndarray]) -> None:
+        """Set the config, the fixed tables and one parameter per array, in order.
+
+        ``__init__`` passes seeded draws; ``from_checkpoint`` passes the file's
+        tensors, so loading draws nothing.
+        """
+        self.config = config
         c = config
         # Normalized k-space entries are O(1/sqrt(XY)) away from the center;
         # lift them so projected features and position codes share magnitude.
@@ -231,9 +240,9 @@ class KSpaceInterpolator:
             self._pos_tables[PLANE_KX_KY] = _plane_pos_table(
                 c.x_dim // c.kirm_patch, c.y_dim // c.kirm_patch, c.embed_dim
             )
-        fill = {"normal": self._draw, "zeros": np.zeros, "ones": np.ones}
-        for name, (shape, init) in param_table(c).items():
-            self.params[name] = Tensor(fill[init](shape), requires_grad=True, name=name)
+        self.params: dict[str, Tensor] = {
+            name: Tensor(arr, requires_grad=True, name=name) for name, arr in arrays.items()
+        }
 
     def _draw(self, shape: tuple[int, ...]) -> np.ndarray:
         draw = self._rng.normal(0.0, _INIT_STD, size=shape)
@@ -513,7 +522,11 @@ def save_params(model: KSpaceInterpolator, path: str | Path) -> None:
 
 
 def load_params(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
-    """Parse a checkpoint; malformed content raises :class:`CheckpointError`."""
+    """Parse a checkpoint; malformed content raises :class:`CheckpointError`.
+
+    That includes a NaN or infinite value in any tensor, so a bad file is
+    named here rather than failing later as a non-finite volume.
+    """
     path = Path(path)
     blob = path.read_bytes()
 
@@ -565,6 +578,8 @@ def load_params(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
         n_values = math.prod(shape)
         payload = r.take(4 * n_values)
         tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
+        if not np.isfinite(tensors[name]).all():
+            raise CheckpointError(f"{path}: checkpoint tensor {name} has non-finite values")
     if r.at != len(blob):
         raise CheckpointError(f"{path}: trailing bytes after tensor table")
     return config, tensors
@@ -600,10 +615,12 @@ def from_checkpoint(path: str | Path) -> KSpaceInterpolator:
     """Construct a model from a checkpoint file.
 
     The tensor table is checked against the header's config before the model
-    is built, so a header alone cannot make it allocate a model.
+    is built, so a header alone cannot make it allocate a model.  The
+    parameters are the file's tensors cast to the active dtype; nothing is
+    drawn at random.
     """
     config, tensors = load_params(path)
     _check_tensors(config, tensors, path)
-    model = KSpaceInterpolator(config, seed=0)
-    _assign(model, tensors)
+    model = KSpaceInterpolator.__new__(KSpaceInterpolator)
+    model._build(config, {name: tensors[name] for name in param_table(config)})
     return model

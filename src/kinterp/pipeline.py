@@ -47,7 +47,13 @@ from .model import (
     volume_to_array,
 )
 from .numcore import LrSchedule, OptimizerState, adam_step, lr_at
-from .sampling import SamplingMask, apply_mask, data_consistency, generate_mask
+from .sampling import (
+    SamplingMask,
+    apply_mask,
+    check_mask_spec,
+    data_consistency,
+    generate_mask,
+)
 
 SSIM_WINDOW = 7
 SSIM_K1 = 0.01
@@ -88,38 +94,73 @@ def nmse(estimate: np.ndarray, reference: np.ndarray) -> float:
     return float(np.sum((e - r) ** 2) / denom)
 
 
-def ssim(estimate: np.ndarray, reference: np.ndarray) -> float:
-    """Mean SSIM over per-frame 7x7 uniform windows.
+def _box_mean(a: np.ndarray) -> np.ndarray:
+    """Mean of every 7x7 window of every frame of an (X, Y, T) volume.
 
-    The dynamic range is max - min of the whole reference sequence; two
-    identical constant sequences compare as 1.
+    Separable box sums: 7 shifted slices along X, then 7 along Y, over all
+    frames at once.  Each window sum adds 49 terms directly, so no prefix-sum
+    table carries rounding from one window to the next.
     """
-    e, r = _check_pair(estimate, reference)
-    if e.ndim != 3:
+    w = SSIM_WINDOW
+    n_x, n_y = a.shape[0] - w + 1, a.shape[1] - w + 1
+    cols = a[:n_x].copy()
+    for i in range(1, w):
+        cols += a[i : i + n_x]
+    box = cols[:, :n_y].copy()
+    for j in range(1, w):
+        box += cols[:, j : j + n_y]
+    box /= w * w
+    return box
+
+
+def _ssim_reference(reference: np.ndarray):
+    """The half of SSIM that depends on the reference alone.
+
+    Returns (r, span, mu_r, var_r); the window statistics are None for a
+    constant reference, which :func:`_ssim_score` handles without them.
+    """
+    r = np.asarray(reference, dtype=np.float64)
+    if r.ndim != 3:
         raise DimensionError("ssim expects (X, Y, T) magnitude volumes")
-    if e.shape[0] < SSIM_WINDOW or e.shape[1] < SSIM_WINDOW:
+    if r.shape[0] < SSIM_WINDOW or r.shape[1] < SSIM_WINDOW:
         raise DimensionError(f"frames must be at least {SSIM_WINDOW} pixels on a side")
     span = float(r.max() - r.min())
+    if span == 0.0:
+        return r, span, None, None
+    mu_r = _box_mean(r)
+    return r, span, mu_r, _box_mean(r * r) - mu_r**2
+
+
+def _ssim_score(estimate: np.ndarray, ref) -> float:
+    """SSIM of ``estimate`` against reference statistics from :func:`_ssim_reference`."""
+    r, span, mu_r, var_r = ref
+    e, r = _check_pair(estimate, r)
     if span == 0.0:
         if float(e.max() - e.min()) == 0.0:
             return 1.0
         raise DegenerateInputError("ssim reference is constant but estimate is not")
     c1 = (SSIM_K1 * span) ** 2
     c2 = (SSIM_K2 * span) ** 2
-    values = []
-    for t in range(e.shape[2]):
-        w1 = np.lib.stride_tricks.sliding_window_view(e[:, :, t], (SSIM_WINDOW, SSIM_WINDOW))
-        w2 = np.lib.stride_tricks.sliding_window_view(r[:, :, t], (SSIM_WINDOW, SSIM_WINDOW))
-        mu1 = w1.mean(axis=(-2, -1))
-        mu2 = w2.mean(axis=(-2, -1))
-        var1 = (w1**2).mean(axis=(-2, -1)) - mu1**2
-        var2 = (w2**2).mean(axis=(-2, -1)) - mu2**2
-        cov = (w1 * w2).mean(axis=(-2, -1)) - mu1 * mu2
-        score = ((2 * mu1 * mu2 + c1) * (2 * cov + c2)) / (
-            (mu1**2 + mu2**2 + c1) * (var1 + var2 + c2)
-        )
-        values.append(score.mean())
-    return float(np.mean(values))
+    mu_e = _box_mean(e)
+    var_e = _box_mean(e * e) - mu_e**2
+    cov = _box_mean(e * r) - mu_e * mu_r
+    score = ((2 * mu_e * mu_r + c1) * (2 * cov + c2)) / (
+        (mu_e**2 + mu_r**2 + c1) * (var_e + var_r + c2)
+    )
+    return float(score.mean())
+
+
+def ssim(estimate: np.ndarray, reference: np.ndarray) -> float:
+    """Mean SSIM over the 7x7 uniform windows of every frame (Wang et al. 2004).
+
+    The dynamic range is max - min of the whole reference sequence; two
+    identical constant sequences compare as 1.  The window means, variances
+    and covariance are separable box sums over all frames at once.  Every
+    frame has the same number of windows, so the mean over all windows equals
+    the mean of the per-frame means.
+    """
+    e, r = _check_pair(estimate, reference)
+    return _ssim_score(e, _ssim_reference(r))
 
 
 def zero_filled(masked: ComplexVolume) -> ComplexVolume:
@@ -353,21 +394,28 @@ def evaluate(
     """Score the checkpoint and the zero-filled baseline on the test split.
 
     Returns (model_reports, baseline_reports), one report per acceleration.
+    Every R is checked against the mask rules before the first forward.  Each
+    sequence's two volumes are read once, and its reference magnitude and
+    SSIM statistics are computed once and shared by every row that scores it.
     """
     if not r_values:
         raise ConfigError("evaluation needs at least one acceleration factor")
     model = from_checkpoint(checkpoint)
+    for r in r_values:
+        check_mask_spec(model.config.y_dim, model.config.t_dim, r)
     ckpt_id = _checkpoint_id(checkpoint)
     pairs = load_manifest(manifest).get("test", [])
     if not pairs:
         raise FormatError(f"manifest {manifest} has no test sequences")
-    model_reports, baseline_reports = [], []
-    for r_index, r in enumerate(r_values):
-        report = ReconReport(r, ckpt_id, seed)
-        baseline = ReconReport(r, "zero-filled", seed)
-        for seq_index, (image_path, kspace_path) in enumerate(pairs):
-            reference = read_volume(image_path)
-            gt_kspace = read_volume(kspace_path)
+    model_reports = [ReconReport(r, ckpt_id, seed) for r in r_values]
+    baseline_reports = [ReconReport(r, "zero-filled", seed) for r in r_values]
+    for seq_index, (image_path, kspace_path) in enumerate(pairs):
+        reference = read_volume(image_path)
+        gt_kspace = read_volume(kspace_path)
+        ref_mag = magnitude(reference)
+        ref_ssim = _ssim_reference(ref_mag)
+        name = image_path.name.replace(".image.kvol", "")
+        for r_index, r in enumerate(r_values):
             mask = generate_mask(
                 gt_kspace.y_dim,
                 gt_kspace.t_dim,
@@ -376,22 +424,17 @@ def evaluate(
             )
             masked, _ = apply_mask(gt_kspace, mask)
             recon = infer(model, masked, mask)
-            ref_mag = magnitude(reference)
-            est_mag = magnitude(recon.image)
-            zf_mag = magnitude(zero_filled(masked))
-            name = image_path.name.replace(".image.kvol", "")
-            report.rows.append(
-                SequenceMetrics(
-                    name, nmse(est_mag, ref_mag), ssim(est_mag, ref_mag), psnr(est_mag, ref_mag)
-                )
+            scored = (
+                (model_reports[r_index], recon.image),
+                (baseline_reports[r_index], zero_filled(masked)),
             )
-            baseline.rows.append(
-                SequenceMetrics(
-                    name, nmse(zf_mag, ref_mag), ssim(zf_mag, ref_mag), psnr(zf_mag, ref_mag)
+            for report, estimate in scored:
+                mag = magnitude(estimate)
+                report.rows.append(
+                    SequenceMetrics(
+                        name, nmse(mag, ref_mag), _ssim_score(mag, ref_ssim), psnr(mag, ref_mag)
+                    )
                 )
-            )
-        model_reports.append(report)
-        baseline_reports.append(baseline)
     return model_reports, baseline_reports
 
 

@@ -63,8 +63,8 @@ def center_band(y_dim: int) -> np.ndarray:
     return np.arange(start, start + width)
 
 
-def generate_mask(y_dim: int, t_dim: int, r_nominal: float, seed: int) -> SamplingMask:
-    """Draw a deterministic variable-density ky-t mask for acceleration R."""
+def check_mask_spec(y_dim: int, t_dim: int, r_nominal: float) -> None:
+    """Raise :class:`SpecError` unless a (Y, T) mask at acceleration R can be drawn."""
     if y_dim < 8:
         raise SpecError(f"mask generation needs Y >= 8, got {y_dim}")
     if t_dim < 1:
@@ -73,6 +73,11 @@ def generate_mask(y_dim: int, t_dim: int, r_nominal: float, seed: int) -> Sampli
         raise SpecError(f"acceleration R must exceed 1, got {r_nominal}")
     if r_nominal > y_dim:
         raise SpecError(f"acceleration R={r_nominal} cannot exceed Y={y_dim}")
+
+
+def generate_mask(y_dim: int, t_dim: int, r_nominal: float, seed: int) -> SamplingMask:
+    """Draw a deterministic variable-density ky-t mask for acceleration R."""
+    check_mask_spec(y_dim, t_dim, r_nominal)
     lines_per_frame = max(1, round(y_dim / r_nominal))
     center = y_dim // 2
     band = center_band(y_dim)

@@ -296,6 +296,14 @@ def test_format_errors(workspace, tmp_path):
         "eval", "--out", str(tmp_path), "--checkpoint", str(bad_ckpt),
         "--manifest", str(workspace["data"] / "manifest.txt"),
     ]) == EXIT_FORMAT
+    # a checkpoint holding NaN, then inf, in its last tensor: named at load
+    blob = (workspace["run"] / "checkpoint.kgin").read_bytes()
+    for value in (np.nan, np.inf):
+        bad_ckpt.write_bytes(blob[:-4] + np.array([value], dtype="<f4").tobytes())
+        assert main([
+            "eval", "--out", str(tmp_path), "--checkpoint", str(bad_ckpt),
+            "--manifest", str(workspace["data"] / "manifest.txt"),
+        ]) == EXIT_FORMAT
 
 
 def test_dimension_errors(workspace, tmp_path):

@@ -38,6 +38,7 @@ from kinterp.model import (
     l1_loss,
     load_into,
     load_params,
+    param_table,
     save_params,
     tiny_config,
     total_loss,
@@ -474,6 +475,52 @@ def test_checkpoint_rejects_malformed(tmp_path):
     bad.write_bytes(blob[:at] + huge + blob[at + 4 + 4 * rank :])
     with pytest.raises(CheckpointError):
         load_params(bad)
+    at = blob.index(b"kgin.proj_out.b") + len(b"kgin.proj_out.b")
+    (rank,) = struct.unpack_from("<I", blob, at)
+    payload = at + 4 + 4 * rank
+    for value in (np.nan, np.inf, -np.inf):  # named at load, not blamed on a volume later
+        stored = np.array([value], dtype="<f4").tobytes()
+        bad.write_bytes(blob[:payload] + stored + blob[payload + 4 :])
+        with pytest.raises(CheckpointError, match="kgin.proj_out.b"):
+            load_params(bad)
+
+
+@pytest.mark.parametrize("mode", ["test", "train"])
+def test_seeded_init_draws_in_param_table_order(mode):
+    """Clipped N(0, 0.02) draws from the seed, in table order, cast to the mode."""
+    cfg = ModelConfig(8, 8, 2)
+    with nc.use_mode(mode):
+        m = KSpaceInterpolator(cfg, seed=19)
+        dtype = nc.active_dtype()
+    rng = np.random.default_rng(19)
+    assert list(m.params) == list(param_table(cfg))
+    for name, (shape, init) in param_table(cfg).items():
+        if init == "normal":
+            want = np.clip(rng.normal(0.0, 0.02, size=shape), -0.04, 0.04)
+        else:
+            want = np.zeros(shape) if init == "zeros" else np.ones(shape)
+        assert m.params[name].data.dtype == dtype, name
+        assert np.array_equal(m.params[name].data, want.astype(dtype)), name
+
+
+@pytest.mark.parametrize("mode", ["test", "train"])
+def test_from_checkpoint_fills_parameters_without_drawing(tmp_path, monkeypatch, mode):
+    path = tmp_path / "m.kgin"
+    save_params(KSpaceInterpolator(ModelConfig(8, 8, 2), seed=18), path)
+    _, stored = load_params(path)
+
+    def no_draw(self, shape):
+        raise AssertionError("from_checkpoint drew a random init")
+
+    monkeypatch.setattr(KSpaceInterpolator, "_draw", no_draw)
+    with nc.use_mode(mode):
+        loaded = from_checkpoint(path)
+        dtype = nc.active_dtype()
+    assert list(loaded.params) == list(param_table(loaded.config))
+    for name, p in loaded.params.items():
+        assert p.requires_grad and p.name == name
+        assert p.data.dtype == dtype, name
+        assert np.array_equal(p.data, stored[name].astype(dtype)), name
 
 
 def test_from_checkpoint_checks_tensors_before_building(tmp_path, monkeypatch):

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 import oracles
 from kinterp import pipeline
@@ -110,6 +111,22 @@ def test_ssim_against_oracle():
     e = RNG.random((12, 11, 2))
     r = RNG.random((12, 11, 2))
     assert abs(ssim(e, r) - oracles.brute_ssim(e, r)) < 1e-9
+
+
+@given(
+    x=st.integers(7, 12),
+    y=st.integers(7, 12),
+    t=st.integers(1, 3),
+    seed=st.integers(0, 2**31),
+)
+@example(x=7, y=7, t=1, seed=0)
+@example(x=12, y=12, t=3, seed=1)
+@example(x=7, y=12, t=2, seed=2)
+def test_ssim_box_windows_match_brute_force(x, y, t, seed):
+    rng = np.random.default_rng(seed)
+    r = rng.random((x, y, t))
+    e = r + 0.3 * rng.standard_normal((x, y, t))
+    assert abs(ssim(e, r) - oracles.brute_ssim(e, r)) <= 1e-12
 
 
 def test_ssim_constant_inputs():
@@ -404,6 +421,61 @@ def test_evaluate_validation(short_checkpoint, small_root, tmp_path):
     )
     with pytest.raises(FormatError):
         evaluate(short_checkpoint.checkpoint_path, train_only, [4.0])
+
+
+def test_evaluate_rows_equal_the_public_metrics_bitwise(short_checkpoint, small_root):
+    """Every row equals nmse/ssim/psnr on magnitudes recomputed pair by pair."""
+    r_values = [2.0, 4.0]
+    seed = 3
+    model_reports, baseline_reports = evaluate(
+        short_checkpoint.checkpoint_path, small_root["manifest"], r_values, seed=seed
+    )
+    model = from_checkpoint(short_checkpoint.checkpoint_path)
+    pairs = load_manifest(small_root["manifest"])["test"]
+    for r_index, r in enumerate(r_values):
+        for seq_index, (image_path, kspace_path) in enumerate(pairs):
+            ref_mag = magnitude(read_volume(image_path))
+            gt_kspace = read_volume(kspace_path)
+            mask = generate_mask(
+                gt_kspace.y_dim, gt_kspace.t_dim, r,
+                pipeline._mask_seed(seed, 2 + r_index, seq_index),
+            )
+            masked, _ = apply_mask(gt_kspace, mask)
+            for reports, estimate in (
+                (model_reports, infer(model, masked, mask).image),
+                (baseline_reports, zero_filled(masked)),
+            ):
+                mag = magnitude(estimate)
+                row = reports[r_index].rows[seq_index]
+                assert row.sequence == image_path.name.replace(".image.kvol", "")
+                assert (row.nmse, row.ssim, row.psnr) == (
+                    nmse(mag, ref_mag), ssim(mag, ref_mag), psnr(mag, ref_mag)
+                )
+
+
+def test_evaluate_reads_each_volume_once(short_checkpoint, small_root, monkeypatch):
+    reads = []
+    original = pipeline.read_volume
+
+    def spy(path):
+        reads.append(path)
+        return original(path)
+
+    monkeypatch.setattr(pipeline, "read_volume", spy)
+    evaluate(short_checkpoint.checkpoint_path, small_root["manifest"], [2.0, 4.0, 8.0])
+    n_test = len(load_manifest(small_root["manifest"])["test"])
+    assert len(reads) == 2 * n_test
+    assert len(set(reads)) == 2 * n_test
+
+
+def test_evaluate_checks_every_r_before_any_forward(short_checkpoint, small_root, monkeypatch):
+    def no_forward(*args, **kwargs):
+        raise AssertionError("a forward ran before every R was checked")
+
+    monkeypatch.setattr(pipeline, "infer", no_forward)
+    for bad in (64.0, 1.0, float("nan")):  # Y = 16: above Y, not above 1, not a number
+        with pytest.raises(SpecError):
+            evaluate(short_checkpoint.checkpoint_path, small_root["manifest"], [4.0, bad])
 
 
 def test_write_report_csv(short_checkpoint, small_root, tmp_path):
