@@ -7,7 +7,10 @@ single shared (zero-initialized) mask token plus fixed sinusoidal position
 embeddings and projects back to k-space.  Three sequential refinement blocks
 then re-tokenize the estimate along the ky-t, kx-t and (patched) kx-ky planes
 and add residual corrections; their output projections start at zero, so at
-initialization refinement is the exact identity.
+initialization refinement is the exact identity.  Each plane's tokens are a
+fixed permutation of the [T, Y, X, 2] volume's entries: one index table per
+plane, built once per model, takes the volume to tokens in one gather and
+its inverse takes tokens back.
 """
 
 from __future__ import annotations
@@ -85,10 +88,11 @@ class ModelConfig:
                     f"patch size {self.kirm_patch} must divide X={self.x_dim} "
                     f"and Y={self.y_dim}"
                 )
-        if self.hdr_eps <= 0:
-            raise ConfigError("hdr_eps must be positive")
-        if self.loss_weight_hdr < 0:
-            raise ConfigError("loss_weight_hdr cannot be negative")
+        # Written as "not in range" so that NaN fails them too.
+        if not self.hdr_eps > 0:
+            raise ConfigError(f"hdr_eps must be positive, got {self.hdr_eps}")
+        if not 0 <= self.loss_weight_hdr < math.inf:
+            raise ConfigError("loss_weight_hdr must be finite and non-negative")
 
 
 def tiny_config(x_dim: int, y_dim: int, t_dim: int, **overrides) -> ModelConfig:
@@ -153,14 +157,34 @@ def _plane_pos_table(n_inner: int, n_outer: int, dim: int) -> np.ndarray:
     )
 
 
-def _plane_channels(c: ModelConfig, plane: str) -> int:
+def _plane_dims(c: ModelConfig, plane: str) -> tuple[int, int, int]:
+    """A plane's token grid (inner, outer), inner coordinate fastest, and the
+    channels of one token."""
     if plane == PLANE_KY_T:
-        return 2 * c.x_dim
+        return c.y_dim, c.t_dim, 2 * c.x_dim
     if plane == PLANE_KX_T:
-        return 2 * c.y_dim
+        return c.x_dim, c.t_dim, 2 * c.y_dim
     if plane == PLANE_KX_KY:
-        return 2 * c.kirm_patch**2 * c.t_dim
+        p = c.kirm_patch
+        return c.x_dim // p, c.y_dim // p, 2 * p * p * c.t_dim
     raise ConfigError(f"unknown plane {plane!r}")
+
+
+def _plane_index(c: ModelConfig, plane: str) -> np.ndarray:
+    """[tokens, channels]: where each token entry sits in the flattened volume.
+
+    ky-t and kx-t tokens are lines of re/im pairs along kx and ky; kx-ky tokens
+    are p x p (ky, kx) patches carrying every frame.
+    """
+    x_d, y_d, t_d, p = c.x_dim, c.y_dim, c.t_dim, c.kirm_patch
+    inner, outer, chan = _plane_dims(c, plane)
+    v = np.arange(t_d * y_d * x_d * 2).reshape(t_d, y_d, x_d, 2)
+    if plane == PLANE_KX_T:
+        v = v.transpose(0, 2, 1, 3)
+    elif plane == PLANE_KX_KY:
+        v = v.transpose(1, 2, 0, 3).reshape(y_d // p, p, x_d // p, p, t_d, 2)
+        v = v.transpose(0, 2, 1, 3, 4, 5)
+    return v.reshape(inner * outer, chan)
 
 
 def _stack_table(c: ModelConfig, prefix: str) -> dict[str, tuple[tuple[int, ...], str]]:
@@ -191,7 +215,7 @@ def param_table(c: ModelConfig) -> dict[str, tuple[tuple[int, ...], str]]:
     is allocated, so a checkpoint header can be checked against it first.
     """
     d = c.embed_dim
-    chan = _plane_channels(c, PLANE_KY_T)
+    chan = _plane_dims(c, PLANE_KY_T)[2]
     table = {
         "kgin.proj_in.w": ((chan, d), "normal"),
         "kgin.proj_in.b": ((d,), "zeros"),
@@ -202,7 +226,7 @@ def param_table(c: ModelConfig) -> dict[str, tuple[tuple[int, ...], str]]:
         "kgin.proj_out.b": ((chan,), "zeros"),
     }
     for plane in c.kirm_planes:
-        chan = _plane_channels(c, plane)
+        chan = _plane_dims(c, plane)[2]
         prefix = f"kirm.{plane}"
         table[f"{prefix}.proj_in.w"] = ((chan, d), "normal")
         table[f"{prefix}.proj_in.b"] = ((d,), "zeros")
@@ -225,21 +249,24 @@ class KSpaceInterpolator:
         """Set the config, the fixed tables and one parameter per array, in order.
 
         ``__init__`` passes seeded draws; ``from_checkpoint`` passes the file's
-        tensors, so loading draws nothing.
+        tensors, so loading draws nothing.  Every enabled plane, and ky-t (the
+        interpolator's own tokens), gets its position codes and its index
+        table with the inverse permutation.
         """
         self.config = config
         c = config
         # Normalized k-space entries are O(1/sqrt(XY)) away from the center;
         # lift them so projected features and position codes share magnitude.
         self._token_scale = float(math.sqrt(c.x_dim * c.y_dim))
-        self._pos_tables = {
-            PLANE_KY_T: _plane_pos_table(c.y_dim, c.t_dim, c.embed_dim),
-            PLANE_KX_T: _plane_pos_table(c.x_dim, c.t_dim, c.embed_dim),
-        }
-        if PLANE_KX_KY in c.kirm_planes:
-            self._pos_tables[PLANE_KX_KY] = _plane_pos_table(
-                c.x_dim // c.kirm_patch, c.y_dim // c.kirm_patch, c.embed_dim
-            )
+        self._pos_tables: dict[str, np.ndarray] = {}
+        self._index_tables: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        for plane in dict.fromkeys((PLANE_KY_T, *c.kirm_planes)):
+            inner, outer, _ = _plane_dims(c, plane)
+            self._pos_tables[plane] = _plane_pos_table(inner, outer, c.embed_dim)
+            index = _plane_index(c, plane)
+            inverse = np.empty(index.size, dtype=np.intp)
+            inverse[index.reshape(-1)] = np.arange(index.size)
+            self._index_tables[plane] = (index, inverse.reshape(c.t_dim, c.y_dim, c.x_dim, 2))
         self.params: dict[str, Tensor] = {
             name: Tensor(arr, requires_grad=True, name=name) for name, arr in arrays.items()
         }
@@ -261,16 +288,10 @@ class KSpaceInterpolator:
         return self._pos_tables[plane].copy()
 
     def plane_channels(self, plane: str) -> int:
-        return _plane_channels(self.config, plane)
+        return _plane_dims(self.config, plane)[2]
 
     def plane_coords(self, plane: str) -> np.ndarray:
-        c = self.config
-        if plane == PLANE_KY_T:
-            inner, outer = c.y_dim, c.t_dim
-        elif plane == PLANE_KX_T:
-            inner, outer = c.x_dim, c.t_dim
-        else:
-            inner, outer = c.x_dim // c.kirm_patch, c.y_dim // c.kirm_patch
+        inner, outer, _ = _plane_dims(self.config, plane)
         n = np.arange(inner * outer)
         return np.stack([n % inner, n // inner], axis=1)
 
@@ -304,35 +325,17 @@ class KSpaceInterpolator:
             )
 
     def _plane_raw(self, y: Tensor, plane: str) -> Tensor:
-        c = self.config
-        x_d, y_d, t_d, p = c.x_dim, c.y_dim, c.t_dim, c.kirm_patch
-        if plane == PLANE_KY_T:
-            return nc.reshape(y, (t_d * y_d, x_d * 2))
-        if plane == PLANE_KX_T:
-            return nc.reshape(nc.transpose(y, (0, 2, 1, 3)), (t_d * x_d, y_d * 2))
-        tiles = nc.reshape(
-            nc.transpose(y, (1, 2, 0, 3)), (y_d // p, p, x_d // p, p, t_d, 2)
-        )
-        tiles = nc.transpose(tiles, (0, 2, 1, 3, 4, 5))
-        return nc.reshape(tiles, ((y_d // p) * (x_d // p), p * p * t_d * 2))
+        return nc.gather(y, self._index_tables[plane][0])
 
     def _plane_restore(self, tokens: Tensor, plane: str) -> Tensor:
-        c = self.config
-        x_d, y_d, t_d, p = c.x_dim, c.y_dim, c.t_dim, c.kirm_patch
-        if plane == PLANE_KY_T:
-            return nc.reshape(tokens, (t_d, y_d, x_d, 2))
-        if plane == PLANE_KX_T:
-            return nc.transpose(nc.reshape(tokens, (t_d, x_d, y_d, 2)), (0, 2, 1, 3))
-        tiles = nc.reshape(tokens, (y_d // p, x_d // p, p, p, t_d, 2))
-        tiles = nc.transpose(tiles, (0, 2, 1, 3, 4, 5))
-        return nc.transpose(nc.reshape(tiles, (y_d, x_d, t_d, 2)), (2, 0, 1, 3))
+        return nc.gather(tokens, self._index_tables[plane][1])
 
     def tokenize_kyt(self, k: ComplexVolume) -> TokenBatch:
         """Project each (ky, t) line onto an embedding and add its position code."""
         if k.domain != DOMAIN_KSPACE:
             raise DomainError("tokenization expects a k-space volume")
         self._check_volume(k)
-        raw = Tensor(volume_to_array(k).reshape(-1, self.plane_channels(PLANE_KY_T)))
+        raw = self._plane_raw(Tensor(k.data), PLANE_KY_T)
         p = self.params
         tokens = nc.linear(raw * self._token_scale, p["kgin.proj_in.w"], p["kgin.proj_in.b"])
         tokens = tokens + Tensor(self._pos_tables[PLANE_KY_T])

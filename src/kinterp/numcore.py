@@ -403,6 +403,30 @@ def take_rows(x: Tensor, index) -> Tensor:
     return _result(data, (x,), backward)
 
 
+def gather(x: Tensor, index) -> Tensor:
+    """``x`` flattened and read at ``index``, in the shape of ``index``.
+
+    Repeated indices accumulate gradient.  Backward scatters into a buffer of
+    -0.0, the identity of addition, so under a permutation every gradient
+    entry passes through bitwise, signed zeros included.
+    """
+    x = _coerce(x)
+    idx = np.asarray(index, dtype=np.intp)
+    if idx.size and (idx.min() < 0 or idx.max() >= x.size):
+        raise DimensionError(f"gather index out of range for {x.size} entries")
+    data = x.data.reshape(-1)[idx]
+
+    def backward(g):
+        flat = np.full(x.size, -0.0, dtype=x.data.dtype)
+        np.add.at(flat, idx.reshape(-1), g.reshape(-1))
+        if x.grad is None:
+            x.grad = flat.reshape(x.shape)
+        else:
+            x.grad += flat.reshape(x.shape)
+
+    return _result(data, (x,), backward)
+
+
 def gelu(x: Tensor) -> Tensor:
     """GELU with the tanh approximation."""
     x = _coerce(x)
@@ -537,13 +561,14 @@ class LrSchedule:
     final_div: float = 1e4
 
     def __post_init__(self):
-        if self.max_lr <= 0:
-            raise ValueError("max_lr must be positive")
+        # Written as "not in range" so that NaN fails them too.
+        if not 0 < self.max_lr < math.inf:
+            raise ValueError(f"max_lr must be positive and finite, got {self.max_lr}")
         if self.total_steps < 1:
             raise ValueError("total_steps must be >= 1")
         if not 0.0 < self.warmup_fraction < 1.0:
-            raise ValueError("warmup_fraction must lie in (0, 1)")
-        if self.initial_div <= 1 or self.final_div <= 1:
+            raise ValueError(f"warmup_fraction must lie in (0, 1), got {self.warmup_fraction}")
+        if not (self.initial_div > 1 and self.final_div > 1):
             raise ValueError("initial_div and final_div must exceed 1")
 
 

@@ -252,6 +252,16 @@ def train(cfg: TrainConfig, out_dir: str | Path) -> TrainResult:
         raise ConfigError(f"log interval must be >= 1, got {cfg.log_interval}")
     if not cfg.r_train > 1:
         raise SpecError(f"training acceleration must exceed 1, got {cfg.r_train}")
+    try:
+        schedule = LrSchedule(
+            max_lr=cfg.max_lr,
+            total_steps=cfg.steps,
+            warmup_fraction=cfg.warmup_fraction,
+            initial_div=cfg.initial_div,
+            final_div=cfg.final_div,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"bad learning-rate schedule: {exc}") from exc
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = load_manifest(cfg.manifest)
@@ -263,20 +273,9 @@ def train(cfg: TrainConfig, out_dir: str | Path) -> TrainResult:
     with nc.use_mode("train"):
         model = KSpaceInterpolator(cfg.model, seed=cfg.seed)
         volumes = [read_volume(k_path) for _, k_path in train_pairs]
-        c = cfg.model
         for v in volumes:
-            if (v.x_dim, v.y_dim, v.t_dim) != (c.x_dim, c.y_dim, c.t_dim):
-                raise DimensionError(
-                    f"training volume ({v.x_dim}, {v.y_dim}, {v.t_dim}) does not "
-                    f"match the model ({c.x_dim}, {c.y_dim}, {c.t_dim})"
-                )
-        schedule = LrSchedule(
-            max_lr=cfg.max_lr,
-            total_steps=cfg.steps,
-            warmup_fraction=cfg.warmup_fraction,
-            initial_div=cfg.initial_div,
-            final_div=cfg.final_div,
-        )
+            model._check_volume(v)
+        c = cfg.model
         state = OptimizerState()
         rng = np.random.default_rng(cfg.seed)
         rows = []

@@ -115,6 +115,9 @@ def test_criterion_1_gradient_suite():
     fused_draw = lambda *shape: fused_rng.normal(size=shape)
     chunked_rng = np.random.default_rng(779)
     chunked_draw = lambda *shape: chunked_rng.normal(size=shape)
+    gather_rng = np.random.default_rng(780)
+    # every entry of a 2 x 4 operand once, then entry 3 twice more
+    gather_index = np.concatenate([gather_rng.permutation(8), [3, 3]]).reshape(2, 5)
     per_op = {
         "add": (lambda a, b: nc.mean_all((a + b) * (a + b)), [draw(3, 4), draw(4)]),
         "sub": (lambda a, b: nc.mean_all((a - b) * (a - b)), [draw(3, 4), draw(3, 4)]),
@@ -129,6 +132,10 @@ def test_criterion_1_gradient_suite():
         "take_rows": (
             lambda a: nc.mean_all(nc.take_rows(a, rows) * nc.take_rows(a, rows)),
             [draw(5, 3)],
+        ),
+        "gather": (
+            lambda a, w: nc.mean_all(nc.gather(a, gather_index) * w),
+            [gather_rng.normal(size=(2, 4)), gather_rng.normal(size=(2, 5))],
         ),
         "gelu": (lambda a: nc.mean_all(nc.gelu(a) * nc.gelu(a)), [draw(4, 4)]),
         "layernorm": (

@@ -234,6 +234,13 @@ def test_usage_errors(workspace, tmp_path):
                  "--steps", "0"]) == EXIT_USAGE
     assert main(["infer", "--out", str(tmp_path), "--checkpoint", "x",
                  "--mask", "y"]) == EXIT_USAGE  # no input volume anywhere
+    # schedule and loss values that only a config file sets, NaN included
+    cfg = tmp_path / "bad.cfg"
+    for line in ("max_lr = -1", "warmup_fraction = 1.5", "final_div = 0.5",
+                 "max_lr = nan", "hdr_eps = nan"):
+        cfg.write_text(line + "\n")
+        assert main(["train", "--tiny", "--config", str(cfg), "--out", str(tmp_path),
+                     "--manifest", manifest, "--steps", "2"]) == EXIT_USAGE, line
 
 
 def test_unknown_subcommand_exits_via_argparse():

@@ -5,6 +5,7 @@ base point, matching the stop-gradient convention of the loss itself, and
 compares autodiff against central finite differences entry-by-entry.
 """
 
+import math
 import struct
 
 import numpy as np
@@ -89,6 +90,10 @@ def test_config_validation():
         ModelConfig(8, 8, 2, hdr_eps=0.0)
     with pytest.raises(ConfigError):
         ModelConfig(8, 8, 2, loss_weight_hdr=-1.0)
+    for bad in (dict(hdr_eps=math.nan), dict(loss_weight_hdr=math.nan),
+                dict(loss_weight_hdr=math.inf)):
+        with pytest.raises(ConfigError):
+            ModelConfig(8, 8, 2, **bad)
 
 
 def test_config_plane_order_canonicalized():
@@ -292,6 +297,26 @@ def test_disabled_planes_are_exact_identities():
     assert np.array_equal(s3.data, s2.data)  # kx-ky disabled
 
 
+def test_plane_token_layout():
+    """Each volume entry holds its own flat (t, y, x, c) index, so a swapped
+    but self-consistent tiling fails where a round trip would not."""
+    t_d, y_d, x_d, p = 2, 8, 4, 2
+    m = KSpaceInterpolator(ModelConfig(x_d, y_d, t_d, kirm_patch=p))
+    volume = np.arange(t_d * y_d * x_d * 2, dtype=float).reshape(t_d, y_d, x_d, 2)
+    place = {  # (token, channel) of volume entry (t, y, x, c)
+        PLANE_KY_T: lambda t, y, x, c: (t * y_d + y, 2 * x + c),
+        PLANE_KX_T: lambda t, y, x, c: (t * x_d + x, 2 * y + c),
+        PLANE_KX_KY: lambda t, y, x, c: (
+            (y // p) * (x_d // p) + x // p,
+            ((y % p) * p + x % p) * t_d * 2 + 2 * t + c,
+        ),
+    }
+    for plane, where in place.items():
+        tokens = m._plane_raw(Tensor(volume), plane).data
+        for (t, y, x, c), entry in np.ndenumerate(volume):
+            assert tokens[where(t, y, x, c)] == entry, (plane, t, y, x, c)
+
+
 def test_plane_raw_restore_inverse():
     m = KSpaceInterpolator(ModelConfig(8, 16, 2))
     arr = RNG.standard_normal((2, 16, 8, 2))
@@ -483,6 +508,10 @@ def test_checkpoint_rejects_malformed(tmp_path):
         bad.write_bytes(blob[:payload] + stored + blob[payload + 4 :])
         with pytest.raises(CheckpointError, match="kgin.proj_out.b"):
             load_params(bad)
+    eps_at = 8 + 9 * 4 + 8  # magic, version, nine integers, loss_weight_hdr
+    bad.write_bytes(blob[:eps_at] + struct.pack("<d", math.nan) + blob[eps_at + 8 :])
+    with pytest.raises(CheckpointError, match="hdr_eps"):
+        load_params(bad)
 
 
 @pytest.mark.parametrize("mode", ["test", "train"])

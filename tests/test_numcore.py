@@ -120,6 +120,40 @@ def test_take_rows_gradient_accumulates_duplicates():
     check_grad(lambda x: nc.mean_all(nc.take_rows(x, idx) * nc.take_rows(x, idx)), a)
 
 
+def test_gather():
+    rng = np.random.default_rng(781)
+    a = rng.normal(size=(3, 4))
+    idx = np.array([[5, 0, 11], [5, 5, 2]])
+    out = nc.gather(Tensor(a), idx)
+    assert out.shape == idx.shape
+    assert np.array_equal(out.data, a.reshape(-1)[idx])
+    # repeated indices accumulate, as in take_rows
+    rows = np.array([2, 0, 2, 2])
+    weight = rng.normal(size=(4, 4))
+    grads = []
+    for pick in (
+        lambda x: nc.take_rows(x, rows),
+        lambda x: nc.gather(x, rows[:, None] * 4 + np.arange(4)),
+    ):
+        leaf = Tensor(a, requires_grad=True)
+        nc.mean_all(pick(leaf) * Tensor(weight)).backward()
+        grads.append(leaf.grad)
+    assert np.array_equal(grads[0], grads[1])
+    for bad in (np.array([-1]), np.array([12]), np.array([[0, 99]])):
+        with pytest.raises(DimensionError):
+            nc.gather(Tensor(a), bad)
+    # a permutation passes every gradient entry through, -0.0 included
+    perm = rng.permutation(12)
+    g = rng.normal(size=12)
+    g[[3, 7]] = -0.0
+    leaf = Tensor(a, requires_grad=True)
+    nc.mean_all(nc.gather(leaf, perm) * Tensor(g)).backward()
+    want = np.empty(12)
+    want[perm] = np.full(12, 1.0 / 12) * g  # the upstream gradient, entry by entry
+    assert np.array_equal(leaf.grad.reshape(-1), want)
+    assert np.array_equal(np.signbit(leaf.grad.reshape(-1)), np.signbit(want))
+
+
 # ---- fused ops against their unfused compositions ------------------------------
 
 
@@ -458,3 +492,7 @@ def test_schedule_validation():
         LrSchedule(max_lr=1e-4, total_steps=0)
     with pytest.raises(ValueError):
         LrSchedule(max_lr=1e-4, total_steps=10, warmup_fraction=1.0)
+    for bad in (dict(max_lr=math.nan), dict(max_lr=math.inf), dict(initial_div=math.nan),
+                dict(final_div=math.nan), dict(warmup_fraction=math.nan)):
+        with pytest.raises(ValueError):
+            LrSchedule(**{"max_lr": 1e-4, "total_steps": 10, **bad})
