@@ -123,6 +123,13 @@ def _cast_int(raw) -> int:
         raise ConfigError(f"expected an integer, got {raw!r}") from exc
 
 
+def _cast_seed(raw) -> int:
+    seed = _cast_int(raw)
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
+    return seed
+
+
 def _cast_float(raw) -> float:
     try:
         return float(raw)
@@ -289,7 +296,7 @@ def _cmd_eval(args) -> int:
 
 
 _OUT = _Key("out", required=True, help="output directory")
-_SEED = _Key("seed", _cast_int, 0)
+_SEED = _Key("seed", _cast_seed, 0)
 
 
 class _Command(NamedTuple):
@@ -315,7 +322,7 @@ _COMMANDS = {
         _Key("R", _cast_float, 4.0, help="nominal acceleration factor"),
     )),
     "train": _Command("train an interpolation model", _cmd_train, (
-        _Key("seed", _cast_int),
+        _Key("seed", _cast_seed),
         _OUT,
         _Key("manifest", required=True),
         _Key("dims", _cast_dims, help="volume extents X,Y,T (default: from manifest)"),

@@ -10,7 +10,11 @@ and add residual corrections; their output projections start at zero, so at
 initialization refinement is the exact identity.  Each plane's tokens are a
 fixed permutation of the [T, Y, X, 2] volume's entries: one index table per
 plane, built once per model, takes the volume to tokens in one gather and
-its inverse takes tokens back.
+its inverse takes tokens back.  Token rows move the same way: the sampled
+rows are one gather out of the ky-t grid, and the decoder's input is one
+gather that puts each sampled feature, or the mask token, at its grid row.
+Checkpoints load through ``load_params`` alone, which checks every tensor's
+name and shape against ``param_table`` before reading its values.
 """
 
 from __future__ import annotations
@@ -82,15 +86,17 @@ class ModelConfig:
             raise ConfigError(f"bad refinement plane list {self.kirm_planes}")
         ordered = tuple(p for p in ALL_PLANES if p in self.kirm_planes)
         object.__setattr__(self, "kirm_planes", ordered)
+        if self.kirm_patch < 1:
+            raise ConfigError(f"kirm_patch must be at least 1, got {self.kirm_patch}")
         if PLANE_KX_KY in self.kirm_planes:
-            if self.kirm_patch < 1 or self.x_dim % self.kirm_patch or self.y_dim % self.kirm_patch:
+            if self.x_dim % self.kirm_patch or self.y_dim % self.kirm_patch:
                 raise ConfigError(
                     f"patch size {self.kirm_patch} must divide X={self.x_dim} "
                     f"and Y={self.y_dim}"
                 )
         # Written as "not in range" so that NaN fails them too.
-        if not self.hdr_eps > 0:
-            raise ConfigError(f"hdr_eps must be positive, got {self.hdr_eps}")
+        if not 0 < self.hdr_eps < math.inf:
+            raise ConfigError(f"hdr_eps must be positive and finite, got {self.hdr_eps}")
         if not 0 <= self.loss_weight_hdr < math.inf:
             raise ConfigError("loss_weight_hdr must be finite and non-negative")
 
@@ -115,7 +121,6 @@ class TokenBatch:
 
     tokens: Tensor
     coords: np.ndarray
-    plane: str
 
 
 @dataclass
@@ -330,16 +335,26 @@ class KSpaceInterpolator:
     def _plane_restore(self, tokens: Tensor, plane: str) -> Tensor:
         return nc.gather(tokens, self._index_tables[plane][1])
 
+    def _embed(self, x: Tensor, plane: str, prefix: str) -> Tensor:
+        """A [T,Y,X,2] volume as ``plane`` tokens: lifted, projected, position-coded."""
+        p = self.params
+        raw = self._plane_raw(x, plane) * self._token_scale
+        tokens = nc.linear(raw, p[f"{prefix}.proj_in.w"], p[f"{prefix}.proj_in.b"])
+        return tokens + Tensor(self._pos_tables[plane])
+
+    def _project(self, h: Tensor, plane: str, prefix: str) -> Tensor:
+        """``plane`` features projected to token channels and put back as [T,Y,X,2]."""
+        p = self.params
+        out = nc.linear(h, p[f"{prefix}.proj_out.w"], p[f"{prefix}.proj_out.b"])
+        return self._plane_restore(out, plane)
+
     def tokenize_kyt(self, k: ComplexVolume) -> TokenBatch:
         """Project each (ky, t) line onto an embedding and add its position code."""
         if k.domain != DOMAIN_KSPACE:
             raise DomainError("tokenization expects a k-space volume")
         self._check_volume(k)
-        raw = self._plane_raw(Tensor(k.data), PLANE_KY_T)
-        p = self.params
-        tokens = nc.linear(raw * self._token_scale, p["kgin.proj_in.w"], p["kgin.proj_in.b"])
-        tokens = tokens + Tensor(self._pos_tables[PLANE_KY_T])
-        return TokenBatch(tokens, self.plane_coords(PLANE_KY_T), PLANE_KY_T)
+        tokens = self._embed(Tensor(k.data), PLANE_KY_T, "kgin")
+        return TokenBatch(tokens, self.plane_coords(PLANE_KY_T))
 
     def split_by_mask(
         self, batch: TokenBatch, mask: SamplingMask
@@ -349,14 +364,13 @@ class KSpaceInterpolator:
         if (mask.y_dim, mask.t_dim) != (c.y_dim, c.t_dim):
             raise DimensionError("mask extents do not match the model configuration")
         flags = mask.bits.T.reshape(-1).astype(bool)
-        sampled_idx = np.flatnonzero(flags)
-        unsampled_idx = np.flatnonzero(~flags)
+        rows = np.flatnonzero(flags)
+        d = batch.tokens.shape[1]
         sampled = TokenBatch(
-            nc.take_rows(batch.tokens, sampled_idx),
-            batch.coords[sampled_idx],
-            batch.plane,
+            nc.gather(batch.tokens, rows[:, None] * d + np.arange(d)),
+            batch.coords[rows],
         )
-        return sampled, batch.coords[unsampled_idx]
+        return sampled, batch.coords[~flags]
 
     # ---- the interpolation network --------------------------------------
 
@@ -364,50 +378,43 @@ class KSpaceInterpolator:
         if sampled.tokens.shape[0] == 0:
             raise DegenerateInputError("encoder needs at least one sampled token")
         feats = self._stack(sampled.tokens, "kgin.enc")
-        return TokenBatch(feats, sampled.coords, sampled.plane)
+        return TokenBatch(feats, sampled.coords)
 
     def decode(self, feats: TokenBatch, unsampled_coords: np.ndarray) -> Tensor:
         """Fill unsampled positions with the mask token and decode to k-space."""
         c = self.config
-        n_grid = c.y_dim * c.t_dim
-        sampled_n = feats.coords[:, 1] * c.y_dim + feats.coords[:, 0]
-        unsampled_n = unsampled_coords[:, 1] * c.y_dim + unsampled_coords[:, 0]
-        combined = np.concatenate([sampled_n, unsampled_n])
-        if (
-            len(combined) != n_grid
-            or len(np.unique(combined)) != n_grid
-            or combined.min() < 0
-            or combined.max() >= n_grid
-        ):
+        coords = np.concatenate([feats.coords, unsampled_coords])
+        n_sampled = len(feats.coords)
+        grid = coords[:, 1] * c.y_dim + coords[:, 0]
+        masked = grid[n_sampled:]
+        # Grid row -> its sampled feature, or row n_sampled: the mask token.
+        # Each coordinate is range-checked on its own axis, so a ky of -1
+        # cannot alias the previous frame's last row; with one coordinate per
+        # grid row, none left at -1 means the coords partition the grid.
+        source = np.full(c.y_dim * c.t_dim, -1, dtype=np.intp)
+        if len(grid) == len(source) and ((coords >= 0) & (coords < (c.y_dim, c.t_dim))).all():
+            source[grid[:n_sampled]] = np.arange(n_sampled)
+            source[masked] = n_sampled
+        if (source < 0).any():
             raise PartitionError("sampled and unsampled coords must partition the grid")
         pos = self._pos_tables[PLANE_KY_T]
-        mask_rows = nc.take_rows(
-            nc.reshape(self.params["kgin.mask_token"], (1, c.embed_dim)),
-            np.zeros(len(unsampled_n), dtype=np.intp),
-        )
-        mask_rows = mask_rows + Tensor(pos[unsampled_n])
-        order = np.empty(n_grid, dtype=np.intp)
-        order[sampled_n] = np.arange(len(sampled_n))
-        order[unsampled_n] = len(sampled_n) + np.arange(len(unsampled_n))
-        seq = nc.take_rows(nc.concat_rows([feats.tokens, mask_rows]), order)
-        seq = self._stack(seq, "kgin.dec")
-        out = nc.linear(seq, self.params["kgin.proj_out.w"], self.params["kgin.proj_out.b"])
-        return self._plane_restore(out, PLANE_KY_T)
+        codes = np.zeros_like(pos)
+        codes[masked] = pos[masked]
+        d = c.embed_dim
+        mask_token = nc.reshape(self.params["kgin.mask_token"], (1, d))
+        rows = nc.concat_rows([feats.tokens, mask_token])
+        seq = nc.gather(rows, source[:, None] * d + np.arange(d)) + Tensor(codes)
+        return self._project(self._stack(seq, "kgin.dec"), PLANE_KY_T, "kgin")
 
     def refine(self, interpolated: Tensor) -> tuple[Tensor, Tensor, Tensor]:
         """Apply the three residual refinement blocks (disabled planes: identity)."""
-        p = self.params
         current = interpolated
         stages = []
         for plane in ALL_PLANES:
             if plane in self.config.kirm_planes:
                 prefix = f"kirm.{plane}"
-                tokens = self._plane_raw(current, plane) * self._token_scale
-                tokens = nc.linear(tokens, p[f"{prefix}.proj_in.w"], p[f"{prefix}.proj_in.b"])
-                tokens = tokens + Tensor(self._pos_tables[plane])
-                feats = self._stack(tokens, prefix)
-                res = nc.linear(feats, p[f"{prefix}.proj_out.w"], p[f"{prefix}.proj_out.b"])
-                current = current + self._plane_restore(res, plane)
+                feats = self._stack(self._embed(current, plane, prefix), prefix)
+                current = current + self._project(feats, plane, prefix)
             stages.append(current)
         return stages[0], stages[1], stages[2]
 
@@ -524,34 +531,31 @@ def save_params(model: KSpaceInterpolator, path: str | Path) -> None:
     Path(path).write_bytes(b"".join(chunks))
 
 
+def _unpack(fmt: str, blob: bytes, at: int, path: Path) -> tuple[tuple, int]:
+    """The values of ``fmt`` at offset ``at`` in ``blob``, and the offset after them."""
+    end = at + struct.calcsize(fmt)
+    if end > len(blob):
+        raise CheckpointError(f"{path}: truncated checkpoint")
+    return struct.unpack_from(fmt, blob, at), end
+
+
 def load_params(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
     """Parse a checkpoint; malformed content raises :class:`CheckpointError`.
 
-    That includes a NaN or infinite value in any tensor, so a bad file is
-    named here rather than failing later as a non-finite volume.
+    Each tensor's name and shape are checked against ``param_table`` of the
+    embedded config before its payload is read, so a header cannot make the
+    loader read or allocate more than the model it names; the tensors come
+    back in table order.  A NaN or infinite value in any tensor is rejected
+    here rather than failing later as a non-finite volume.
     """
     path = Path(path)
     blob = path.read_bytes()
-
-    class _Reader:
-        def __init__(self, buf):
-            self.buf = buf
-            self.at = 0
-
-        def take(self, n: int) -> bytes:
-            if self.at + n > len(self.buf):
-                raise CheckpointError(f"{path}: truncated checkpoint")
-            out = self.buf[self.at : self.at + n]
-            self.at += n
-            return out
-
-    r = _Reader(blob)
-    magic, version = _CKPT_HEAD.unpack(r.take(_CKPT_HEAD.size))
+    (magic, version), at = _unpack(_CKPT_HEAD.format, blob, 0, path)
     if magic != _CKPT_MAGIC:
         raise CheckpointError(f"{path}: bad magic {magic!r}")
     if version != _CKPT_VERSION:
         raise CheckpointError(f"{path}: unsupported version {version}")
-    fields = _CKPT_CONFIG.unpack(r.take(_CKPT_CONFIG.size))
+    fields, at = _unpack(_CKPT_CONFIG.format, blob, at, path)
     try:
         config = ModelConfig(
             x_dim=fields[0],
@@ -568,62 +572,47 @@ def load_params(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
         )
     except ConfigError as exc:
         raise CheckpointError(f"{path}: invalid embedded config: {exc}") from exc
-    (count,) = struct.unpack("<I", r.take(4))
+    expected = param_table(config)
+    (count,), at = _unpack("<I", blob, at, path)
+    if count != len(expected):
+        raise CheckpointError(f"{path}: checkpoint tensor names do not match the model")
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = struct.unpack("<I", r.take(4))
+        (name_len,), at = _unpack("<I", blob, at, path)
+        (encoded,), at = _unpack(f"<{name_len}s", blob, at, path)
         try:
-            name = r.take(name_len).decode("utf-8")
+            name = encoded.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise CheckpointError(f"{path}: tensor name is not UTF-8") from exc
-        (rank,) = struct.unpack("<I", r.take(4))
-        shape = struct.unpack(f"<{rank}I", r.take(4 * rank))
+        # Distinct names from the table, as many as it has: every name once.
+        if name not in expected or name in tensors:
+            raise CheckpointError(f"{path}: checkpoint tensor names do not match the model")
+        shape = expected[name][0]
+        (rank,), at = _unpack("<I", blob, at, path)
+        dims, at = _unpack(f"<{rank}I", blob, at, path)
+        if dims != shape:
+            raise CheckpointError(f"{path}: checkpoint tensor {name} has shape {dims}")
         n_values = math.prod(shape)
-        payload = r.take(4 * n_values)
-        tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
-        if not np.isfinite(tensors[name]).all():
+        if at + 4 * n_values > len(blob):
+            raise CheckpointError(f"{path}: truncated checkpoint")
+        arr = np.frombuffer(blob, dtype="<f4", count=n_values, offset=at).reshape(shape)
+        if not np.isfinite(arr).all():
             raise CheckpointError(f"{path}: checkpoint tensor {name} has non-finite values")
-    if r.at != len(blob):
+        tensors[name] = arr.copy()
+        at += 4 * n_values
+    if at != len(blob):
         raise CheckpointError(f"{path}: trailing bytes after tensor table")
-    return config, tensors
-
-
-def _check_tensors(config: ModelConfig, tensors: dict[str, np.ndarray], path) -> None:
-    """Match a checkpoint's tensor table against ``param_table(config)``."""
-    expected = param_table(config)
-    if set(tensors) != set(expected):
-        raise CheckpointError(f"{path}: checkpoint tensor names do not match the model")
-    for name, arr in tensors.items():
-        if arr.shape != expected[name][0]:
-            raise CheckpointError(f"{path}: checkpoint tensor {name} has shape {arr.shape}")
-
-
-def _assign(model: KSpaceInterpolator, tensors: dict[str, np.ndarray]) -> None:
-    for name, arr in tensors.items():
-        model.params[name].data = np.ascontiguousarray(arr.astype(nc.active_dtype()))
-
-
-def load_into(model: KSpaceInterpolator, path: str | Path) -> None:
-    """Load tensors into an existing model; configs must match exactly."""
-    config, tensors = load_params(path)
-    if config != model.config:
-        raise CheckpointError(
-            f"checkpoint config {config} does not match model config {model.config}"
-        )
-    _check_tensors(config, tensors, path)
-    _assign(model, tensors)
+    return config, {name: tensors[name] for name in expected}
 
 
 def from_checkpoint(path: str | Path) -> KSpaceInterpolator:
     """Construct a model from a checkpoint file.
 
-    The tensor table is checked against the header's config before the model
-    is built, so a header alone cannot make it allocate a model.  The
-    parameters are the file's tensors cast to the active dtype; nothing is
-    drawn at random.
+    ``load_params`` checks the tensor table against the header's config, so a
+    header alone cannot make it allocate a model.  The parameters are the
+    file's tensors cast to the active dtype; nothing is drawn at random.
     """
     config, tensors = load_params(path)
-    _check_tensors(config, tensors, path)
     model = KSpaceInterpolator.__new__(KSpaceInterpolator)
-    model._build(config, {name: tensors[name] for name in param_table(config)})
+    model._build(config, tensors)
     return model

@@ -383,26 +383,6 @@ def concat_rows(parts: list[Tensor]) -> Tensor:
     return _result(data, tuple(parts), backward)
 
 
-def take_rows(x: Tensor, index) -> Tensor:
-    """Gather rows along axis 0; duplicate indices accumulate gradient."""
-    x = _coerce(x)
-    idx = np.asarray(index, dtype=np.intp)
-    if idx.ndim != 1:
-        raise DimensionError("take_rows index must be one-dimensional")
-    if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
-        raise DimensionError("take_rows index out of range")
-    data = x.data[idx]
-
-    def backward(g):
-        if not x.requires_grad:
-            return
-        if x.grad is None:
-            x.grad = np.zeros_like(x.data)
-        np.add.at(x.grad, idx, g)
-
-    return _result(data, (x,), backward)
-
-
 def gather(x: Tensor, index) -> Tensor:
     """``x`` flattened and read at ``index``, in the shape of ``index``.
 

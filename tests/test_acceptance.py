@@ -106,6 +106,7 @@ def test_criterion_1_gradient_suite():
     # -- every differentiable op against the FD oracle (rel 1e-4)
     rows = np.arange(5)
     RNG.shuffle(rows)
+    row_table = rows[:, None] * 3 + np.arange(3)  # whole rows of a 5 x 3 operand
     # keep |.| inputs away from the kink at zero
     safe = RNG.uniform(0.2, 1.0, size=(4, 3)) * RNG.choice([-1.0, 1.0], size=(4, 3))
     draw = lambda *shape: RNG.normal(size=shape)
@@ -129,8 +130,8 @@ def test_criterion_1_gradient_suite():
             lambda a, b: nc.mean_all(nc.concat_rows([a, b]) * nc.concat_rows([a, b])),
             [draw(2, 3), draw(4, 3)],
         ),
-        "take_rows": (
-            lambda a: nc.mean_all(nc.take_rows(a, rows) * nc.take_rows(a, rows)),
+        "gather (rows)": (
+            lambda a: nc.mean_all(nc.gather(a, row_table) * nc.gather(a, row_table)),
             [draw(5, 3)],
         ),
         "gather": (

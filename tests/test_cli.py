@@ -237,10 +237,20 @@ def test_usage_errors(workspace, tmp_path):
     # schedule and loss values that only a config file sets, NaN included
     cfg = tmp_path / "bad.cfg"
     for line in ("max_lr = -1", "warmup_fraction = 1.5", "final_div = 0.5",
-                 "max_lr = nan", "hdr_eps = nan"):
+                 "max_lr = nan", "hdr_eps = nan", "hdr_eps = inf",
+                 "kirm_planes = ky-t\nkirm_patch = -1"):
         cfg.write_text(line + "\n")
         assert main(["train", "--tiny", "--config", str(cfg), "--out", str(tmp_path),
                      "--manifest", manifest, "--steps", "2"]) == EXIT_USAGE, line
+    # a negative seed, before any work starts
+    checkpoint = str(workspace["run"] / "checkpoint.kgin")
+    for argv in (
+        ["dataset", "--n-train", "1", "--n-test", "1"],
+        ["mask", "--dims", "16,16,2"],
+        ["train", "--tiny", "--manifest", manifest, "--steps", "2"],
+        ["eval", "--checkpoint", checkpoint, "--manifest", manifest],
+    ):
+        assert main([*argv, "--out", str(tmp_path), "--seed", "-1"]) == EXIT_USAGE, argv[0]
 
 
 def test_unknown_subcommand_exits_via_argparse():

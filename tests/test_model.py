@@ -37,7 +37,6 @@ from kinterp.model import (
     hdr_denominators,
     hdr_loss,
     l1_loss,
-    load_into,
     load_params,
     param_table,
     save_params,
@@ -82,6 +81,9 @@ def test_config_validation():
         ModelConfig(8, 8, 2, mlp_ratio=0)
     with pytest.raises(ConfigError):
         ModelConfig(8, 8, 2, kirm_patch=3)  # does not divide X=Y=8
+    for patch in (0, -1):  # a patch size is positive even with kx-ky disabled
+        with pytest.raises(ConfigError):
+            ModelConfig(8, 8, 2, kirm_planes=(PLANE_KY_T,), kirm_patch=patch)
     with pytest.raises(ConfigError):
         ModelConfig(8, 8, 2, kirm_planes=("ky-t", "ky-t"))
     with pytest.raises(ConfigError):
@@ -90,7 +92,7 @@ def test_config_validation():
         ModelConfig(8, 8, 2, hdr_eps=0.0)
     with pytest.raises(ConfigError):
         ModelConfig(8, 8, 2, loss_weight_hdr=-1.0)
-    for bad in (dict(hdr_eps=math.nan), dict(loss_weight_hdr=math.nan),
+    for bad in (dict(hdr_eps=math.nan), dict(hdr_eps=math.inf), dict(loss_weight_hdr=math.nan),
                 dict(loss_weight_hdr=math.inf)):
         with pytest.raises(ConfigError):
             ModelConfig(8, 8, 2, **bad)
@@ -136,7 +138,6 @@ def test_token_count_and_coords():
     m = KSpaceInterpolator(cfg)
     batch = m.tokenize_kyt(kvol(4, 3, 2))
     assert batch.tokens.shape == (6, 8)  # one token per (ky, t)
-    assert batch.plane == PLANE_KY_T
     # ky varies fastest; the second coordinate is the frame index
     assert batch.coords.tolist() == [[0, 0], [1, 0], [2, 0], [0, 1], [1, 1], [2, 1]]
 
@@ -213,9 +214,7 @@ def test_encoder_permutation_equivariance():
     sampled, _ = m.split_by_mask(m.tokenize_kyt(kvol(8, 16, 2)), mask)
     out = m.encode(sampled).tokens.data
     perm = np.random.default_rng(0).permutation(sampled.tokens.shape[0])
-    shuffled = TokenBatch(
-        Tensor(sampled.tokens.data[perm]), sampled.coords[perm], sampled.plane
-    )
+    shuffled = TokenBatch(Tensor(sampled.tokens.data[perm]), sampled.coords[perm])
     out_perm = m.encode(shuffled).tokens.data
     assert oracles.rel_err(out_perm, out[perm]) < 1e-6
 
@@ -272,6 +271,14 @@ def test_decode_partition_errors():
     overlapped[0] = sampled.coords[0]  # duplicate position
     with pytest.raises(PartitionError):
         m.decode(feats, overlapped)
+    row = np.flatnonzero(unsampled[:, 1] == 0)[0]  # an unsampled (ky, 0)
+    ky = unsampled[row, 0]
+    # (ky - Y, 1) names the same flattened row as (ky, 0): it must not wrap
+    for bad in ((ky - 8, 1), (ky, 2)):  # a negative ky; t equal to T
+        outside = unsampled.copy()
+        outside[row] = bad
+        with pytest.raises(PartitionError):
+            m.decode(feats, outside)
 
 
 def test_refinement_is_identity_at_init():
@@ -450,20 +457,22 @@ def test_checkpoint_roundtrip(tmp_path):
     path = tmp_path / "m.kgin"
     save_params(m, path)
     assert path.read_bytes()[:4] == b"KGIN"
-    load_into(m, path)  # quantize the source model to the stored float32
-    loaded = from_checkpoint(path)
-    assert loaded.config == m.config
+    quantized = from_checkpoint(path)  # the source model at the stored float32
+    assert quantized.config == m.config
     for name, p in m.parameters():
+        assert np.array_equal(quantized.params[name].data, p.data.astype(np.float32)), name
+    # a second save of the quantized model reproduces the file bitwise
+    again = tmp_path / "m2.kgin"
+    save_params(quantized, again)
+    assert path.read_bytes() == again.read_bytes()
+    loaded = from_checkpoint(again)
+    for name, p in quantized.parameters():
         assert np.array_equal(loaded.params[name].data, p.data), name
     v = kvol(8, 8, 2)
     mask = generate_mask(8, 2, 2.0, seed=0)
-    a = m.forward(v, mask).stages[2].data
+    a = quantized.forward(v, mask).stages[2].data
     b = loaded.forward(v, mask).stages[2].data
     assert np.array_equal(a, b)
-    # a second save of the quantized model reproduces the file bitwise
-    again = tmp_path / "m2.kgin"
-    save_params(m, again)
-    assert path.read_bytes() == again.read_bytes()
 
 
 def test_checkpoint_preserves_plane_subset(tmp_path):
@@ -509,8 +518,16 @@ def test_checkpoint_rejects_malformed(tmp_path):
         with pytest.raises(CheckpointError, match="kgin.proj_out.b"):
             load_params(bad)
     eps_at = 8 + 9 * 4 + 8  # magic, version, nine integers, loss_weight_hdr
-    bad.write_bytes(blob[:eps_at] + struct.pack("<d", math.nan) + blob[eps_at + 8 :])
-    with pytest.raises(CheckpointError, match="hdr_eps"):
+    for eps in (math.nan, math.inf):
+        bad.write_bytes(blob[:eps_at] + struct.pack("<d", eps) + blob[eps_at + 8 :])
+        with pytest.raises(CheckpointError, match="hdr_eps"):
+            load_params(bad)
+    # one tensor stored twice in place of another: the count still matches
+    first, second, third = (
+        blob.index(name) - 4 for name in (b"kgin.proj_in.b", b"kgin.mask_token", b"kgin.enc.0.")
+    )
+    bad.write_bytes(blob[:second] + blob[first:second] + blob[third:])
+    with pytest.raises(CheckpointError):
         load_params(bad)
 
 
@@ -578,12 +595,3 @@ def test_from_checkpoint_checks_tensors_before_building(tmp_path, monkeypatch):
     for bad in (empty, swapped):
         with pytest.raises(CheckpointError):
             from_checkpoint(bad)
-
-
-def test_load_into_rejects_config_mismatch(tmp_path):
-    m = KSpaceInterpolator(ModelConfig(8, 8, 2), seed=16)
-    path = tmp_path / "m.kgin"
-    save_params(m, path)
-    other = KSpaceInterpolator(ModelConfig(8, 8, 2, embed_dim=16, n_heads=2))
-    with pytest.raises(CheckpointError):
-        load_into(other, path)

@@ -114,10 +114,10 @@ def test_concat_rows_gradient():
     check_grad(build, a, b)
 
 
-def test_take_rows_gradient_accumulates_duplicates():
+def test_gather_rows_gradient_accumulates_duplicates():
     a = RNG.normal(size=(4, 3))
-    idx = np.array([0, 2, 2, 1])
-    check_grad(lambda x: nc.mean_all(nc.take_rows(x, idx) * nc.take_rows(x, idx)), a)
+    idx = np.array([0, 2, 2, 1])[:, None] * 3 + np.arange(3)
+    check_grad(lambda x: nc.mean_all(nc.gather(x, idx) * nc.gather(x, idx)), a)
 
 
 def test_gather():
@@ -127,18 +127,14 @@ def test_gather():
     out = nc.gather(Tensor(a), idx)
     assert out.shape == idx.shape
     assert np.array_equal(out.data, a.reshape(-1)[idx])
-    # repeated indices accumulate, as in take_rows
+    # repeated indices accumulate
     rows = np.array([2, 0, 2, 2])
     weight = rng.normal(size=(4, 4))
-    grads = []
-    for pick in (
-        lambda x: nc.take_rows(x, rows),
-        lambda x: nc.gather(x, rows[:, None] * 4 + np.arange(4)),
-    ):
-        leaf = Tensor(a, requires_grad=True)
-        nc.mean_all(pick(leaf) * Tensor(weight)).backward()
-        grads.append(leaf.grad)
-    assert np.array_equal(grads[0], grads[1])
+    leaf = Tensor(a, requires_grad=True)
+    nc.mean_all(nc.gather(leaf, rows[:, None] * 4 + np.arange(4)) * Tensor(weight)).backward()
+    want = np.zeros_like(a)
+    np.add.at(want, rows, weight / weight.size)
+    assert np.array_equal(leaf.grad, want)
     for bad in (np.array([-1]), np.array([12]), np.array([[0, 99]])):
         with pytest.raises(DimensionError):
             nc.gather(Tensor(a), bad)
