@@ -27,7 +27,7 @@ from .errors import (
     UnsupportedSizeError,
 )
 from .kspace import read_volume, write_volume
-from .model import ALL_PLANES, ModelConfig, full_config, tiny_config
+from .model import ModelConfig, full_config, tiny_config
 from .phantom import DatasetSpec, make_dataset
 from .pipeline import (
     TrainConfig,
@@ -50,8 +50,6 @@ EXIT_DIMENSION = 5
 
 def _parse_config_file(path: str) -> dict[str, str]:
     p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(f"config file {p} does not exist")
     try:
         text = p.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -109,11 +107,8 @@ def _cast_r_list(raw: str) -> list[float]:
 
 
 def _cast_planes(raw: str) -> tuple[str, ...]:
-    names = tuple(p.strip() for p in str(raw).split(",") if p.strip())
-    unknown = set(names) - set(ALL_PLANES)
-    if unknown:
-        raise ConfigError(f"unknown refinement planes {sorted(unknown)}")
-    return names
+    """Split the list; ``ModelConfig`` checks the names."""
+    return tuple(p.strip() for p in str(raw).split(",") if p.strip())
 
 
 def _cast_int(raw) -> int:
@@ -128,6 +123,14 @@ def _cast_seed(raw) -> int:
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
     return seed
+
+
+def _cast_out(raw) -> str:
+    """An output directory: absent (it is made) or a directory already."""
+    out = Path(raw)
+    if out.exists() and not out.is_dir():
+        raise ConfigError(f"output path {out} exists and is not a directory")
+    return raw
 
 
 def _cast_float(raw) -> float:
@@ -255,9 +258,6 @@ def _cmd_infer(args) -> int:
     out, input_path, checkpoint, mask_path = (
         Path(res.values[k]) for k in ("out", "input", "checkpoint", "mask")
     )
-    for p in (input_path, checkpoint, mask_path):
-        if not p.exists():
-            raise FileNotFoundError(f"{p} does not exist")
     volume = read_volume(input_path)
     mask = load_mask(mask_path)
     recon = infer(checkpoint, volume, mask)
@@ -274,8 +274,6 @@ def _cmd_eval(args) -> int:
     res = _Resolver("eval", args)
     v = res.values
     out, checkpoint, manifest = (Path(v[k]) for k in ("out", "checkpoint", "manifest"))
-    if not checkpoint.exists():
-        raise FileNotFoundError(f"{checkpoint} does not exist")
     model_reports, baseline_reports = evaluate(checkpoint, manifest, v["R"], v["seed"])
     out.mkdir(parents=True, exist_ok=True)
     report_path = out / "report.csv"
@@ -295,7 +293,7 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
-_OUT = _Key("out", required=True, help="output directory")
+_OUT = _Key("out", _cast_out, required=True, help="output directory")
 _SEED = _Key("seed", _cast_seed, 0)
 
 
@@ -390,7 +388,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, SpecError) as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    # The OS owns "a readable file is here": a missing input, a directory
+    # given as one, or a path under a file.
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
         print(f"error: missing-file: {exc}", file=sys.stderr)
         return EXIT_MISSING_FILE
     # Every volume the CLI sees comes from a file, so a wrong domain is a

@@ -52,6 +52,12 @@ _CKPT_HEAD = struct.Struct("<4sI")
 _CKPT_CONFIG = struct.Struct("<9Idd")
 
 
+def _check_hdr_eps(eps: float) -> None:
+    # Written as "not in range" so that NaN fails it too.
+    if not 0 < eps < math.inf:
+        raise ConfigError(f"hdr_eps must be positive and finite, got {eps}")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Architecture and loss hyperparameters; validated on construction."""
@@ -94,9 +100,8 @@ class ModelConfig:
                     f"patch size {self.kirm_patch} must divide X={self.x_dim} "
                     f"and Y={self.y_dim}"
                 )
-        # Written as "not in range" so that NaN fails them too.
-        if not 0 < self.hdr_eps < math.inf:
-            raise ConfigError(f"hdr_eps must be positive and finite, got {self.hdr_eps}")
+        _check_hdr_eps(self.hdr_eps)
+        # Written as "not in range" so that NaN fails it too.
         if not 0 <= self.loss_weight_hdr < math.inf:
             raise ConfigError("loss_weight_hdr must be finite and non-negative")
 
@@ -453,8 +458,7 @@ def hdr_loss(
     through it); pass ``denominators`` to reuse values captured earlier, e.g.
     for finite-difference checks.
     """
-    if eps <= 0:
-        raise ValueError("hdr eps must be positive")
+    _check_hdr_eps(eps)
     target_t = _coerce_target(target)
     total = None
     for i, stage in enumerate(stages):

@@ -14,8 +14,9 @@ that overflows on finite inputs yields inf/NaN that the next boundary catches.
 Transformer layers use the fused ``linear`` and ``attention`` nodes, which
 record one tape node each with a hand-written backward.  ``attention`` runs
 its query rows in chunks of at most ``ATTENTION_BLOCK`` score entries and
-keeps at most one block of probabilities for backward, recomputing the rest,
-so a node holds O(n d + block) memory instead of a [heads, n, n] map.
+keeps the first chunk's probabilities for backward when they fill at most one
+block, recomputing the rest, so a node holds O(n d + block) memory instead of
+a [heads, n, n] map.
 """
 
 from __future__ import annotations
@@ -32,6 +33,9 @@ _MODES = {"test": np.float64, "train": np.float32}
 _active_mode = "test"
 
 LAYERNORM_EPS = 1e-5
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 _GELU_C = math.sqrt(2.0 / math.pi)
 # Score entries (heads x query rows x keys) that one attention chunk may hold.
 ATTENTION_BLOCK = 1 << 18
@@ -93,9 +97,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
-
-    def detach(self) -> np.ndarray:
-        return self.data.copy()
 
     # Operators delegate to the module-level ops so there is a single
     # implementation (and a single gradient rule) per operation.
@@ -270,8 +271,9 @@ def attention(q, k, v, heads: int) -> Tensor:
     Splits d into ``heads`` slices, computes softmax(q k^T / sqrt(d/heads)) v
     per head and merges the heads back to [n, d].  Query rows run in chunks of
     at most ``ATTENTION_BLOCK`` score entries, each against every key, so each
-    row's softmax is exact.  The node keeps the probabilities of the leading
-    chunks that fit in one block; backward reuses them and recomputes the rest.
+    row's softmax is exact.  When ``heads * n <= ATTENTION_BLOCK`` the whole
+    map is the first chunk and the node keeps it for backward; otherwise no
+    chunk is kept and backward recomputes each one.
     """
     q, k, v = _coerce(q), _coerce(k), _coerce(v)
     if q.data.ndim != 2 or q.shape != k.shape or q.shape != v.shape:
@@ -306,23 +308,18 @@ def attention(q, k, v, heads: int) -> Tensor:
         return p
 
     data = np.empty((n, d), dtype=q.data.dtype)
-    # Chunk start -> probabilities, one block in total at most.  With rows
-    # = block // (heads n) only the first chunk can fit, and only when
-    # heads * n <= block: a whole desk-scale map is one chunk, kept entire.
-    kept: dict[int, np.ndarray] = {}
-    room = ATTENTION_BLOCK
+    kept = None
     for s, e in spans:
         p = probs(s, e)
         data.reshape(n, heads, dh)[s:e] = (p @ vh).transpose(1, 0, 2)
-        if p.size <= room:
-            kept[s] = p
-            room -= p.size
+        if s == 0 and heads * n <= ATTENTION_BLOCK:
+            kept = p
 
     def backward(g):
         gh = split(g)
         dq = np.empty_like(g)
         for s, e in spans:
-            p = kept[s] if s in kept else probs(s, e)
+            p = kept if s == 0 and kept is not None else probs(s, e)
             gc = gh[:, s:e]
             dv_part = p.transpose(0, 2, 1) @ gc
             gs = gc @ vh.transpose(0, 2, 1)
@@ -423,7 +420,7 @@ def gelu(x: Tensor) -> Tensor:
     return _result(data, (x,), backward)
 
 
-def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LAYERNORM_EPS) -> Tensor:
+def layernorm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine-map it."""
     x, gain, bias = _coerce(x), _coerce(gain), _coerce(bias)
     dim = x.shape[-1] if x.data.ndim else 0
@@ -433,7 +430,7 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LAYERNORM_EPS)
         raise DimensionError("layernorm gain/bias must match the last axis extent")
     mu = x.data.mean(axis=-1, keepdims=True)
     var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYERNORM_EPS)
     xhat = (x.data - mu) * inv
     data = xhat * gain.data + bias.data
 
@@ -487,9 +484,6 @@ def mean_all(x: Tensor) -> Tensor:
 class OptimizerState:
     """Adam moments plus the shared step counter."""
 
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -511,7 +505,7 @@ def adam_step(
     if len(params) != len(grads):
         raise DimensionError("params and grads must align")
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1**state.step
     c2 = 1.0 - b2**state.step
     for (name, p), g in zip(params, grads):
@@ -527,7 +521,7 @@ def adam_step(
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g * g
-        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,8 @@
 Frames are rendered at 4x supersampling and box-averaged down, which
 anti-aliases the ellipse boundaries; a small smooth edge profile keeps the
 spectrum strongly low-frequency dominated.  All motion terms scale with the
-motion amplitude, so amplitude 0 yields a bitwise-static sequence, and the
-temporal phase uses ``t mod period`` so sequences repeat exactly.
+motion amplitude, so amplitude 0 yields a bitwise-static sequence, and one
+beat spans the T frames of a sequence.
 """
 
 from __future__ import annotations
@@ -23,6 +23,12 @@ _FOV_MARGIN = 0.05
 # Magnitude bound of the random low-order polynomial phase coefficients; kept
 # mild so the complex images stay close to Hermitian-symmetric in k-space.
 PHASE_COEFF_RANGE = 0.8
+# Width of the smooth ellipse edge, in pixels.
+EDGE_SOFTNESS = 1.5
+# Per-sequence parameter ranges of a dataset: ellipse count (inclusive) and
+# motion amplitude.
+N_ELLIPSES_RANGE = (2, 6)
+MOTION_RANGE = (0.05, 0.11)
 
 
 @dataclass(frozen=True)
@@ -34,13 +40,7 @@ class PhantomSpec:
     t_dim: int
     seed: int
     n_ellipses: int = 4
-    intensities: tuple[complex, ...] | None = None
     motion_amplitude: float = 0.08
-    period: int | None = None
-    edge_softness: float = 1.5
-
-    def resolved_period(self) -> int:
-        return self.t_dim if self.period is None else self.period
 
 
 def _validate(spec: PhantomSpec) -> None:
@@ -50,15 +50,6 @@ def _validate(spec: PhantomSpec) -> None:
         raise SpecError(f"n_ellipses must lie in [2, 6], got {spec.n_ellipses}")
     if not 0.0 <= spec.motion_amplitude <= 0.5:
         raise SpecError(f"motion amplitude {spec.motion_amplitude} outside [0, 0.5]")
-    if spec.resolved_period() < 1:
-        raise SpecError("cardiac period must be at least one frame")
-    if spec.edge_softness < 0:
-        raise SpecError("edge softness cannot be negative")
-    if spec.intensities is not None:
-        if len(spec.intensities) != spec.n_ellipses:
-            raise SpecError("one intensity per ellipse is required")
-        if sum(abs(a) for a in spec.intensities) > 1.0 + 1e-12:
-            raise SpecError("sum of |intensity| must not exceed 1")
 
 
 def _draw_geometry(spec: PhantomSpec, rng: np.random.Generator) -> list[dict]:
@@ -108,8 +99,7 @@ def _draw_geometry(spec: PhantomSpec, rng: np.random.Generator) -> list[dict]:
 
 
 def _frame_params(spec: PhantomSpec, ellipses: list[dict], t: int) -> list[dict]:
-    period = spec.resolved_period()
-    tau = 2 * math.pi * (t % period) / period
+    tau = 2 * math.pi * t / spec.t_dim
     a_m = spec.motion_amplitude
     frames = []
     for e in ellipses:
@@ -142,20 +132,17 @@ def generate(spec: PhantomSpec) -> ComplexVolume:
     _validate(spec)
     rng = np.random.default_rng(spec.seed)
     ellipses = _draw_geometry(spec, rng)
-    if spec.intensities is not None:
-        amps = np.array(spec.intensities, dtype=np.complex128)
-    else:
-        mags = rng.uniform(0.3, 1.0, size=spec.n_ellipses)
-        mags *= 0.9 / mags.sum()
-        phases = rng.uniform(-math.pi, math.pi, size=spec.n_ellipses)
-        amps = mags * np.exp(1j * phases)
+    mags = rng.uniform(0.3, 1.0, size=spec.n_ellipses)
+    mags *= 0.9 / mags.sum()
+    phases = rng.uniform(-math.pi, math.pi, size=spec.n_ellipses)
+    amps = mags * np.exp(1j * phases)
 
     sup = SUPERSAMPLE
     xx, yy = spec.x_dim * sup, spec.y_dim * sup
     u = (np.arange(xx) + 0.5) / xx
     v = (np.arange(yy) + 0.5) / yy
     uu, vv = np.meshgrid(u, v, indexing="ij")
-    edge = spec.edge_softness * 0.5 * (1.0 / spec.x_dim + 1.0 / spec.y_dim)
+    edge = EDGE_SOFTNESS * 0.5 * (1.0 / spec.x_dim + 1.0 / spec.y_dim)
 
     ub = (np.arange(spec.x_dim) + 0.5) / spec.x_dim
     vb = (np.arange(spec.y_dim) + 0.5) / spec.y_dim
@@ -194,13 +181,11 @@ def generate(spec: PhantomSpec) -> ComplexVolume:
 
 @dataclass(frozen=True)
 class DatasetSpec:
-    """Dimensions plus the per-sequence parameter ranges for a dataset."""
+    """Volume extents of every sequence in a dataset."""
 
     x_dim: int
     y_dim: int
     t_dim: int
-    n_ellipses_range: tuple[int, int] = (2, 6)
-    motion_range: tuple[float, float] = (0.05, 0.11)
 
 
 def _float32_quantize(v: ComplexVolume) -> ComplexVolume:
@@ -222,10 +207,12 @@ def make_dataset(
     """
     if n_train < 1 or n_test < 0:
         raise SpecError("dataset needs n_train >= 1 and n_test >= 0")
+    if seed < 0:
+        raise SpecError(f"dataset seed must be non-negative, got {seed}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
-    lo_e, hi_e = dataset_spec.n_ellipses_range
+    lo_e, hi_e = N_ELLIPSES_RANGE
     lines = []
     for split, count, offset in (("train", n_train, 0), ("test", n_test, n_train)):
         for i in range(count):
@@ -236,7 +223,7 @@ def make_dataset(
                 t_dim=dataset_spec.t_dim,
                 seed=item_seed,
                 n_ellipses=int(rng.integers(lo_e, hi_e + 1)),
-                motion_amplitude=float(rng.uniform(*dataset_spec.motion_range)),
+                motion_amplitude=float(rng.uniform(*MOTION_RANGE)),
             )
             image = generate(pspec)
             peak = float(np.max(magnitude(image)))

@@ -10,7 +10,6 @@ image domain.  Metrics (PSNR / NMSE / SSIM) compare magnitude image sequences.
 from __future__ import annotations
 
 import csv
-import hashlib
 import math
 import time
 from dataclasses import dataclass, field
@@ -25,7 +24,6 @@ from .errors import (
     DimensionError,
     FormatError,
     NonFiniteError,
-    SpecError,
     TrainingError,
 )
 from .kspace import (
@@ -174,8 +172,6 @@ def zero_filled(masked: ComplexVolume) -> ComplexVolume:
 def load_manifest(path: str | Path) -> dict[str, list[tuple[Path, Path]]]:
     """Parse ``<split> <image|kspace> <filename>`` lines into (image, kspace) pairs."""
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"manifest {path} does not exist")
     try:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -250,8 +246,9 @@ def train(cfg: TrainConfig, out_dir: str | Path) -> TrainResult:
         raise ConfigError(f"training needs steps >= 1, got {cfg.steps}")
     if cfg.log_interval < 1:
         raise ConfigError(f"log interval must be >= 1, got {cfg.log_interval}")
-    if not cfg.r_train > 1:
-        raise SpecError(f"training acceleration must exceed 1, got {cfg.r_train}")
+    if cfg.seed < 0:
+        raise ConfigError(f"training seed must be non-negative, got {cfg.seed}")
+    check_mask_spec(cfg.model.y_dim, cfg.model.t_dim, cfg.r_train)
     try:
         schedule = LrSchedule(
             max_lr=cfg.max_lr,
@@ -368,8 +365,6 @@ class ReconReport:
     """Per-sequence metrics and aggregates for one acceleration factor."""
 
     r_nominal: float
-    checkpoint_id: str
-    mask_seed: int
     rows: list[SequenceMetrics] = field(default_factory=list)
 
     def aggregate(self) -> dict[str, tuple[float, float]]:
@@ -378,10 +373,6 @@ class ReconReport:
             vals = np.array([getattr(row, name) for row in self.rows])
             out[name] = (float(vals.mean()), float(vals.std()))
         return out
-
-
-def _checkpoint_id(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:12]
 
 
 def evaluate(
@@ -402,12 +393,11 @@ def evaluate(
     model = from_checkpoint(checkpoint)
     for r in r_values:
         check_mask_spec(model.config.y_dim, model.config.t_dim, r)
-    ckpt_id = _checkpoint_id(checkpoint)
     pairs = load_manifest(manifest).get("test", [])
     if not pairs:
         raise FormatError(f"manifest {manifest} has no test sequences")
-    model_reports = [ReconReport(r, ckpt_id, seed) for r in r_values]
-    baseline_reports = [ReconReport(r, "zero-filled", seed) for r in r_values]
+    model_reports = [ReconReport(r) for r in r_values]
+    baseline_reports = [ReconReport(r) for r in r_values]
     for seq_index, (image_path, kspace_path) in enumerate(pairs):
         reference = read_volume(image_path)
         gt_kspace = read_volume(kspace_path)

@@ -78,6 +78,8 @@ def check_mask_spec(y_dim: int, t_dim: int, r_nominal: float) -> None:
 def generate_mask(y_dim: int, t_dim: int, r_nominal: float, seed: int) -> SamplingMask:
     """Draw a deterministic variable-density ky-t mask for acceleration R."""
     check_mask_spec(y_dim, t_dim, r_nominal)
+    if seed < 0:
+        raise SpecError(f"mask seed must be non-negative, got {seed}")
     lines_per_frame = max(1, round(y_dim / r_nominal))
     center = y_dim // 2
     band = center_band(y_dim)

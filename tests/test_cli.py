@@ -238,7 +238,7 @@ def test_usage_errors(workspace, tmp_path):
     cfg = tmp_path / "bad.cfg"
     for line in ("max_lr = -1", "warmup_fraction = 1.5", "final_div = 0.5",
                  "max_lr = nan", "hdr_eps = nan", "hdr_eps = inf",
-                 "kirm_planes = ky-t\nkirm_patch = -1"):
+                 "kirm_planes = ky-t\nkirm_patch = -1", "kirm_planes = diagonal"):
         cfg.write_text(line + "\n")
         assert main(["train", "--tiny", "--config", str(cfg), "--out", str(tmp_path),
                      "--manifest", manifest, "--steps", "2"]) == EXIT_USAGE, line
@@ -251,6 +251,15 @@ def test_usage_errors(workspace, tmp_path):
         ["eval", "--checkpoint", checkpoint, "--manifest", manifest],
     ):
         assert main([*argv, "--out", str(tmp_path), "--seed", "-1"]) == EXIT_USAGE, argv[0]
+    # --out naming an existing file, before any work starts
+    not_a_dir = tmp_path / "file.txt"
+    not_a_dir.write_text("x\n")
+    for argv in (
+        ["dataset", "--n-train", "1", "--n-test", "1"],
+        ["mask", "--dims", "16,16,2"],
+        ["eval", "--checkpoint", checkpoint, "--manifest", manifest],
+    ):
+        assert main([*argv, "--out", str(not_a_dir)]) == EXIT_USAGE, argv[0]
 
 
 def test_unknown_subcommand_exits_via_argparse():
@@ -272,6 +281,22 @@ def test_missing_file_errors(workspace, tmp_path):
     assert main([
         "eval", "--out", str(tmp_path), "--checkpoint", str(tmp_path / "none.kgin"),
         "--manifest", str(workspace["data"] / "manifest.txt"),
+    ]) == EXIT_MISSING_FILE
+    # a directory given as an input file, or a path under a file
+    checkpoint = str(workspace["run"] / "checkpoint.kgin")
+    manifest = workspace["data"] / "manifest.txt"
+    assert main([
+        "infer", str(workspace["data"] / "test_000.kspace.kvol"), "--out", str(tmp_path),
+        "--checkpoint", str(tmp_path), "--mask", str(workspace["masks"] / "mask.kmask"),
+    ]) == EXIT_MISSING_FILE
+    for bad_manifest in (tmp_path, manifest / "x"):
+        assert main([
+            "eval", "--out", str(tmp_path), "--checkpoint", checkpoint,
+            "--manifest", str(bad_manifest),
+        ]) == EXIT_MISSING_FILE, bad_manifest
+    assert main([
+        "train", "--tiny", "--config", str(tmp_path), "--out", str(tmp_path),
+        "--manifest", str(manifest),
     ]) == EXIT_MISSING_FILE
 
 

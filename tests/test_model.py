@@ -354,8 +354,9 @@ def test_hdr_value():
 
 
 def test_hdr_validation():
-    with pytest.raises(ValueError):
-        hdr_loss([Tensor(np.ones(2))], np.zeros(2), eps=0.0)
+    for eps in (0.0, math.inf, math.nan):
+        with pytest.raises(ConfigError):
+            hdr_loss([Tensor(np.ones(2))], np.zeros(2), eps=eps)
     with pytest.raises(DimensionError):
         hdr_loss([], np.zeros(2), eps=0.5)
 

@@ -215,6 +215,20 @@ def test_train_validation(small_root):
         train(TrainConfig(**{**good.__dict__, "log_interval": 0}), "unused")
     with pytest.raises(SpecError):
         train(TrainConfig(**{**good.__dict__, "r_train": 1.0}), "unused")
+    with pytest.raises(ConfigError, match="seed"):
+        train(TrainConfig(**{**good.__dict__, "seed": -1}), "unused")
+
+
+def test_train_checks_r_before_building(small_root, tmp_path, monkeypatch):
+    def no_model(*args, **kwargs):
+        raise AssertionError("the model was built before R was checked")
+
+    monkeypatch.setattr(KSpaceInterpolator, "__init__", no_model)
+    cfg = TrainConfig(
+        model=tiny_config(32, 32, 2), manifest=small_root["manifest"], r_train=64.0
+    )
+    with pytest.raises(SpecError):
+        train(cfg, tmp_path / "out")
 
 
 def test_train_requires_train_split(small_root, tmp_path):
@@ -379,15 +393,13 @@ def test_evaluate_reports(short_checkpoint, small_root):
     assert [r.r_nominal for r in model_reports] == [2.0, 4.0]
     for report in model_reports:
         assert len(report.rows) == 2  # one per test sequence
-        assert len(report.checkpoint_id) == 12
         agg = report.aggregate()
         assert set(agg) == {"nmse", "ssim", "psnr"}
         for row in report.rows:
             assert row.sequence.startswith("test_")
             assert 0 <= row.ssim <= 1
             assert row.nmse >= 0
-    for report in baseline_reports:
-        assert report.checkpoint_id == "zero-filled"
+    assert [len(report.rows) for report in baseline_reports] == [2, 2]
 
 
 def test_evaluate_determinism(short_checkpoint, small_root):

@@ -86,6 +86,8 @@ def test_generate_mask_validation():
         generate_mask(4, 8, 2.0, seed=0)  # Y too small
     with pytest.raises(SpecError):
         generate_mask(32, 0, 2.0, seed=0)
+    with pytest.raises(SpecError, match="seed"):
+        generate_mask(32, 8, 4.0, seed=-1)
 
 
 def test_extreme_acceleration_keeps_single_center_line():
