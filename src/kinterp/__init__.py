@@ -17,7 +17,6 @@ from .errors import (
     FormatError,
     KInterpError,
     NonFiniteError,
-    PartitionError,
     RangeError,
     SpecError,
     TrainingError,
@@ -84,7 +83,6 @@ __all__ = [
     "KSpaceInterpolator",
     "ModelConfig",
     "NonFiniteError",
-    "PartitionError",
     "PhantomSpec",
     "RangeError",
     "ReconReport",

@@ -126,10 +126,12 @@ def _cast_seed(raw) -> int:
 
 
 def _cast_out(raw) -> str:
-    """An output directory: absent (it is made) or a directory already."""
+    """An output directory: the nearest existing path at or above it must be a
+    directory (what is missing below it is made)."""
     out = Path(raw)
-    if out.exists() and not out.is_dir():
-        raise ConfigError(f"output path {out} exists and is not a directory")
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"output path {out}: {existing} exists and is not a directory")
     return raw
 
 

@@ -41,10 +41,6 @@ class ConfigError(KInterpError):
     """A configuration value is invalid or an unknown key was supplied."""
 
 
-class PartitionError(KInterpError):
-    """Sampled and unsampled coordinates do not partition the token grid."""
-
-
 class RangeError(KInterpError):
     """A scalar argument (e.g. a schedule step) is outside its valid range."""
 

@@ -10,9 +10,10 @@ and add residual corrections; their output projections start at zero, so at
 initialization refinement is the exact identity.  Each plane's tokens are a
 fixed permutation of the [T, Y, X, 2] volume's entries: one index table per
 plane, built once per model, takes the volume to tokens in one gather and
-its inverse takes tokens back.  Token rows move the same way: the sampled
-rows are one gather out of the ky-t grid, and the decoder's input is one
-gather that puts each sampled feature, or the mask token, at its grid row.
+its inverse takes tokens back.  Token rows move the same way, placed by the
+mask's flags: the sampled rows are one gather out of the ky-t grid, and the
+decoder's input is one gather that puts each sampled feature, or the mask
+token where a row is flagged unsampled, at its grid row.
 Checkpoints load through ``load_params`` alone, which checks every tensor's
 name and shape against ``param_table`` before reading its values.
 """
@@ -33,7 +34,6 @@ from .errors import (
     DegenerateInputError,
     DimensionError,
     DomainError,
-    PartitionError,
 )
 from .kspace import DOMAIN_KSPACE, ComplexVolume
 from .numcore import Tensor
@@ -122,10 +122,9 @@ def full_config(x_dim: int, y_dim: int, t_dim: int, **overrides) -> ModelConfig:
 
 @dataclass
 class TokenBatch:
-    """Tokens plus their integer plane coordinates (one (a, b) pair per row)."""
+    """Token rows of one plane, one [rows, channels] tensor."""
 
     tokens: Tensor
-    coords: np.ndarray
 
 
 @dataclass
@@ -250,6 +249,8 @@ class KSpaceInterpolator:
     """The full interpolation model: tokenizer, encoder/decoder, refinement."""
 
     def __init__(self, config: ModelConfig, seed: int = 0):
+        if seed < 0:
+            raise ConfigError(f"model seed must be non-negative, got {seed}")
         self._rng = np.random.default_rng(seed)
         fill = {"normal": self._draw, "zeros": np.zeros, "ones": np.ones}
         table = param_table(config)
@@ -359,23 +360,20 @@ class KSpaceInterpolator:
             raise DomainError("tokenization expects a k-space volume")
         self._check_volume(k)
         tokens = self._embed(Tensor(k.data), PLANE_KY_T, "kgin")
-        return TokenBatch(tokens, self.plane_coords(PLANE_KY_T))
+        return TokenBatch(tokens)
 
     def split_by_mask(
         self, batch: TokenBatch, mask: SamplingMask
     ) -> tuple[TokenBatch, np.ndarray]:
-        """Restrict a full ky-t batch to sampled tokens; also return the rest."""
+        """The sampled rows of a full ky-t batch, in grid order, and the
+        unsampled flags: one bool per (ky, t) row, ky fastest."""
         c = self.config
         if (mask.y_dim, mask.t_dim) != (c.y_dim, c.t_dim):
             raise DimensionError("mask extents do not match the model configuration")
-        flags = mask.bits.T.reshape(-1).astype(bool)
-        rows = np.flatnonzero(flags)
+        unsampled = ~mask.keep.reshape(-1)
+        rows = np.flatnonzero(~unsampled)
         d = batch.tokens.shape[1]
-        sampled = TokenBatch(
-            nc.gather(batch.tokens, rows[:, None] * d + np.arange(d)),
-            batch.coords[rows],
-        )
-        return sampled, batch.coords[~flags]
+        return TokenBatch(nc.gather(batch.tokens, rows[:, None] * d + np.arange(d))), unsampled
 
     # ---- the interpolation network --------------------------------------
 
@@ -383,28 +381,28 @@ class KSpaceInterpolator:
         if sampled.tokens.shape[0] == 0:
             raise DegenerateInputError("encoder needs at least one sampled token")
         feats = self._stack(sampled.tokens, "kgin.enc")
-        return TokenBatch(feats, sampled.coords)
+        return TokenBatch(feats)
 
-    def decode(self, feats: TokenBatch, unsampled_coords: np.ndarray) -> Tensor:
-        """Fill unsampled positions with the mask token and decode to k-space."""
+    def decode(self, feats: TokenBatch, unsampled: np.ndarray) -> Tensor:
+        """Fill the unsampled grid rows with the mask token and decode to k-space.
+
+        ``unsampled`` is the flag vector ``split_by_mask`` returns; its False
+        rows take the feature rows in order.
+        """
         c = self.config
-        coords = np.concatenate([feats.coords, unsampled_coords])
-        n_sampled = len(feats.coords)
-        grid = coords[:, 1] * c.y_dim + coords[:, 0]
-        masked = grid[n_sampled:]
-        # Grid row -> its sampled feature, or row n_sampled: the mask token.
-        # Each coordinate is range-checked on its own axis, so a ky of -1
-        # cannot alias the previous frame's last row; with one coordinate per
-        # grid row, none left at -1 means the coords partition the grid.
-        source = np.full(c.y_dim * c.t_dim, -1, dtype=np.intp)
-        if len(grid) == len(source) and ((coords >= 0) & (coords < (c.y_dim, c.t_dim))).all():
-            source[grid[:n_sampled]] = np.arange(n_sampled)
-            source[masked] = n_sampled
-        if (source < 0).any():
-            raise PartitionError("sampled and unsampled coords must partition the grid")
-        pos = self._pos_tables[PLANE_KY_T]
-        codes = np.zeros_like(pos)
-        codes[masked] = pos[masked]
+        n = feats.tokens.shape[0]
+        unsampled = np.asarray(unsampled)
+        if (
+            unsampled.dtype != bool
+            or unsampled.shape != (c.y_dim * c.t_dim,)
+            or np.count_nonzero(~unsampled) != n
+        ):
+            raise DimensionError(
+                f"decode needs {c.y_dim * c.t_dim} bool row flags, {n} of them False"
+            )
+        # Grid row -> its sampled feature, or row n: the mask token.
+        source = np.where(unsampled, n, np.cumsum(~unsampled) - 1)
+        codes = np.where(unsampled[:, None], self._pos_tables[PLANE_KY_T], 0.0)
         d = c.embed_dim
         mask_token = nc.reshape(self.params["kgin.mask_token"], (1, d))
         rows = nc.concat_rows([feats.tokens, mask_token])
@@ -426,9 +424,9 @@ class KSpaceInterpolator:
     def forward(self, masked: ComplexVolume, mask: SamplingMask) -> ForwardResult:
         """Tokenize -> encode sampled -> decode all -> refine."""
         batch = self.tokenize_kyt(masked)
-        sampled, unsampled_coords = self.split_by_mask(batch, mask)
+        sampled, unsampled = self.split_by_mask(batch, mask)
         feats = self.encode(sampled)
-        interpolated = self.decode(feats, unsampled_coords)
+        interpolated = self.decode(feats, unsampled)
         return ForwardResult(interpolated, self.refine(interpolated))
 
 

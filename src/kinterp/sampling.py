@@ -45,6 +45,11 @@ class SamplingMask:
             raise SpecError(f"nominal acceleration must be positive, got {self.r_nominal}")
 
     @property
+    def keep(self) -> np.ndarray:
+        """[T, Y] bools in the volume's (t, ky) order: True where a line is kept."""
+        return self.bits.T.astype(bool)
+
+    @property
     def y_dim(self) -> int:
         return self.bits.shape[0]
 
@@ -117,22 +122,17 @@ def _check_mask_dims(v: ComplexVolume, mask: SamplingMask) -> None:
         )
 
 
-def apply_mask(
-    v: ComplexVolume, mask: SamplingMask
-) -> tuple[ComplexVolume, list[tuple[int, int]]]:
+def apply_mask(v: ComplexVolume, mask: SamplingMask) -> tuple[ComplexVolume, np.ndarray]:
     """Zero unsampled (ky, t) columns; sampled columns are copied bit-exactly.
 
-    Returns the masked volume plus the sampled (ky, t) indices sorted by
-    (t, ky).
+    Returns the masked volume plus ``mask.keep``, the [T, Y] sampled flags.
     """
     if v.domain != DOMAIN_KSPACE:
         raise DomainError("apply_mask expects a k-space volume")
     _check_mask_dims(v, mask)
-    keep = mask.bits.T.astype(bool)[:, :, None, None]
-    masked = ComplexVolume(np.where(keep, v.data, 0.0), v.domain, v.scale)
-    t_idx, ky_idx = np.nonzero(mask.bits.T)
-    indices = [(int(ky), int(t)) for t, ky in zip(t_idx, ky_idx)]
-    return masked, indices
+    keep = mask.keep
+    masked = ComplexVolume(np.where(keep[:, :, None, None], v.data, 0.0), v.domain, v.scale)
+    return masked, keep
 
 
 def data_consistency(
@@ -144,7 +144,7 @@ def data_consistency(
     if estimate.data.shape != sampled.data.shape:
         raise DimensionError("estimate and sampled volumes must share a shape")
     _check_mask_dims(estimate, mask)
-    keep = mask.bits.T.astype(bool)[:, :, None, None]
+    keep = mask.keep[:, :, None, None]
     return ComplexVolume(
         np.where(keep, sampled.data, estimate.data), estimate.domain, estimate.scale
     )

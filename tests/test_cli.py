@@ -259,7 +259,8 @@ def test_usage_errors(workspace, tmp_path):
         ["mask", "--dims", "16,16,2"],
         ["eval", "--checkpoint", checkpoint, "--manifest", manifest],
     ):
-        assert main([*argv, "--out", str(not_a_dir)]) == EXIT_USAGE, argv[0]
+        for out in (not_a_dir, not_a_dir / "sub"):  # the file itself, or a path under it
+            assert main([*argv, "--out", str(out)]) == EXIT_USAGE, (argv[0], out)
 
 
 def test_unknown_subcommand_exits_via_argparse():

@@ -10,6 +10,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import oracles
 from kinterp import numcore as nc
@@ -19,7 +21,6 @@ from kinterp.errors import (
     DegenerateInputError,
     DimensionError,
     DomainError,
-    PartitionError,
 )
 from kinterp.kspace import DOMAIN_IMAGE, DOMAIN_KSPACE
 from kinterp.model import (
@@ -96,6 +97,8 @@ def test_config_validation():
                 dict(loss_weight_hdr=math.inf)):
         with pytest.raises(ConfigError):
             ModelConfig(8, 8, 2, **bad)
+    with pytest.raises(ConfigError, match="seed"):
+        KSpaceInterpolator(ModelConfig(8, 8, 2), seed=-1)
 
 
 def test_config_plane_order_canonicalized():
@@ -139,7 +142,8 @@ def test_token_count_and_coords():
     batch = m.tokenize_kyt(kvol(4, 3, 2))
     assert batch.tokens.shape == (6, 8)  # one token per (ky, t)
     # ky varies fastest; the second coordinate is the frame index
-    assert batch.coords.tolist() == [[0, 0], [1, 0], [2, 0], [0, 1], [1, 1], [2, 1]]
+    expected = [[0, 0], [1, 0], [2, 0], [0, 1], [1, 1], [2, 1]]
+    assert m.plane_coords(PLANE_KY_T).tolist() == expected
 
 
 def test_plane_channels():
@@ -196,11 +200,13 @@ def test_split_by_mask_counts():
     """At acceleration R a (Y, T) grid keeps Y*T/R tokens."""
     m = KSpaceInterpolator(ModelConfig(8, 32, 8))
     mask = generate_mask(32, 8, 4.0, seed=0)
-    sampled, unsampled_coords = m.split_by_mask(m.tokenize_kyt(kvol(8, 32, 8)), mask)
+    batch = m.tokenize_kyt(kvol(8, 32, 8))
+    sampled, unsampled = m.split_by_mask(batch, mask)
     assert sampled.tokens.shape[0] == 32 * 8 // 4
-    assert len(unsampled_coords) == 32 * 8 - 32 * 8 // 4
-    for ky, t in sampled.coords:
-        assert mask.bits[ky, t] == 1
+    assert np.count_nonzero(unsampled) == 32 * 8 - 32 * 8 // 4
+    # one flag per (ky, t) row, ky fastest; the sampled rows in grid order
+    assert np.array_equal(unsampled, mask.bits.T.reshape(-1) == 0)
+    assert np.array_equal(sampled.tokens.data, batch.tokens.data[~unsampled])
     with pytest.raises(DimensionError):
         m.split_by_mask(m.tokenize_kyt(kvol(8, 32, 8)), generate_mask(32, 4, 4.0, 0))
 
@@ -214,7 +220,7 @@ def test_encoder_permutation_equivariance():
     sampled, _ = m.split_by_mask(m.tokenize_kyt(kvol(8, 16, 2)), mask)
     out = m.encode(sampled).tokens.data
     perm = np.random.default_rng(0).permutation(sampled.tokens.shape[0])
-    shuffled = TokenBatch(Tensor(sampled.tokens.data[perm]), sampled.coords[perm])
+    shuffled = TokenBatch(Tensor(sampled.tokens.data[perm]))
     out_perm = m.encode(shuffled).tokens.data
     assert oracles.rel_err(out_perm, out[perm]) < 1e-6
 
@@ -260,25 +266,37 @@ def test_mask_token_receives_gradient():
     assert g is not None and np.abs(g).max() > 0
 
 
-def test_decode_partition_errors():
+def test_decode_rejects_bad_flags():
     m = KSpaceInterpolator(ModelConfig(8, 8, 2))
     mask = generate_mask(8, 2, 2.0, seed=0)
     sampled, unsampled = m.split_by_mask(m.tokenize_kyt(kvol(8, 8, 2)), mask)
     feats = m.encode(sampled)
-    with pytest.raises(PartitionError):
-        m.decode(feats, unsampled[:-1])  # grid not covered
-    overlapped = unsampled.copy()
-    overlapped[0] = sampled.coords[0]  # duplicate position
-    with pytest.raises(PartitionError):
-        m.decode(feats, overlapped)
-    row = np.flatnonzero(unsampled[:, 1] == 0)[0]  # an unsampled (ky, 0)
-    ky = unsampled[row, 0]
-    # (ky - Y, 1) names the same flattened row as (ky, 0): it must not wrap
-    for bad in ((ky - 8, 1), (ky, 2)):  # a negative ky; t equal to T
-        outside = unsampled.copy()
-        outside[row] = bad
-        with pytest.raises(PartitionError):
-            m.decode(feats, outside)
+    flipped = unsampled.copy()
+    flipped[0] = ~flipped[0]  # one more or one fewer row than features
+    old_style = m.plane_coords(PLANE_KY_T)[unsampled]  # (n, 2) coordinates
+    for bad in (unsampled[:-1], flipped, old_style):
+        with pytest.raises(DimensionError):
+            m.decode(feats, bad)
+
+
+@settings(max_examples=8)
+@given(
+    bits=arrays(
+        np.uint8, st.tuples(st.integers(1, 6), st.integers(1, 3)), elements=st.integers(0, 1)
+    )
+)
+def test_split_and_decode_follow_any_mask(bits):
+    """Any [Y, T] pattern, frames with different line counts included."""
+    y_dim, t_dim = bits.shape
+    cfg = ModelConfig(4, y_dim, t_dim, embed_dim=8, n_heads=2, n_layers=1, kirm_planes=())
+    m = KSpaceInterpolator(cfg)
+    mask = SamplingMask(bits, 2.0)
+    batch = m.tokenize_kyt(kvol(4, y_dim, t_dim))
+    sampled, unsampled = m.split_by_mask(batch, mask)
+    assert np.array_equal(unsampled, bits.T.reshape(-1) == 0)
+    assert np.array_equal(sampled.tokens.data, batch.tokens.data[~unsampled])
+    # an all-zero mask has no rows to encode, so decode takes the sampled rows as they are
+    assert m.decode(sampled, unsampled).shape == (t_dim, y_dim, 4, 2)
 
 
 def test_refinement_is_identity_at_init():

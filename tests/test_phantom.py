@@ -70,6 +70,8 @@ def test_validation():
         generate(PhantomSpec(32, 32, 2, seed=0, motion_amplitude=0.6))
     with pytest.raises(SpecError):
         generate(PhantomSpec(32, 32, 2, seed=0, motion_amplitude=-0.1))
+    with pytest.raises(SpecError, match="seed"):
+        generate(PhantomSpec(32, 32, 2, seed=-1))
 
 
 def test_fov_rejection_at_extreme_amplitude():

@@ -135,16 +135,14 @@ def test_mask_validation():
 def test_apply_mask_copies_sampled_columns_bitwise():
     v = kvol(16, 32, 4)
     mask = generate_mask(32, 4, 4.0, seed=0)
-    masked, indices = apply_mask(v, mask)
+    masked, flags = apply_mask(v, mask)
     keep = mask.bits.astype(bool)
     assert np.array_equal(masked.re[:, keep], v.re[:, keep])
     assert np.array_equal(masked.im[:, keep], v.im[:, keep])
     assert np.all(masked.re[:, ~keep] == 0.0)
     assert np.all(masked.im[:, ~keep] == 0.0)
-    # index list is (ky, t) sorted by (t, ky) and matches the bit count
-    assert len(indices) == int(mask.bits.sum())
-    assert indices == sorted(indices, key=lambda p: (p[1], p[0]))
-    assert all(mask.bits[ky, t] == 1 for ky, t in indices)
+    # the flags are the mask's bits in the volume's (t, ky) order
+    assert np.array_equal(flags, mask.bits.T == 1)
 
 
 def test_apply_mask_energy_never_increases():
@@ -166,10 +164,10 @@ def test_apply_mask_idempotent():
 def test_apply_mask_full_mask_is_identity():
     v = kvol(4, 8, 2)
     mask = SamplingMask(np.ones((8, 2)), 1.0)
-    masked, indices = apply_mask(v, mask)
+    masked, flags = apply_mask(v, mask)
     assert np.array_equal(masked.re, v.re)
     assert np.array_equal(masked.im, v.im)
-    assert len(indices) == 16
+    assert np.array_equal(flags, mask.bits.T == 1)
 
 
 def test_apply_mask_rejects_image_domain_and_bad_dims():
