@@ -16,7 +16,6 @@ from .errors import (
     DomainError,
     FormatError,
     KInterpError,
-    NonFiniteError,
     RangeError,
     SpecError,
     TrainingError,
@@ -82,7 +81,6 @@ __all__ = [
     "KInterpError",
     "KSpaceInterpolator",
     "ModelConfig",
-    "NonFiniteError",
     "PhantomSpec",
     "RangeError",
     "ReconReport",

@@ -47,7 +47,3 @@ class RangeError(KInterpError):
 
 class TrainingError(KInterpError):
     """Training produced non-finite values (loss or gradients)."""
-
-
-class NonFiniteError(KInterpError):
-    """A tensor operation produced NaN or Inf."""

@@ -9,21 +9,27 @@ then re-tokenize the estimate along the ky-t, kx-t and (patched) kx-ky planes
 and add residual corrections; their output projections start at zero, so at
 initialization refinement is the exact identity.  Each plane's tokens are a
 fixed permutation of the [T, Y, X, 2] volume's entries: one index table per
-plane, built once per model, takes the volume to tokens in one gather and
-its inverse takes tokens back.  Token rows move the same way, placed by the
-mask's flags: the sampled rows are one gather out of the ky-t grid, and the
-decoder's input is one gather that puts each sampled feature, or the mask
-token where a row is flagged unsampled, at its grid row.
+plane, built once per geometry and shared read-only by every model of that
+geometry, takes the volume to tokens in one gather and its inverse takes
+tokens back.  Token rows move the same way, placed by the mask's flags: the
+sampled rows are one gather out of the ky-t grid, and the decoder's input is
+one gather that puts each sampled feature, or the mask token where a row is
+flagged unsampled, at its grid row.
 Checkpoints load through ``load_params`` alone, which checks every tensor's
-name and shape against ``param_table`` before reading its values.
+name and shape against ``param_table`` before reading its values, and builds
+no more of that table than the file has room to name.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,6 +56,8 @@ _CKPT_MAGIC = b"KGIN"
 _CKPT_VERSION = 1
 _CKPT_HEAD = struct.Struct("<4sI")
 _CKPT_CONFIG = struct.Struct("<9Idd")
+# Every tensor entry holds at least a name length and a rank.
+_CKPT_MIN_ENTRY = struct.calcsize("<2I")
 
 
 def _check_hdr_eps(eps: float) -> None:
@@ -166,83 +174,108 @@ def _plane_pos_table(n_inner: int, n_outer: int, dim: int) -> np.ndarray:
     )
 
 
-def _plane_dims(c: ModelConfig, plane: str) -> tuple[int, int, int]:
+def _plane_dims(
+    x_dim: int, y_dim: int, t_dim: int, patch: int, plane: str
+) -> tuple[int, int, int]:
     """A plane's token grid (inner, outer), inner coordinate fastest, and the
     channels of one token."""
     if plane == PLANE_KY_T:
-        return c.y_dim, c.t_dim, 2 * c.x_dim
+        return y_dim, t_dim, 2 * x_dim
     if plane == PLANE_KX_T:
-        return c.x_dim, c.t_dim, 2 * c.y_dim
+        return x_dim, t_dim, 2 * y_dim
     if plane == PLANE_KX_KY:
-        p = c.kirm_patch
-        return c.x_dim // p, c.y_dim // p, 2 * p * p * c.t_dim
+        return x_dim // patch, y_dim // patch, 2 * patch * patch * t_dim
     raise ConfigError(f"unknown plane {plane!r}")
 
 
-def _plane_index(c: ModelConfig, plane: str) -> np.ndarray:
-    """[tokens, channels]: where each token entry sits in the flattened volume.
+class PlaneTables(NamedTuple):
+    """A plane's fixed arrays, shared read-only by every model of one geometry."""
+
+    index: np.ndarray  # [tokens, channels]: each token entry's offset in the volume
+    inverse: np.ndarray  # [T, Y, X, 2]: each volume entry's offset in the tokens
+    pos: np.ndarray  # [tokens, embed_dim]: sinusoidal position codes
+
+
+# Three planes per geometry: the tables of the last ten or so geometries stay.
+@functools.lru_cache(maxsize=32)
+def _plane_tables(
+    x_dim: int, y_dim: int, t_dim: int, patch: int, embed_dim: int, plane: str
+) -> PlaneTables:
+    """Index table, inverse permutation and position codes of one plane.
 
     ky-t and kx-t tokens are lines of re/im pairs along kx and ky; kx-ky tokens
     are p x p (ky, kx) patches carrying every frame.
     """
-    x_d, y_d, t_d, p = c.x_dim, c.y_dim, c.t_dim, c.kirm_patch
-    inner, outer, chan = _plane_dims(c, plane)
-    v = np.arange(t_d * y_d * x_d * 2).reshape(t_d, y_d, x_d, 2)
+    inner, outer, chan = _plane_dims(x_dim, y_dim, t_dim, patch, plane)
+    v = np.arange(t_dim * y_dim * x_dim * 2).reshape(t_dim, y_dim, x_dim, 2)
     if plane == PLANE_KX_T:
         v = v.transpose(0, 2, 1, 3)
     elif plane == PLANE_KX_KY:
-        v = v.transpose(1, 2, 0, 3).reshape(y_d // p, p, x_d // p, p, t_d, 2)
+        p = patch
+        v = v.transpose(1, 2, 0, 3).reshape(y_dim // p, p, x_dim // p, p, t_dim, 2)
         v = v.transpose(0, 2, 1, 3, 4, 5)
-    return v.reshape(inner * outer, chan)
+    index = v.reshape(inner * outer, chan)
+    inverse = np.empty(index.size, dtype=np.intp)
+    inverse[index.reshape(-1)] = np.arange(index.size)
+    tables = PlaneTables(
+        index, inverse.reshape(t_dim, y_dim, x_dim, 2), _plane_pos_table(inner, outer, embed_dim)
+    )
+    for arr in tables:
+        arr.setflags(write=False)
+    return tables
 
 
-def _stack_table(c: ModelConfig, prefix: str) -> dict[str, tuple[tuple[int, ...], str]]:
+# A parameter's (shape, init).
+_Entry = tuple[tuple[int, ...], str]
+
+
+def _stack_entries(c: ModelConfig, prefix: str) -> Iterator[tuple[str, _Entry]]:
     d, hidden = c.embed_dim, c.embed_dim * c.mlp_ratio
-    table = {}
     for i in range(c.n_layers):
         base = f"{prefix}.{i}"
         for ln in ("ln1", "ln2"):
-            table[f"{base}.{ln}.gain"] = ((d,), "ones")
-            table[f"{base}.{ln}.bias"] = ((d,), "zeros")
+            yield f"{base}.{ln}.gain", ((d,), "ones")
+            yield f"{base}.{ln}.bias", ((d,), "zeros")
         for proj in ("wq", "wk", "wv", "wo"):
-            table[f"{base}.attn.{proj}"] = ((d, d), "normal")
+            yield f"{base}.attn.{proj}", ((d, d), "normal")
         for bias in ("bq", "bk", "bv", "bo"):
-            table[f"{base}.attn.{bias}"] = ((d,), "zeros")
-        table[f"{base}.mlp.w1"] = ((d, hidden), "normal")
-        table[f"{base}.mlp.b1"] = ((hidden,), "zeros")
-        table[f"{base}.mlp.w2"] = ((hidden, d), "normal")
-        table[f"{base}.mlp.b2"] = ((d,), "zeros")
-    table[f"{prefix}.norm.gain"] = ((d,), "ones")
-    table[f"{prefix}.norm.bias"] = ((d,), "zeros")
-    return table
+            yield f"{base}.attn.{bias}", ((d,), "zeros")
+        yield f"{base}.mlp.w1", ((d, hidden), "normal")
+        yield f"{base}.mlp.b1", ((hidden,), "zeros")
+        yield f"{base}.mlp.w2", ((hidden, d), "normal")
+        yield f"{base}.mlp.b2", ((d,), "zeros")
+    yield f"{prefix}.norm.gain", ((d,), "ones")
+    yield f"{prefix}.norm.bias", ((d,), "zeros")
 
 
-def param_table(c: ModelConfig) -> dict[str, tuple[tuple[int, ...], str]]:
+def _param_entries(c: ModelConfig) -> Iterator[tuple[str, _Entry]]:
+    """``param_table``'s entries one at a time, so a reader can stop early."""
+    d = c.embed_dim
+    chan = _plane_dims(c.x_dim, c.y_dim, c.t_dim, c.kirm_patch, PLANE_KY_T)[2]
+    yield "kgin.proj_in.w", ((chan, d), "normal")
+    yield "kgin.proj_in.b", ((d,), "zeros")
+    yield "kgin.mask_token", ((d,), "zeros")
+    yield from _stack_entries(c, "kgin.enc")
+    yield from _stack_entries(c, "kgin.dec")
+    yield "kgin.proj_out.w", ((d, chan), "normal")
+    yield "kgin.proj_out.b", ((chan,), "zeros")
+    for plane in c.kirm_planes:
+        chan = _plane_dims(c.x_dim, c.y_dim, c.t_dim, c.kirm_patch, plane)[2]
+        prefix = f"kirm.{plane}"
+        yield f"{prefix}.proj_in.w", ((chan, d), "normal")
+        yield f"{prefix}.proj_in.b", ((d,), "zeros")
+        yield from _stack_entries(c, prefix)
+        yield f"{prefix}.proj_out.w", ((d, chan), "zeros")
+        yield f"{prefix}.proj_out.b", ((chan,), "zeros")
+
+
+def param_table(c: ModelConfig) -> dict[str, _Entry]:
     """Every parameter as name -> (shape, init), in creation and draw order.
 
     ``init`` is "normal" (clipped N(0, 0.02) draw), "zeros" or "ones".  Nothing
     is allocated, so a checkpoint header can be checked against it first.
     """
-    d = c.embed_dim
-    chan = _plane_dims(c, PLANE_KY_T)[2]
-    table = {
-        "kgin.proj_in.w": ((chan, d), "normal"),
-        "kgin.proj_in.b": ((d,), "zeros"),
-        "kgin.mask_token": ((d,), "zeros"),
-        **_stack_table(c, "kgin.enc"),
-        **_stack_table(c, "kgin.dec"),
-        "kgin.proj_out.w": ((d, chan), "normal"),
-        "kgin.proj_out.b": ((chan,), "zeros"),
-    }
-    for plane in c.kirm_planes:
-        chan = _plane_dims(c, plane)[2]
-        prefix = f"kirm.{plane}"
-        table[f"{prefix}.proj_in.w"] = ((chan, d), "normal")
-        table[f"{prefix}.proj_in.b"] = ((d,), "zeros")
-        table.update(_stack_table(c, prefix))
-        table[f"{prefix}.proj_out.w"] = ((d, chan), "zeros")
-        table[f"{prefix}.proj_out.b"] = ((chan,), "zeros")
-    return table
+    return dict(_param_entries(c))
 
 
 class KSpaceInterpolator:
@@ -257,29 +290,17 @@ class KSpaceInterpolator:
         self._build(config, {name: fill[init](shape) for name, (shape, init) in table.items()})
 
     def _build(self, config: ModelConfig, arrays: dict[str, np.ndarray]) -> None:
-        """Set the config, the fixed tables and one parameter per array, in order.
+        """Set the config and one parameter per array, in order.
 
         ``__init__`` passes seeded draws; ``from_checkpoint`` passes the file's
-        tensors, so loading draws nothing.  Every enabled plane, and ky-t (the
-        interpolator's own tokens), gets its position codes and its index
-        table with the inverse permutation.
+        tensors, so loading draws nothing.
         """
         self.config = config
-        c = config
         # Normalized k-space entries are O(1/sqrt(XY)) away from the center;
         # lift them so projected features and position codes share magnitude.
-        self._token_scale = float(math.sqrt(c.x_dim * c.y_dim))
-        self._pos_tables: dict[str, np.ndarray] = {}
-        self._index_tables: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        for plane in dict.fromkeys((PLANE_KY_T, *c.kirm_planes)):
-            inner, outer, _ = _plane_dims(c, plane)
-            self._pos_tables[plane] = _plane_pos_table(inner, outer, c.embed_dim)
-            index = _plane_index(c, plane)
-            inverse = np.empty(index.size, dtype=np.intp)
-            inverse[index.reshape(-1)] = np.arange(index.size)
-            self._index_tables[plane] = (index, inverse.reshape(c.t_dim, c.y_dim, c.x_dim, 2))
+        self._token_scale = float(math.sqrt(config.x_dim * config.y_dim))
         self.params: dict[str, Tensor] = {
-            name: Tensor(arr, requires_grad=True, name=name) for name, arr in arrays.items()
+            name: Tensor(arr, requires_grad=True) for name, arr in arrays.items()
         }
 
     def _draw(self, shape: tuple[int, ...]) -> np.ndarray:
@@ -295,14 +316,20 @@ class KSpaceInterpolator:
         for p in self.params.values():
             p.grad = None
 
+    def _tables(self, plane: str) -> PlaneTables:
+        c = self.config
+        return _plane_tables(c.x_dim, c.y_dim, c.t_dim, c.kirm_patch, c.embed_dim, plane)
+
     def position_table(self, plane: str) -> np.ndarray:
-        return self._pos_tables[plane].copy()
+        return self._tables(plane).pos.copy()
 
     def plane_channels(self, plane: str) -> int:
-        return _plane_dims(self.config, plane)[2]
+        c = self.config
+        return _plane_dims(c.x_dim, c.y_dim, c.t_dim, c.kirm_patch, plane)[2]
 
     def plane_coords(self, plane: str) -> np.ndarray:
-        inner, outer, _ = _plane_dims(self.config, plane)
+        c = self.config
+        inner, outer, _ = _plane_dims(c.x_dim, c.y_dim, c.t_dim, c.kirm_patch, plane)
         n = np.arange(inner * outer)
         return np.stack([n % inner, n // inner], axis=1)
 
@@ -336,17 +363,17 @@ class KSpaceInterpolator:
             )
 
     def _plane_raw(self, y: Tensor, plane: str) -> Tensor:
-        return nc.gather(y, self._index_tables[plane][0])
+        return nc.gather(y, self._tables(plane).index)
 
     def _plane_restore(self, tokens: Tensor, plane: str) -> Tensor:
-        return nc.gather(tokens, self._index_tables[plane][1])
+        return nc.gather(tokens, self._tables(plane).inverse)
 
     def _embed(self, x: Tensor, plane: str, prefix: str) -> Tensor:
         """A [T,Y,X,2] volume as ``plane`` tokens: lifted, projected, position-coded."""
         p = self.params
         raw = self._plane_raw(x, plane) * self._token_scale
         tokens = nc.linear(raw, p[f"{prefix}.proj_in.w"], p[f"{prefix}.proj_in.b"])
-        return tokens + Tensor(self._pos_tables[plane])
+        return tokens + self._tables(plane).pos
 
     def _project(self, h: Tensor, plane: str, prefix: str) -> Tensor:
         """``plane`` features projected to token channels and put back as [T,Y,X,2]."""
@@ -402,11 +429,11 @@ class KSpaceInterpolator:
             )
         # Grid row -> its sampled feature, or row n: the mask token.
         source = np.where(unsampled, n, np.cumsum(~unsampled) - 1)
-        codes = np.where(unsampled[:, None], self._pos_tables[PLANE_KY_T], 0.0)
+        codes = np.where(unsampled[:, None], self._tables(PLANE_KY_T).pos, 0.0)
         d = c.embed_dim
         mask_token = nc.reshape(self.params["kgin.mask_token"], (1, d))
         rows = nc.concat_rows([feats.tokens, mask_token])
-        seq = nc.gather(rows, source[:, None] * d + np.arange(d)) + Tensor(codes)
+        seq = nc.gather(rows, source[:, None] * d + np.arange(d)) + codes
         return self._project(self._stack(seq, "kgin.dec"), PLANE_KY_T, "kgin")
 
     def refine(self, interpolated: Tensor) -> tuple[Tensor, Tensor, Tensor]:
@@ -433,15 +460,9 @@ class KSpaceInterpolator:
 # ---- losses --------------------------------------------------------------
 
 
-def _coerce_target(target) -> Tensor:
-    if isinstance(target, Tensor):
-        return target
-    return Tensor(np.asarray(target))
-
-
 def l1_loss(pred: Tensor, target) -> Tensor:
     """Mean absolute error over every real scalar."""
-    return nc.mean_all(nc.abs_(pred - _coerce_target(target)))
+    return nc.mean_all(nc.abs_(pred - target))
 
 
 def hdr_loss(
@@ -457,14 +478,13 @@ def hdr_loss(
     for finite-difference checks.
     """
     _check_hdr_eps(eps)
-    target_t = _coerce_target(target)
     total = None
     for i, stage in enumerate(stages):
         if denominators is not None:
             denom = denominators[i]
         else:
             denom = np.abs(stage.data) + eps
-        ratio = (stage - target_t) * (1.0 / denom)
+        ratio = (stage - target) * (1.0 / denom)
         term = nc.mean_all(ratio * ratio)
         total = term if total is None else total + term
     if total is None:
@@ -547,8 +567,11 @@ def load_params(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
     Each tensor's name and shape are checked against ``param_table`` of the
     embedded config before its payload is read, so a header cannot make the
     loader read or allocate more than the model it names; the tensors come
-    back in table order.  A NaN or infinite value in any tensor is rejected
-    here rather than failing later as a non-finite volume.
+    back in table order.  The tensor count must fit in the bytes left, and at
+    most count + 1 table entries are built to compare against it, so the
+    file's size bounds the work whatever the header's ``n_layers``.  A NaN or
+    infinite value in any tensor is rejected here rather than failing later as
+    a non-finite volume.
     """
     path = Path(path)
     blob = path.read_bytes()
@@ -574,8 +597,10 @@ def load_params(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
         )
     except ConfigError as exc:
         raise CheckpointError(f"{path}: invalid embedded config: {exc}") from exc
-    expected = param_table(config)
     (count,), at = _unpack("<I", blob, at, path)
+    if count * _CKPT_MIN_ENTRY > len(blob) - at:
+        raise CheckpointError(f"{path}: truncated checkpoint")
+    expected = dict(itertools.islice(_param_entries(config), count + 1))
     if count != len(expected):
         raise CheckpointError(f"{path}: checkpoint tensor names do not match the model")
     tensors: dict[str, np.ndarray] = {}

@@ -6,11 +6,12 @@ engine runs in one of two global precision modes: ``"test"`` (float64, used
 for gradient checks) and ``"train"`` (float32).  The graph is freed as it is
 consumed by ``backward()``, so one step's activations never outlive the step.
 
-Finiteness is checked at the boundaries, not per op: a leaf ``Tensor(...)``
-rejects NaN/inf (``NonFiniteError``), the training loop rejects a non-finite
-loss, and ``adam_step`` rejects a non-finite gradient and names the
-parameter.  Op outputs and intermediate gradients are not scanned, so an op
-that overflows on finite inputs yields inf/NaN that the next boundary catches.
+Finiteness is checked where data enters, not per tensor: ``ComplexVolume``
+rejects a non-finite volume, ``load_params`` a non-finite checkpoint tensor,
+the training loop a non-finite loss, and ``adam_step`` a non-finite gradient,
+naming the parameter.  Seeded draws and built-in tables are finite by
+construction, so no tensor, leaf or op output, is scanned; an op that
+overflows on finite inputs yields inf/NaN that the next boundary catches.
 Transformer layers use the fused ``linear`` and ``attention`` nodes, which
 record one tape node each with a hand-written backward.  ``attention`` runs
 its query rows in chunks of at most ``ATTENTION_BLOCK`` score entries and
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, NonFiniteError, RangeError, TrainingError
+from .errors import ConfigError, DimensionError, RangeError, TrainingError
 
 _MODES = {"test": np.float64, "train": np.float32}
 _active_mode = "test"
@@ -67,23 +68,15 @@ def use_mode(mode: str):
         set_mode(previous)
 
 
-def _check_finite(arr: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteError(f"non-finite values in {what}")
-
-
 class Tensor:
     """A dense real array plus the bookkeeping needed for reverse-mode autodiff."""
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False, name: str | None = None):
-        arr = np.ascontiguousarray(np.asarray(data, dtype=active_dtype()))
-        _check_finite(arr, name or "tensor")
-        self.data = arr
+    def __init__(self, data, requires_grad: bool = False):
+        self.data = np.ascontiguousarray(np.asarray(data, dtype=active_dtype()))
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self.name = name
         self._parents: tuple[Tensor, ...] = ()
         self._backward = None
 
@@ -123,8 +116,7 @@ class Tensor:
         return matmul(self, other)
 
     def __repr__(self) -> str:
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.shape}, grad={self.requires_grad}{tag})"
+        return f"Tensor(shape={self.shape}, grad={self.requires_grad})"
 
     def backward(self) -> None:
         """Backpropagate from a scalar root, then free the recorded graph."""
@@ -156,17 +148,12 @@ class Tensor:
 
 
 def _coerce(value) -> Tensor:
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(np.asarray(value, dtype=active_dtype()))
+    return value if isinstance(value, Tensor) else Tensor(value)
 
 
 def _result(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
-    """An op's output node; unlike a leaf, its values are not scanned."""
-    out = Tensor.__new__(Tensor)
-    out.data = np.ascontiguousarray(np.asarray(data, dtype=active_dtype()))
-    out.grad = None
-    out.name = None
+    """An op's output node: a tensor that records its grad-requiring parents."""
+    out = Tensor(data)
     out._parents = tuple(p for p in parents if p.requires_grad)
     out.requires_grad = bool(out._parents)
     out._backward = backward if out.requires_grad else None
@@ -537,13 +524,13 @@ class LrSchedule:
     def __post_init__(self):
         # Written as "not in range" so that NaN fails them too.
         if not 0 < self.max_lr < math.inf:
-            raise ValueError(f"max_lr must be positive and finite, got {self.max_lr}")
+            raise ConfigError(f"max_lr must be positive and finite, got {self.max_lr}")
         if self.total_steps < 1:
-            raise ValueError("total_steps must be >= 1")
+            raise ConfigError("total_steps must be >= 1")
         if not 0.0 < self.warmup_fraction < 1.0:
-            raise ValueError(f"warmup_fraction must lie in (0, 1), got {self.warmup_fraction}")
+            raise ConfigError(f"warmup_fraction must lie in (0, 1), got {self.warmup_fraction}")
         if not (self.initial_div > 1 and self.final_div > 1):
-            raise ValueError("initial_div and final_div must exceed 1")
+            raise ConfigError("initial_div and final_div must exceed 1")
 
 
 def lr_at(schedule: LrSchedule, step: int) -> float:

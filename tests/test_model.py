@@ -7,6 +7,8 @@ compares autodiff against central finite differences entry-by-entry.
 
 import math
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -352,6 +354,18 @@ def test_plane_raw_restore_inverse():
         assert np.array_equal(back.data, arr)
 
 
+def test_plane_tables_are_shared_per_geometry_and_read_only():
+    # Models that differ only in what the tables do not depend on share them.
+    a = KSpaceInterpolator(ModelConfig(8, 16, 2), seed=0)
+    b = KSpaceInterpolator(ModelConfig(8, 16, 2, kirm_planes=(PLANE_KX_T,), n_layers=1), seed=1)
+    for plane in (PLANE_KY_T, PLANE_KX_T):
+        assert a._tables(plane) is b._tables(plane)
+        for arr in a._tables(plane):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr.reshape(-1)[0] = 0
+
+
 # ------------------------------------------------------------------- losses
 
 
@@ -583,7 +597,7 @@ def test_from_checkpoint_fills_parameters_without_drawing(tmp_path, monkeypatch,
         dtype = nc.active_dtype()
     assert list(loaded.params) == list(param_table(loaded.config))
     for name, p in loaded.params.items():
-        assert p.requires_grad and p.name == name
+        assert p.requires_grad, name
         assert p.data.dtype == dtype, name
         assert np.array_equal(p.data, stored[name].astype(dtype)), name
 
@@ -614,3 +628,33 @@ def test_from_checkpoint_checks_tensors_before_building(tmp_path, monkeypatch):
     for bad in (empty, swapped):
         with pytest.raises(CheckpointError):
             from_checkpoint(bad)
+
+
+# Loads a checkpoint in a child whose address space is capped once its imports
+# are done; exit 0 means the loader raised CheckpointError.
+_CAPPED_LOAD = """
+import resource, sys
+from kinterp.errors import CheckpointError
+from kinterp.model import load_params
+_, hard = resource.getrlimit(resource.RLIMIT_AS)
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, hard))
+try:
+    load_params(sys.argv[1])
+except CheckpointError:
+    sys.exit(0)
+sys.exit(1)
+"""
+
+
+def test_header_cannot_make_the_loader_build_its_table(tmp_path):
+    # n_layers = 2**32 - 1 with an empty tensor table: the loader must reject it
+    # from the count alone, not after listing the header's 16 names per layer.
+    c = full_config(256, 256, 32)
+    config = (c.x_dim, c.y_dim, c.t_dim, c.embed_dim, c.n_heads, 2**32 - 1, c.mlp_ratio,
+              c.kirm_patch, 0b111, c.loss_weight_hdr, c.hdr_eps)
+    path = tmp_path / "huge.kgin"
+    path.write_bytes(struct.pack("<4sI9IddI", b"KGIN", 1, *config, 0))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_LOAD, str(path)], capture_output=True, text=True, timeout=30
+    )
+    assert proc.returncode == 0, proc.stderr

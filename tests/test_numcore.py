@@ -14,8 +14,8 @@ from hypothesis import example, given, strategies as st
 import oracles
 from kinterp import numcore as nc
 from kinterp.errors import (
+    ConfigError,
     DimensionError,
-    NonFiniteError,
     RangeError,
     TrainingError,
 )
@@ -337,15 +337,21 @@ def test_backward_requires_scalar_root():
         (t * 2.0).backward()
 
 
-def test_non_finite_forward_rejected():
-    with pytest.raises(NonFiniteError):
-        Tensor(np.array([1.0, np.nan]))
+def test_nan_parameter_is_caught_at_adam():
+    # A leaf is not scanned: a NaN parameter flows through forward and
+    # backward, and the optimizer names it.
+    p = Tensor(np.array([1.0, np.nan]), requires_grad=True)
+    loss = nc.mean_all(p * p)
+    loss.backward()
+    assert np.isnan(p.grad).any()
+    with pytest.raises(TrainingError, match="dec.w"):
+        adam_step([("dec.w", p)], [p.grad], OptimizerState(), lr=0.1)
 
 
 def test_overflowing_op_is_caught_at_adam_not_per_op():
     # Finiteness is checked at the boundaries: an op on finite leaves may
     # overflow without raising; the optimizer then names the bad parameter.
-    p = Tensor(np.array([1e200, 1.0]), requires_grad=True, name="enc.w")
+    p = Tensor(np.array([1e200, 1.0]), requires_grad=True)
     with np.errstate(over="ignore", invalid="ignore"):
         loss = nc.mean_all(p * p * p)
         assert not np.isfinite(loss.data).all()
@@ -382,7 +388,7 @@ def test_unknown_mode_rejected():
 
 
 def test_adam_first_step_is_signed_lr():
-    p = Tensor(np.array([1.0, -2.0]), requires_grad=True, name="w")
+    p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
     g = np.array([0.3, -0.7])
     adam_step([("w", p)], [g], OptimizerState(), lr=0.01)
     # with m̂/√v̂ = g/|g| the first update is -lr·sign(g) up to eps
@@ -390,13 +396,13 @@ def test_adam_first_step_is_signed_lr():
 
 
 def test_adam_zero_grad_keeps_parameters():
-    p = Tensor(np.array([1.5]), requires_grad=True, name="w")
+    p = Tensor(np.array([1.5]), requires_grad=True)
     adam_step([("w", p)], [np.zeros(1)], OptimizerState(), lr=0.1)
     assert np.array_equal(p.data, [1.5])
 
 
 def test_adam_two_steps_descend_quadratic():
-    w = Tensor(np.array([1.0]), requires_grad=True, name="w")
+    w = Tensor(np.array([1.0]), requires_grad=True)
     state = OptimizerState()
     values = [float(w.data[0] ** 2)]
     for _ in range(2):
@@ -407,7 +413,7 @@ def test_adam_two_steps_descend_quadratic():
 
 def test_adam_step_counter_increments():
     state = OptimizerState()
-    p = Tensor(np.array([0.5]), requires_grad=True, name="w")
+    p = Tensor(np.array([0.5]), requires_grad=True)
     for expected in (1, 2, 3):
         adam_step([("w", p)], [np.ones(1)], state, lr=0.01)
         assert state.step == expected
@@ -416,19 +422,19 @@ def test_adam_step_counter_increments():
 @given(st.integers(1, 5), st.integers(1, 4))
 def test_adam_lr_zero_is_identity(rows, cols):
     data = np.arange(rows * cols, dtype=float).reshape(rows, cols)
-    p = Tensor(data.copy(), requires_grad=True, name="w")
+    p = Tensor(data.copy(), requires_grad=True)
     adam_step([("w", p)], [np.ones_like(data)], OptimizerState(), lr=0.0)
     assert np.array_equal(p.data, data)
 
 
 def test_adam_negative_lr_rejected():
-    p = Tensor(np.array([1.0]), requires_grad=True, name="w")
+    p = Tensor(np.array([1.0]), requires_grad=True)
     with pytest.raises(ValueError):
         adam_step([("w", p)], [np.ones(1)], OptimizerState(), lr=-0.1)
 
 
 def test_adam_nan_grad_names_parameter():
-    p = Tensor(np.array([1.0]), requires_grad=True, name="encoder.w")
+    p = Tensor(np.array([1.0]), requires_grad=True)
     with pytest.raises(TrainingError, match="encoder.w"):
         adam_step([("encoder.w", p)], [np.array([np.nan])], OptimizerState(), lr=0.1)
 
@@ -482,13 +488,13 @@ def test_schedule_positive_peaks_at_max(total, frac, idiv, fdiv):
 
 
 def test_schedule_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         LrSchedule(max_lr=-1.0, total_steps=10)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         LrSchedule(max_lr=1e-4, total_steps=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         LrSchedule(max_lr=1e-4, total_steps=10, warmup_fraction=1.0)
     for bad in (dict(max_lr=math.nan), dict(max_lr=math.inf), dict(initial_div=math.nan),
                 dict(final_div=math.nan), dict(warmup_fraction=math.nan)):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             LrSchedule(**{"max_lr": 1e-4, "total_steps": 10, **bad})
