@@ -316,7 +316,18 @@ class KSpaceInterpolator:
         for p in self.params.values():
             p.grad = None
 
+    def _dims(self, plane: str) -> tuple[int, int, int]:
+        """``_plane_dims`` of a plane this model runs: ky-t or an enabled
+        refinement plane.  Any other plane raises ``ConfigError``."""
+        c = self.config
+        if plane not in (PLANE_KY_T,) + c.kirm_planes:
+            raise ConfigError(
+                f"plane {plane!r} is not run by this model (refinement planes {c.kirm_planes})"
+            )
+        return _plane_dims(c.x_dim, c.y_dim, c.t_dim, c.kirm_patch, plane)
+
     def _tables(self, plane: str) -> PlaneTables:
+        self._dims(plane)  # raises for a plane this model does not run
         c = self.config
         return _plane_tables(c.x_dim, c.y_dim, c.t_dim, c.kirm_patch, c.embed_dim, plane)
 
@@ -324,12 +335,10 @@ class KSpaceInterpolator:
         return self._tables(plane).pos.copy()
 
     def plane_channels(self, plane: str) -> int:
-        c = self.config
-        return _plane_dims(c.x_dim, c.y_dim, c.t_dim, c.kirm_patch, plane)[2]
+        return self._dims(plane)[2]
 
     def plane_coords(self, plane: str) -> np.ndarray:
-        c = self.config
-        inner, outer, _ = _plane_dims(c.x_dim, c.y_dim, c.t_dim, c.kirm_patch, plane)
+        inner, outer, _ = self._dims(plane)
         n = np.arange(inner * outer)
         return np.stack([n % inner, n // inner], axis=1)
 

@@ -2,9 +2,12 @@
 
 Tensors wrap contiguous numpy arrays and record their producing operation so
 that ``backward()`` can replay the tape in reverse topological order.  The
-engine runs in one of two global precision modes: ``"test"`` (float64, used
-for gradient checks) and ``"train"`` (float32).  The graph is freed as it is
-consumed by ``backward()``, so one step's activations never outlive the step.
+engine runs in one of two global precision modes: ``"train"`` (float32), the
+default for training and inference alike, and ``"test"`` (float64), the mode
+of the gradient checks.  The graph is freed as it is consumed by
+``backward()``, so one step's activations never outlive the step.  Inside
+``no_grad()`` ops record nothing, neither parents nor backward closures, so an
+inference forward holds each activation only until its last reader is done.
 
 Finiteness is checked where data enters, not per tensor: ``ComplexVolume``
 rejects a non-finite volume, ``load_params`` a non-finite checkpoint tensor,
@@ -31,7 +34,8 @@ import numpy as np
 from .errors import ConfigError, DimensionError, RangeError, TrainingError
 
 _MODES = {"test": np.float64, "train": np.float32}
-_active_mode = "test"
+_active_mode = "train"
+_recording = True
 
 LAYERNORM_EPS = 1e-5
 ADAM_BETA1 = 0.9
@@ -66,6 +70,18 @@ def use_mode(mode: str):
         yield
     finally:
         set_mode(previous)
+
+
+@contextmanager
+def no_grad():
+    """Run ops without recording the tape; the previous state returns on exit."""
+    global _recording
+    previous = _recording
+    _recording = False
+    try:
+        yield
+    finally:
+        _recording = previous
 
 
 class Tensor:
@@ -152,8 +168,11 @@ def _coerce(value) -> Tensor:
 
 
 def _result(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
-    """An op's output node: a tensor that records its grad-requiring parents."""
+    """An op's output node: a tensor that records its grad-requiring parents,
+    or none under ``no_grad``."""
     out = Tensor(data)
+    if not _recording:
+        return out
     out._parents = tuple(p for p in parents if p.requires_grad)
     out.requires_grad = bool(out._parents)
     out._backward = backward if out.requires_grad else None

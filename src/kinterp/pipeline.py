@@ -2,9 +2,10 @@
 
 Training draws a fresh undersampling mask every step, normalizes the masked
 k-space, and optimizes l1 + HDR with Adam under a one-cycle schedule (no data
-consistency during training).  Inference runs the network, overwrites sampled
-columns with the acquired data, denormalizes, and transforms back to the
-image domain.  Metrics (PSNR / NMSE / SSIM) compare magnitude image sequences.
+consistency during training).  Inference runs the network with no tape,
+overwrites sampled columns with the acquired data, denormalizes, and
+transforms back to the image domain.  Metrics (PSNR / NMSE / SSIM) compare
+magnitude image sequences.
 """
 
 from __future__ import annotations
@@ -321,7 +322,10 @@ def infer(
     undersampled: ComplexVolume,
     mask: SamplingMask,
 ) -> ReconResult:
-    """Interpolate, enforce data consistency, denormalize, go to image space."""
+    """Interpolate, enforce data consistency, denormalize, go to image space.
+
+    The forward runs in the caller's precision mode and records no tape.
+    """
     if not isinstance(model, KSpaceInterpolator):
         model = from_checkpoint(model)
     # The forward checks extents too, but normalize would reject an all-zero
@@ -329,7 +333,8 @@ def infer(
     model._check_volume(undersampled)
     masked, _ = apply_mask(undersampled, mask)
     normed = normalize(masked)
-    result = model.forward(normed, mask)
+    with nc.no_grad():
+        result = model.forward(normed, mask)
     estimate = array_to_volume(result.stages[2].data, DOMAIN_KSPACE, normed.scale)
     consistent = data_consistency(estimate, normed, mask)
     denormalized = denormalize(consistent)

@@ -91,7 +91,8 @@ def _recon_vs_zero_filled_psnr(checkpoint, image_path, kspace_path, r, mask_seed
     gt = read_volume(kspace_path)
     mask = generate_mask(gt.y_dim, gt.t_dim, r, mask_seed)
     masked, _ = apply_mask(gt, mask)
-    recon = infer(checkpoint, masked, mask)
+    with nc.use_mode("train"):  # the precision `kinterp infer` runs at
+        recon = infer(checkpoint, masked, mask)
     ref_mag = magnitude(reference)
     return (
         psnr(magnitude(recon.image), ref_mag),
@@ -316,12 +317,13 @@ def test_criterion_5_overfit(overfit_run, dataset_manifests):
 @records(6, "held-out gain at R=4,6,8")
 def test_criterion_6_variable_r_generalization(generalize_run, dataset_manifests):
     result = generalize_run["result"]
-    model_reports, baseline_reports = evaluate(
-        result.checkpoint_path,
-        dataset_manifests["full"],
-        r_values=[4.0, 6.0, 8.0],
-        seed=0,
-    )
+    with nc.use_mode("train"):  # the precision `kinterp eval` runs at
+        model_reports, baseline_reports = evaluate(
+            result.checkpoint_path,
+            dataset_manifests["full"],
+            r_values=[4.0, 6.0, 8.0],
+            seed=0,
+        )
     for model_rep, base_rep in zip(model_reports, baseline_reports):
         assert len(model_rep.rows) == 5
         mean_model = model_rep.aggregate()["psnr"][0]

@@ -1,11 +1,14 @@
 """Exit codes, config-file resolution, and artifact layout of the CLI."""
 
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from kinterp import cli
+from kinterp import numcore as nc
 from kinterp.cli import (
     EXIT_DIMENSION,
     EXIT_FORMAT,
@@ -16,7 +19,7 @@ from kinterp.cli import (
 )
 from kinterp.kspace import read_volume, write_volume
 from kinterp.model import full_config, tiny_config
-from kinterp.pipeline import TrainConfig, load_manifest
+from kinterp.pipeline import TrainConfig, infer, load_manifest
 from kinterp.sampling import apply_mask, load_mask
 
 
@@ -91,6 +94,36 @@ def test_infer_artifacts(workspace, tmp_path, capsys):
     assert recon.domain == "image"
     assert len(list((out / "frames").glob("*.pgm"))) == 2
     assert "recon.kvol" in capsys.readouterr().out
+
+
+def test_infer_computes_in_float32_by_default(workspace, tmp_path):
+    """A fresh process infers in numcore's default mode, "train" (float32)."""
+    data, masks = workspace["data"], workspace["masks"]
+    checkpoint = workspace["run"] / "checkpoint.kgin"
+    mask = load_mask(masks / "mask.kmask")
+    masked, _ = apply_mask(read_volume(data / "test_000.kspace.kvol"), mask)
+    under = tmp_path / "under.kvol"
+    write_volume(masked, under)
+    out = tmp_path / "recon"
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "kinterp", "infer", str(under), "--out", str(out),
+            "--checkpoint", str(checkpoint), "--mask", str(masks / "mask.kmask"),
+        ],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    written = {}
+    for mode in ("train", "test"):
+        path = tmp_path / f"{mode}.kvol"
+        with nc.use_mode(mode):
+            write_volume(infer(checkpoint, masked, mask).image, path)
+        written[mode] = path.read_bytes()
+    child = (out / "recon.kvol").read_bytes()
+    assert child == written["train"]
+    assert child != written["test"]  # the comparison tells the two modes apart
 
 
 def test_eval_artifacts(workspace, tmp_path, capsys):

@@ -9,6 +9,7 @@ import math
 import struct
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from kinterp.errors import (
     DimensionError,
     DomainError,
 )
-from kinterp.kspace import DOMAIN_IMAGE, DOMAIN_KSPACE
+from kinterp.kspace import DOMAIN_IMAGE, DOMAIN_KSPACE, normalize
 from kinterp.model import (
     ALL_PLANES,
     PLANE_KX_KY,
@@ -48,7 +49,8 @@ from kinterp.model import (
     volume_to_array,
 )
 from kinterp.numcore import Tensor
-from kinterp.sampling import SamplingMask, generate_mask
+from kinterp.pipeline import infer
+from kinterp.sampling import SamplingMask, apply_mask, generate_mask
 
 RNG = np.random.default_rng(123)
 
@@ -157,6 +159,16 @@ def test_plane_channels():
         m.plane_channels("diagonal")
 
 
+def test_plane_helpers_reject_planes_the_model_does_not_run():
+    # 3 divides neither X nor Y, which only an enabled kx-ky plane must satisfy
+    m = KSpaceInterpolator(ModelConfig(8, 8, 2, kirm_patch=3, kirm_planes=(PLANE_KY_T,)))
+    assert m.plane_channels(PLANE_KY_T) == 16
+    for plane in (PLANE_KX_T, PLANE_KX_KY):
+        for helper in (m.position_table, m.plane_coords, m.plane_channels):
+            with pytest.raises(ConfigError, match=plane):
+                helper(plane)
+
+
 def test_kxky_token_count():
     m = KSpaceInterpolator(ModelConfig(8, 16, 2))
     assert len(m.plane_coords(PLANE_KX_KY)) == (8 // 4) * (16 // 4)
@@ -245,6 +257,48 @@ def test_forward_shapes_and_determinism():
     assert np.array_equal(a.interpolated.data, b.interpolated.data)
     for sa, sb in zip(a.stages, b.stages):
         assert np.array_equal(sa.data, sb.data)
+
+
+@pytest.mark.parametrize("mode", ["test", "train"])
+def test_forward_without_tape_matches_taped_forward(mode):
+    """``no_grad`` runs the same NumPy calls and only leaves the tape out."""
+    rng = np.random.default_rng(8)
+    with nc.use_mode(mode):
+        m = KSpaceInterpolator(ModelConfig(8, 16, 2), seed=3)
+        for plane in ALL_PLANES:  # every refinement stage adds a correction
+            w = m.params[f"kirm.{plane}.proj_out.w"]
+            w.data[:] = rng.normal(0.0, 0.1, size=w.shape)
+        v = kvol(8, 16, 2)
+        mask = generate_mask(16, 2, 4.0, seed=1)
+        taped = m.forward(v, mask)
+        with nc.no_grad():
+            bare = m.forward(v, mask)
+        dtype = nc.active_dtype()
+    for a, b in zip((taped.interpolated, *taped.stages), (bare.interpolated, *bare.stages)):
+        assert b.data.dtype == dtype
+        assert a.data.tobytes() == b.data.tobytes()
+        assert a.requires_grad and a._parents
+        assert b.requires_grad is False and b._parents == () and b._backward is None
+
+
+def test_infer_peaks_below_a_quarter_of_a_taped_forward():
+    """A forward that records no tape frees each activation after its last use."""
+    with nc.use_mode("train"):
+        m = KSpaceInterpolator(tiny_config(32, 32, 8), seed=0)
+        mask = generate_mask(32, 8, 4.0, seed=3)
+        masked, _ = apply_mask(kvol(32, 32, 8), mask)
+        normed = normalize(masked)
+        infer(m, masked, mask)  # builds the shared plane tables outside the count
+        peaks = []
+        for run in (lambda: m.forward(normed, mask), lambda: infer(m, masked, mask)):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    taped, untaped = peaks
+    assert untaped < taped / 4, f"infer {untaped / 2**20:.1f} MiB, forward {taped / 2**20:.1f} MiB"
 
 
 def test_full_mask_ignores_mask_token():

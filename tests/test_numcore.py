@@ -384,6 +384,26 @@ def test_unknown_mode_rejected():
         nc.set_mode("fast")
 
 
+def test_no_grad_records_nothing_and_restores_recording():
+    x = Tensor(np.ones(3), requires_grad=True)
+
+    def recorded():
+        y = x * 2.0
+        return y.requires_grad and y._parents == (x,)
+
+    with nc.no_grad():
+        y = x * 2.0
+        with nc.no_grad():
+            assert not recorded()
+        assert not recorded()  # the inner exit keeps the outer block's state
+    assert y.requires_grad is False and y._parents == () and y._backward is None
+    assert recorded()
+    with pytest.raises(RuntimeError, match="inside"):
+        with nc.no_grad():
+            raise RuntimeError("raised inside")
+    assert recorded()
+
+
 # ---- Adam --------------------------------------------------------------------
 
 
