@@ -17,10 +17,12 @@ construction, so no tensor, leaf or op output, is scanned; an op that
 overflows on finite inputs yields inf/NaN that the next boundary catches.
 Transformer layers use the fused ``linear`` and ``attention`` nodes, which
 record one tape node each with a hand-written backward.  ``attention`` runs
-its query rows in chunks of at most ``ATTENTION_BLOCK`` score entries and
-keeps the first chunk's probabilities for backward when they fill at most one
-block, recomputing the rest, so a node holds O(n d + block) memory instead of
-a [heads, n, n] map.
+its query rows in chunks of at most ``ATTENTION_BLOCK`` score entries, with
+the scale folded into q and no divide over the scores.  It keeps the first
+chunk's probabilities for backward when that chunk fits one block, and for
+every other chunk only its rows' log-sum-exp, from which backward recomputes
+the chunk; so a node holds O(n d + block) memory instead of a [heads, n, n]
+map.
 """
 
 from __future__ import annotations
@@ -275,11 +277,18 @@ def attention(q, k, v, heads: int) -> Tensor:
     """Multi-head scaled dot-product attention over [n, d] rows, as one node.
 
     Splits d into ``heads`` slices, computes softmax(q k^T / sqrt(d/heads)) v
-    per head and merges the heads back to [n, d].  Query rows run in chunks of
-    at most ``ATTENTION_BLOCK`` score entries, each against every key, so each
-    row's softmax is exact.  When ``heads * n <= ATTENTION_BLOCK`` the whole
-    map is the first chunk and the node keeps it for backward; otherwise no
-    chunk is kept and backward recomputes each one.
+    per head and merges the heads back to [n, d].  The scale multiplies q once
+    (n d entries), and each row's output is divided by its exponent sum after
+    the ``p @ v`` product, so no pass over the scores scales or divides them.
+    Query rows run in chunks of at most ``ATTENTION_BLOCK`` score entries,
+    each against every key, so each row's softmax is exact.  When ``heads * n
+    <= ATTENTION_BLOCK`` the first ``ATTENTION_BLOCK // (heads * n)`` rows
+    form the first chunk, which the node keeps, normalized, for backward; the
+    whole map is one kept chunk only when ``heads * n * n <= ATTENTION_BLOCK``.
+    Every other chunk keeps only its rows' log-sum-exp L, and backward
+    recomputes its probabilities P as exp(q k^T - L): one matmul and two
+    passes.  Backward applies the scale once, to dq.  Under ``no_grad``
+    nothing is kept.
     """
     q, k, v = _coerce(q), _coerce(k), _coerce(v)
     if q.data.ndim != 2 or q.shape != k.shape or q.shape != v.shape:
@@ -303,42 +312,55 @@ def attention(q, k, v, heads: int) -> Tensor:
     def merge(a):
         return a.transpose(1, 0, 2).reshape(n, d)
 
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
-
-    def probs(s, e):
-        p = qh[:, s:e] @ kh.transpose(0, 2, 1)
-        p *= scale
-        p -= p.max(axis=-1, keepdims=True)
-        np.exp(p, out=p)
-        p /= p.sum(axis=-1, keepdims=True)
-        return p
+    qs, kh, vh = split(q.data * scale), split(k.data), split(v.data)
+    kt = kh.transpose(0, 2, 1)
 
     data = np.empty((n, d), dtype=q.data.dtype)
     kept = None
+    lse = np.empty((heads, n, 1), dtype=q.data.dtype)
     for s, e in spans:
-        p = probs(s, e)
-        data.reshape(n, heads, dh)[s:e] = (p @ vh).transpose(1, 0, 2)
+        p = qs[:, s:e] @ kt
+        m = p.max(axis=-1, keepdims=True)
+        p -= m
+        np.exp(p, out=p)
+        l = p.sum(axis=-1, keepdims=True)
+        o = p @ vh
+        o /= l
+        data.reshape(n, heads, dh)[s:e] = o.transpose(1, 0, 2)
+        if not _recording:
+            continue
         if s == 0 and heads * n <= ATTENTION_BLOCK:
+            p /= l
             kept = p
+        else:
+            np.add(m, np.log(l), out=lse[:, s:e])
 
     def backward(g):
         gh = split(g)
         dq = np.empty_like(g)
         for s, e in spans:
-            p = kept if s == 0 and kept is not None else probs(s, e)
+            if s == 0 and kept is not None:
+                p = kept
+            else:
+                p = qs[:, s:e] @ kt
+                p -= lse[:, s:e]
+                np.exp(p, out=p)
             gc = gh[:, s:e]
             dv_part = p.transpose(0, 2, 1) @ gc
             gs = gc @ vh.transpose(0, 2, 1)
+            # D = rowsum(dP * P), summed as softmax_lastaxis sums it.  Where a
+            # row's softmax saturates, dP - D cancels down to D's rounding, so
+            # rowsum(dO * O) or an einsum would not match the unfused op.
             gs -= (gs * p).sum(axis=-1, keepdims=True)
             gs *= p
-            gs *= scale
             dq.reshape(n, heads, dh)[s:e] = (gs @ kh).transpose(1, 0, 2)
-            dkt_part = qh[:, s:e].transpose(0, 2, 1) @ gs  # [heads, dh, n]
+            dkt_part = qs[:, s:e].transpose(0, 2, 1) @ gs  # [heads, dh, n]
             if s == 0:
                 dv, dkt = dv_part, dkt_part
             else:
                 dv += dv_part
                 dkt += dkt_part
+        dq *= scale
         _accumulate(v, merge(dv))
         _accumulate(q, dq)
         _accumulate(k, merge(dkt.transpose(0, 2, 1)))
@@ -521,8 +543,12 @@ def adam_step(
             raise DimensionError(f"gradient shape mismatch for parameter {name}")
         if not np.all(np.isfinite(g)):
             raise TrainingError(f"non-finite gradient for parameter {name}")
-        m = state.m.setdefault(name, np.zeros_like(p.data))
-        v = state.v.setdefault(name, np.zeros_like(p.data))
+        m = state.m.get(name)
+        if m is None:
+            m = state.m[name] = np.zeros_like(p.data)
+        v = state.v.get(name)
+        if v is None:
+            v = state.v[name] = np.zeros_like(p.data)
         m *= b1
         m += (1.0 - b1) * g
         v *= b2

@@ -219,24 +219,49 @@ def test_fused_ops_reject_mismatched_shapes():
 
 
 # rows per chunk = max(1, block // (heads * n)): 1 with every chunk over the
-# block (none kept); 4, as chunks of 4 + 4 + 1 rows (the first kept); and 2,
-# as four chunks of 32 entries of which only the first fits the block of 40.
+# block (none kept); 4, as chunks of 4 + 4 + 1 rows (the first kept); 2, as
+# four chunks of 32 entries of which only the first fits the block of 40; and
+# 5, the whole map as one kept chunk.  Every other chunk keeps its rows'
+# log-sum-exp, and the output must not depend on whether the tape records.
 @pytest.mark.parametrize(
     "n, heads, block",
-    [(7, 2, 9), (9, 2, 72), (8, 2, 40)],
-    ids=["one-row-chunks", "ragged-last-chunk", "partly-kept-prefix"],
+    [(7, 2, 9), (9, 2, 72), (8, 2, 40), (5, 2, 50)],
+    ids=["one-row-chunks", "ragged-last-chunk", "partly-kept-prefix", "whole-map-kept"],
 )
 def test_chunked_attention_matches_unfused_composition(monkeypatch, n, heads, block):
     assert nc.get_mode() == "test"  # float64
     monkeypatch.setattr(nc, "ATTENTION_BLOCK", block)
     rng = np.random.default_rng(n * heads)
     d = heads * 3
+    qkv = [rng.normal(size=(n, d)) * 2.0 for _ in range(3)]
     _assert_matches_composition(
         lambda q, k, v: nc.attention(q, k, v, heads),
         lambda q, k, v: oracles.unfused_attention(q, k, v, heads),
-        [rng.normal(size=(n, d)) * 2.0 for _ in range(3)],
+        qkv,
         rng.normal(size=(n, d)),
     )
+    taped = nc.attention(*(Tensor(a, requires_grad=True) for a in qkv), heads)
+    with nc.no_grad():
+        untaped = nc.attention(*(Tensor(a, requires_grad=True) for a in qkv), heads)
+    assert taped.requires_grad and not untaped.requires_grad
+    assert taped.data.tobytes() == untaped.data.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["test", "train"])
+@pytest.mark.parametrize("heads, head_dim", [(1, 1), (2, 3), (4, 2), (4, 8)])
+def test_attention_over_one_key_passes_gradient_only_to_v(mode, heads, head_dim):
+    # One key makes the softmax the constant 1: the output is v, dv is the
+    # upstream gradient and dq, dk are exactly zero, in either precision.
+    rng = np.random.default_rng(10 * heads + head_dim)
+    d = heads * head_dim
+    with nc.use_mode(mode):
+        q, k, v = (Tensor(rng.normal(size=(1, d)) * 2.0, requires_grad=True) for _ in range(3))
+        out = nc.attention(q, k, v, heads)
+        nc.mean_all(out * Tensor(rng.normal(size=(1, d)))).backward()
+        assert out.data.dtype == nc.active_dtype()
+    assert np.array_equal(out.data, v.data)
+    assert v.grad.tobytes() == out.grad.tobytes()
+    assert np.all(q.grad == 0) and np.all(k.grad == 0)
 
 
 def test_attention_memory_stays_below_half_a_probability_map():
