@@ -22,7 +22,9 @@ the scale folded into q and no divide over the scores.  It keeps the first
 chunk's probabilities for backward when that chunk fits one block, and for
 every other chunk only its rows' log-sum-exp, from which backward recomputes
 the chunk; so a node holds O(n d + block) memory instead of a [heads, n, n]
-map.
+map.  Adam runs over flat buffers: ``OptimizerState`` lays the parameters
+out once, each ``Tensor.data`` becomes a view into its buffer, and each
+``adam_step`` packs the gradients and updates every parameter in one pass.
 """
 
 from __future__ import annotations
@@ -510,11 +512,44 @@ def mean_all(x: Tensor) -> Tensor:
 
 @dataclass
 class OptimizerState:
-    """Adam moments plus the shared step counter."""
+    """Adam's step counter and flat buffers, laid out by the first ``adam_step``.
+
+    ``names`` records the parameter list in order, and parameter ``i`` owns
+    entries ``ends[i - 1]:ends[i]`` of every buffer.  ``params`` holds the
+    parameters' values, and each ``Tensor.data`` is a view into it (``views``,
+    which also fix the shapes).  ``grads`` is where each step packs the
+    gradients, ``m`` and ``v`` are the moments, and ``scratch`` holds two
+    temporaries.  All are in the parameters' dtype.
+    """
 
     step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    names: tuple[str, ...] = ()
+    ends: np.ndarray | None = None
+    params: np.ndarray | None = None
+    grads: np.ndarray | None = None
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
+    scratch: tuple[np.ndarray, ...] = ()
+    views: list[np.ndarray] = field(default_factory=list)
+    grad_views: list[np.ndarray] = field(default_factory=list)
+
+
+def _layout(state: OptimizerState, params: list[tuple[str, Tensor]]) -> None:
+    """Allocate ``state``'s buffers for ``params``, in list order."""
+    dtype = params[0][1].data.dtype if params else active_dtype()
+    state.names = tuple(name for name, _ in params)
+    state.ends = np.cumsum([p.size for _, p in params], dtype=np.intp)
+    total = int(state.ends[-1]) if params else 0
+    state.params, state.grads, state.m, state.v, *scratch = (
+        np.zeros(total, dtype=dtype) for _ in range(6)
+    )
+    state.scratch = tuple(scratch)
+    spans = list(zip([0, *state.ends[:-1]], state.ends, (p.shape for _, p in params)))
+
+    def views(flat):
+        return [flat[s:e].reshape(shape) for s, e, shape in spans]
+
+    state.views, state.grad_views = views(state.params), views(state.grads)
 
 
 def adam_step(
@@ -525,35 +560,64 @@ def adam_step(
 ) -> None:
     """One bias-corrected Adam update, in place on the parameter tensors.
 
+    The first call lays ``params`` out in ``state``'s flat buffers and rebinds
+    each ``Tensor.data`` to its view, so every holder of a parameter tensor
+    sees the updates; a ``.data`` rebound since is copied back in.  Each call
+    packs the gradients, scans them once for non-finite values and then
+    updates all parameters in one pass, in the per-tensor loop's elementwise
+    order.  A rejected call leaves the parameters' values, the moments and
+    the step count as they were.
     ``lr`` may be 0 (the update is then the identity); negative rates are
-    rejected.  A ``None`` gradient is treated as zero.
+    rejected.  A ``None`` gradient is treated as zero.  A state serves one
+    parameter list: other names, shapes or dtypes raise ``DimensionError``.
     """
     if lr < 0:
         raise ValueError("adam_step requires lr >= 0")
     if len(params) != len(grads):
         raise DimensionError("params and grads must align")
+    if state.params is None:
+        _layout(state, params)
+    elif tuple(name for name, _ in params) != state.names:
+        raise DimensionError("adam_step state was laid out for another parameter list")
+    for (name, p), view in zip(params, state.views):
+        if p.data is view:
+            continue
+        if p.data.shape != view.shape or p.data.dtype != view.dtype:
+            raise DimensionError(f"parameter {name} does not match the optimizer's layout")
+        view[...] = p.data
+        p.data = view
+    for name, view, g in zip(state.names, state.grad_views, grads):
+        if g is None:
+            view.fill(0.0)
+        elif g.shape != view.shape:
+            raise DimensionError(f"gradient shape mismatch for parameter {name}")
+        else:
+            view[...] = g
+    finite = np.isfinite(state.grads)
+    if not finite.all():
+        bad = state.names[int(np.searchsorted(state.ends, np.argmin(finite), side="right"))]
+        raise TrainingError(f"non-finite gradient for parameter {bad}")
+
     state.step += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1**state.step
     c2 = 1.0 - b2**state.step
-    for (name, p), g in zip(params, grads):
-        if g is None:
-            g = np.zeros_like(p.data)
-        if g.shape != p.data.shape:
-            raise DimensionError(f"gradient shape mismatch for parameter {name}")
-        if not np.all(np.isfinite(g)):
-            raise TrainingError(f"non-finite gradient for parameter {name}")
-        m = state.m.get(name)
-        if m is None:
-            m = state.m[name] = np.zeros_like(p.data)
-        v = state.v.get(name)
-        if v is None:
-            v = state.v[name] = np.zeros_like(p.data)
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+    g, m, v, (a, b) = state.grads, state.m, state.v, state.scratch
+    m *= b1
+    np.multiply(g, 1.0 - b1, out=a)
+    m += a
+    v *= b2
+    np.multiply(g, 1.0 - b2, out=a)
+    a *= g
+    v += a
+    # p -= lr * (m / c1) / (sqrt(v / c2) + eps)
+    np.divide(m, c1, out=a)
+    a *= lr
+    np.divide(v, c2, out=b)
+    np.sqrt(b, out=b)
+    b += ADAM_EPS
+    a /= b
+    state.params -= a
 
 
 @dataclass(frozen=True)

@@ -8,11 +8,14 @@ separate (X, Y, T) re/im arrays by an explicit transpose, so tests state
 their inputs in the axis order they index.  ``unfused_linear`` and
 ``unfused_attention`` spell the fused ``numcore`` ops as compositions of the
 elementary ops, whose gradients the FD suite checks one by one.
+``loop_adam_step`` is Adam as one update per tensor, the reference for
+``numcore.adam_step``'s flat buffers.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,6 +46,31 @@ def unfused_attention(q, k, v, heads: int):
     scores = nc.mul(nc.matmul(split(q), nc.transpose(split(k), (0, 2, 1))), 1.0 / math.sqrt(dh))
     out = nc.matmul(nc.softmax_lastaxis(scores), split(v))
     return nc.reshape(nc.transpose(out, (1, 0, 2)), (n, d))
+
+
+@dataclass
+class LoopAdamState:
+    step: int = 0
+    m: dict[str, np.ndarray] = field(default_factory=dict)
+    v: dict[str, np.ndarray] = field(default_factory=dict)
+
+
+def loop_adam_step(params, grads, state: LoopAdamState, lr: float) -> None:
+    """Adam on (name, array) pairs, in place, one tensor at a time."""
+    state.step += 1
+    b1, b2 = nc.ADAM_BETA1, nc.ADAM_BETA2
+    c1 = 1.0 - b1**state.step
+    c2 = 1.0 - b2**state.step
+    for (name, p), g in zip(params, grads):
+        if g is None:
+            g = np.zeros_like(p)
+        m = state.m.setdefault(name, np.zeros_like(p))
+        v = state.v.setdefault(name, np.zeros_like(p))
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        p -= lr * (m / c1) / (np.sqrt(v / c2) + nc.ADAM_EPS)
 
 
 def rel_err(a, b) -> float:

@@ -484,6 +484,90 @@ def test_adam_nan_grad_names_parameter():
         adam_step([("encoder.w", p)], [np.array([np.nan])], OptimizerState(), lr=0.1)
 
 
+def test_adam_rejected_step_changes_nothing():
+    params = [
+        ("a", Tensor(np.array([1.0, 2.0]), requires_grad=True)),
+        ("empty", Tensor(np.zeros((0, 3)), requires_grad=True)),
+        ("b", Tensor(np.array([[3.0], [4.0]]), requires_grad=True)),
+        ("c", Tensor(np.array([5.0]), requires_grad=True)),
+    ]
+    state = OptimizerState()
+    grads = [np.array([0.5, -0.5]), np.zeros((0, 3)), np.array([[1.0], [2.0]]), None]
+    adam_step(params, grads, state, lr=0.1)
+    values = [p.data.copy() for _, p in params]
+    m, v = state.m.copy(), state.v.copy()
+    grads[2] = np.array([[1.0], [np.inf]])
+    with pytest.raises(TrainingError, match="parameter b$"):
+        adam_step(params, grads, state, lr=0.1)
+    assert state.step == 1
+    assert all(np.array_equal(p.data, x) for (_, p), x in zip(params, values))
+    assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
+
+    # The same holds for a fresh state: nothing moves before the scan.
+    fresh = OptimizerState()
+    with pytest.raises(TrainingError, match="parameter b$"):
+        adam_step(params, grads, fresh, lr=0.1)
+    assert fresh.step == 0 and not fresh.m.any() and not fresh.v.any()
+    assert all(np.array_equal(p.data, x) for (_, p), x in zip(params, values))
+
+
+def test_adam_state_serves_one_parameter_list():
+    p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    state = OptimizerState()
+    adam_step([("w", p)], [np.ones(2)], state, lr=0.1)
+    for other in (
+        [("u", p)],
+        [("w", p), ("u", Tensor(np.ones(1), requires_grad=True))],
+        [("w", Tensor(np.ones(3), requires_grad=True))],
+    ):
+        with pytest.raises(DimensionError):
+            adam_step(other, [None] * len(other), state, lr=0.1)
+    with nc.use_mode("train"):
+        single = [("w", Tensor(np.ones(2), requires_grad=True))]
+    with pytest.raises(DimensionError):
+        adam_step(single, [None], state, lr=0.1)
+    assert state.step == 1
+    with pytest.raises(DimensionError, match="gradient shape"):
+        adam_step([("w", p)], [np.ones(3)], state, lr=0.1)
+    assert state.step == 1
+
+
+_SHAPES = st.lists(st.lists(st.integers(0, 4), max_size=3).map(tuple), min_size=1, max_size=5)
+
+
+@given(
+    _SHAPES,
+    st.sampled_from(["test", "train"]),
+    st.lists(st.sampled_from([0.0, 1e-3, 0.1, 2.5]), min_size=3, max_size=3),
+    st.integers(0, 2**31 - 1),
+)
+@example(shapes=[(2, 3), (0,), (4,)], mode="train", lrs=[0.0, 0.1, 1e-3], seed=0)
+@example(shapes=[(3,), (1, 2)], mode="test", lrs=[1e-3, 0.0, 2.5], seed=1)
+def test_adam_matches_per_tensor_loop_bitwise(shapes, mode, lrs, seed):
+    rng = np.random.default_rng(seed)
+
+    def draw(shape):
+        x = rng.normal(size=shape)
+        x[rng.random(shape) < 0.2] = -0.0
+        return x.astype(nc.active_dtype())
+
+    with nc.use_mode(mode):
+        params = [(f"p{i}", Tensor(draw(s), requires_grad=True)) for i, s in enumerate(shapes)]
+        reference = [(name, p.data.copy()) for name, p in params]
+        state, ref_state = OptimizerState(), oracles.LoopAdamState()
+        for lr in lrs:
+            grads = [draw(p.shape) for _, p in params]
+            grads[int(rng.integers(len(grads)))] = None
+            adam_step(params, grads, state, lr)
+            oracles.loop_adam_step(reference, grads, ref_state, lr)
+            for (_, p), (_, r) in zip(params, reference):
+                assert p.data.dtype == r.dtype and p.data.tobytes() == r.tobytes()
+            for ours, theirs in ((state.m, ref_state.m), (state.v, ref_state.v)):
+                flat = np.concatenate([theirs[name].reshape(-1) for name, _ in params])
+                assert ours.tobytes() == flat.tobytes()
+        assert state.step == ref_state.step == 3
+
+
 # ---- one-cycle schedule -------------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 """Metrics against brute-force oracles, training loop contracts, inference
 data-consistency, and evaluation report plumbing."""
 
+import dataclasses
 import importlib.util
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import oracles
+from kinterp import numcore as nc
 from kinterp import pipeline
 from kinterp.errors import (
     ConfigError,
@@ -26,7 +28,16 @@ from kinterp.kspace import (
     normalize,
     read_volume,
 )
-from kinterp.model import KSpaceInterpolator, from_checkpoint, save_params, tiny_config
+from kinterp.model import (
+    PLANE_KX_T,
+    KSpaceInterpolator,
+    from_checkpoint,
+    save_params,
+    tiny_config,
+    total_loss,
+    volume_to_array,
+)
+from kinterp.numcore import OptimizerState, adam_step
 from kinterp.phantom import DatasetSpec, PhantomSpec, generate, make_dataset
 from kinterp.pipeline import (
     TrainConfig,
@@ -276,6 +287,46 @@ def test_train_determinism(small_root, tmp_path):
     b = train(cfg, tmp_path / "b")
     assert a.checkpoint_path.read_bytes() == b.checkpoint_path.read_bytes()
     assert a.losses == b.losses
+
+
+def test_adam_buffers_reach_every_holder_of_a_parameter(small_root):
+    # ``train``'s step, plus a single-plane model that shares the parameter
+    # tensors the way a benchmark replica swaps them between models.
+    cfg = tiny_config(16, 16, 2)
+    volume = read_volume(small_root["root"] / "train_000.kspace.kvol")
+    with nc.use_mode("train"):
+        model = KSpaceInterpolator(cfg, seed=0)
+        single = KSpaceInterpolator(dataclasses.replace(cfg, kirm_planes=(PLANE_KX_T,)))
+        single.params = {name: model.params[name] for name in single.params}
+        params = model.parameters()
+        state = OptimizerState()
+
+        def step(seed):
+            mask = generate_mask(16, 2, 4.0, seed)
+            normed = normalize(apply_mask(volume, mask)[0])
+            target = volume_to_array(volume) / (normed.scale / volume.scale)
+            total, _, _ = total_loss(model.forward(normed, mask), target, 1.0, cfg.hdr_eps)
+            total.backward()
+            adam_step(params, [p.grad for _, p in params], state, 1e-3)
+            model.zero_grads()
+
+        shared = model.params[f"kirm.{PLANE_KX_T}.proj_in.w"]
+        initial = shared.data.copy()
+        for seed in range(3):
+            step(seed)
+    holders = [p for _, p in params] + list(single.params.values())
+    assert all(np.shares_memory(p.data, state.params) for p in holders)
+    assert not np.array_equal(shared.data, initial)
+
+    # A rebound ``.data`` is copied into the buffer and updated from there.
+    rebound = shared.data + 10.0
+    shared.data = rebound.copy()
+    with nc.use_mode("train"):
+        step(3)
+    assert np.shares_memory(shared.data, state.params)
+    # One step moves an entry by a few lr at most; the stale values are 10 away.
+    assert not np.array_equal(shared.data, rebound)
+    assert np.abs(shared.data - rebound).max() < 1e-2
 
 
 def test_train_log_interval_subsets_csv(small_root, tmp_path):
