@@ -79,9 +79,6 @@ class ComplexVolume:
     def t_dim(self) -> int:
         return self.data.shape[0]
 
-    def as_complex(self) -> np.ndarray:
-        return self.re + 1j * self.im
-
 
 def magnitude(v: ComplexVolume) -> np.ndarray:
     """|v| as a C-contiguous (X, Y, T) array, which fixes the metrics' summation order."""

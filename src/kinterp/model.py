@@ -116,9 +116,7 @@ class ModelConfig:
 
 def tiny_config(x_dim: int, y_dim: int, t_dim: int, **overrides) -> ModelConfig:
     """Desk-scale preset: 32-dim embeddings, 2 layers, 4 heads."""
-    base = dict(embed_dim=32, n_heads=4, n_layers=2)
-    base.update(overrides)
-    return ModelConfig(x_dim, y_dim, t_dim, **base)
+    return ModelConfig(x_dim, y_dim, t_dim, **overrides)
 
 
 def full_config(x_dim: int, y_dim: int, t_dim: int, **overrides) -> ModelConfig:
@@ -331,12 +329,6 @@ class KSpaceInterpolator:
         c = self.config
         return _plane_tables(c.x_dim, c.y_dim, c.t_dim, c.kirm_patch, c.embed_dim, plane)
 
-    def position_table(self, plane: str) -> np.ndarray:
-        return self._tables(plane).pos.copy()
-
-    def plane_channels(self, plane: str) -> int:
-        return self._dims(plane)[2]
-
     def plane_coords(self, plane: str) -> np.ndarray:
         inner, outer, _ = self._dims(plane)
         n = np.arange(inner * outer)
@@ -474,25 +466,16 @@ def l1_loss(pred: Tensor, target) -> Tensor:
     return nc.mean_all(nc.abs_(pred - target))
 
 
-def hdr_loss(
-    stages,
-    target,
-    eps: float,
-    denominators: list[np.ndarray] | None = None,
-) -> Tensor:
+def hdr_loss(stages, target, eps: float) -> Tensor:
     """Sum over stages of mean squared relative error.
 
-    The denominator |stage| + eps is a frozen constant (no gradient flows
-    through it); pass ``denominators`` to reuse values captured earlier, e.g.
-    for finite-difference checks.
+    The denominator |stage| + eps is a frozen constant: no gradient flows
+    through it.
     """
     _check_hdr_eps(eps)
     total = None
-    for i, stage in enumerate(stages):
-        if denominators is not None:
-            denom = denominators[i]
-        else:
-            denom = np.abs(stage.data) + eps
+    for stage in stages:
+        denom = np.abs(stage.data) + eps
         ratio = (stage - target) * (1.0 / denom)
         term = nc.mean_all(ratio * ratio)
         total = term if total is None else total + term
@@ -501,21 +484,12 @@ def hdr_loss(
     return total
 
 
-def hdr_denominators(stages, eps: float) -> list[np.ndarray]:
-    """The frozen per-stage denominators used by :func:`hdr_loss`."""
-    return [np.abs(stage.data) + eps for stage in stages]
-
-
 def total_loss(
-    result: ForwardResult,
-    target,
-    weight: float,
-    eps: float,
-    denominators: list[np.ndarray] | None = None,
+    result: ForwardResult, target, weight: float, eps: float
 ) -> tuple[Tensor, Tensor, Tensor]:
     """Interpolation l1 plus ``weight`` times the refinement HDR term."""
     l1 = l1_loss(result.interpolated, target)
-    hdr = hdr_loss(result.stages, target, eps, denominators)
+    hdr = hdr_loss(result.stages, target, eps)
     if weight == 0.0:
         return l1, l1, hdr
     return l1 + weight * hdr, l1, hdr

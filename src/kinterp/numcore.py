@@ -15,16 +15,22 @@ the training loop a non-finite loss, and ``adam_step`` a non-finite gradient,
 naming the parameter.  Seeded draws and built-in tables are finite by
 construction, so no tensor, leaf or op output, is scanned; an op that
 overflows on finite inputs yields inf/NaN that the next boundary catches.
-Transformer layers use the fused ``linear`` and ``attention`` nodes, which
-record one tape node each with a hand-written backward.  ``attention`` runs
-its query rows in chunks of at most ``ATTENTION_BLOCK`` score entries, with
-the scale folded into q and no divide over the scores.  It keeps the first
-chunk's probabilities for backward when that chunk fits one block, and for
-every other chunk only its rows' log-sum-exp, from which backward recomputes
-the chunk; so a node holds O(n d + block) memory instead of a [heads, n, n]
-map.  Adam runs over flat buffers: ``OptimizerState`` lays the parameters
-out once, each ``Tensor.data`` becomes a view into its buffer, and each
-``adam_step`` packs the gradients and updates every parameter in one pass.
+
+The engine holds only the ops the model runs: ``add``, ``sub``, ``mul``,
+``reshape``, ``concat_rows``, ``gather``, ``gelu``, ``layernorm``, ``abs_``
+and ``mean_all``, plus the fused ``linear`` and ``attention`` nodes that
+Transformer layers use, which record one tape node each with a hand-written
+backward.  Their unfused references, built from ``matmul``, ``transpose`` and
+``softmax_lastaxis`` nodes, live with the test oracles in ``tests/oracles.py``.
+``attention`` runs its query rows in chunks of at most ``ATTENTION_BLOCK``
+score entries, with the scale folded into q and no divide over the scores.
+It keeps the first chunk's probabilities for backward when that chunk fits
+one block, and for every other chunk only its rows' log-sum-exp, from which
+backward recomputes the chunk; so a node holds O(n d + block) memory instead
+of a [heads, n, n] map.  Adam runs over flat buffers: ``OptimizerState`` lays
+the parameters out once, each ``Tensor.data`` becomes a view into its buffer,
+and each ``adam_step`` packs the gradients and updates every parameter in one
+pass.
 """
 
 from __future__ import annotations
@@ -94,7 +100,7 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.ascontiguousarray(np.asarray(data, dtype=active_dtype()))
+        self.data = np.asarray(data, dtype=active_dtype(), order="C")
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
@@ -116,24 +122,13 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
 
     def __mul__(self, other):
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, grad={self.requires_grad})"
@@ -237,26 +232,6 @@ def mul(a, b) -> Tensor:
     return _result(data, (a, b), backward)
 
 
-def matmul(a, b) -> Tensor:
-    """Batched matrix product; leading batch dims broadcast."""
-    a, b = _coerce(a), _coerce(b)
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise DimensionError("matmul requires tensors of rank >= 2")
-    if a.shape[-1] != b.shape[-2]:
-        raise DimensionError(f"matmul inner extents differ: {a.shape} @ {b.shape}")
-    try:
-        np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-    except ValueError as exc:
-        raise DimensionError(f"matmul batch dims not broadcastable: {a.shape} @ {b.shape}") from exc
-    data = a.data @ b.data
-
-    def backward(g):
-        _accumulate(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape))
-        _accumulate(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape))
-
-    return _result(data, (a, b), backward)
-
-
 def linear(x, w, b) -> Tensor:
     """``x @ w + b`` for [n, d_in] rows as one node."""
     x, w, b = _coerce(x), _coerce(w), _coerce(b)
@@ -350,9 +325,9 @@ def attention(q, k, v, heads: int) -> Tensor:
             gc = gh[:, s:e]
             dv_part = p.transpose(0, 2, 1) @ gc
             gs = gc @ vh.transpose(0, 2, 1)
-            # D = rowsum(dP * P), summed as softmax_lastaxis sums it.  Where a
-            # row's softmax saturates, dP - D cancels down to D's rounding, so
-            # rowsum(dO * O) or an einsum would not match the unfused op.
+            # D = rowsum(dP * P), summed as the unfused reference's softmax
+            # sums it.  Where a row's softmax saturates, dP - D cancels down to
+            # D's rounding, so rowsum(dO * O) or an einsum would not match it.
             gs -= (gs * p).sum(axis=-1, keepdims=True)
             gs *= p
             dq.reshape(n, heads, dh)[s:e] = (gs @ kh).transpose(1, 0, 2)
@@ -368,17 +343,6 @@ def attention(q, k, v, heads: int) -> Tensor:
         _accumulate(k, merge(dkt.transpose(0, 2, 1)))
 
     return _result(data, (q, k, v), backward)
-
-
-def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
-    x = _coerce(x)
-    inverse = tuple(int(i) for i in np.argsort(axes))
-    data = np.ascontiguousarray(x.data.transpose(axes))
-
-    def backward(g):
-        _accumulate(x, g.transpose(inverse))
-
-    return _result(data, (x,), backward)
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -474,20 +438,6 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         _accumulate(bias, g.sum(axis=reduce_axes))
 
     return _result(data, (x, gain, bias), backward)
-
-
-def softmax_lastaxis(x: Tensor) -> Tensor:
-    """Numerically stable softmax over the last axis (max subtracted first)."""
-    x = _coerce(x)
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=-1, keepdims=True)
-
-    def backward(g):
-        dot = (g * data).sum(axis=-1, keepdims=True)
-        _accumulate(x, (g - dot) * data)
-
-    return _result(data, (x,), backward)
 
 
 def abs_(x: Tensor) -> Tensor:
@@ -647,8 +597,6 @@ def lr_at(schedule: LrSchedule, step: int) -> float:
     total = schedule.total_steps
     if not 0 <= step < total:
         raise RangeError(f"schedule step {step} outside [0, {total})")
-    if total == 1:
-        return schedule.max_lr
     warmup = int(round(schedule.warmup_fraction * total))
     warmup = min(max(warmup, 1), total - 1)
     lo = schedule.max_lr / schedule.initial_div

@@ -57,9 +57,6 @@ class SamplingMask:
     def t_dim(self) -> int:
         return self.bits.shape[1]
 
-    def sampled_fraction(self) -> float:
-        return float(self.bits.mean())
-
 
 def center_band(y_dim: int) -> np.ndarray:
     """Indices of the always-sampled low-frequency band (width max(1, Y//16))."""

@@ -6,10 +6,16 @@ matrix product, the metrics loop over explicit windows, and gradients come
 from central finite differences.  ``xyt_volume`` builds a volume from
 separate (X, Y, T) re/im arrays by an explicit transpose, so tests state
 their inputs in the axis order they index.  ``unfused_linear`` and
-``unfused_attention`` spell the fused ``numcore`` ops as compositions of the
-elementary ops, whose gradients the FD suite checks one by one.
-``loop_adam_step`` is Adam as one update per tensor, the reference for
-``numcore.adam_step``'s flat buffers.
+``unfused_attention`` spell the fused ``numcore`` ops as compositions of
+elementary tape ops, whose gradients the FD suite checks one by one.  Three of
+those ops, ``matmul``, ``transpose`` and ``softmax_lastaxis``, serve only as
+such references, so they live here rather than in the engine; they build
+tape nodes from numcore's own ``_coerce``, ``_result``, ``_accumulate`` and
+``_unbroadcast``.  ``frozen_hdr_loss`` and ``frozen_total_loss`` are the
+model's losses with the HDR denominators held at values captured once
+(``hdr_denominators``), the objective whose finite differences the loss's
+stop-gradient must match.  ``loop_adam_step`` is Adam as one update per
+tensor, the reference for ``numcore.adam_step``'s flat buffers.
 """
 
 from __future__ import annotations
@@ -20,7 +26,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from kinterp import numcore as nc
+from kinterp.errors import DimensionError
 from kinterp.kspace import ComplexVolume
+from kinterp.model import l1_loss
+from kinterp.numcore import Tensor, _accumulate, _coerce, _result, _unbroadcast
 
 FD_STEP = 1e-6
 
@@ -30,9 +39,54 @@ def xyt_volume(re, im, domain: str, scale: float = 1.0) -> ComplexVolume:
     return ComplexVolume(np.stack([re.T, im.T], axis=-1), domain, scale)
 
 
+def matmul(a, b) -> Tensor:
+    """Batched matrix product; leading batch dims broadcast."""
+    a, b = _coerce(a), _coerce(b)
+    if a.data.ndim < 2 or b.data.ndim < 2:
+        raise DimensionError("matmul requires tensors of rank >= 2")
+    if a.shape[-1] != b.shape[-2]:
+        raise DimensionError(f"matmul inner extents differ: {a.shape} @ {b.shape}")
+    try:
+        np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    except ValueError as exc:
+        raise DimensionError(f"matmul batch dims not broadcastable: {a.shape} @ {b.shape}") from exc
+    data = a.data @ b.data
+
+    def backward(g):
+        _accumulate(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape))
+        _accumulate(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape))
+
+    return _result(data, (a, b), backward)
+
+
+def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
+    x = _coerce(x)
+    inverse = tuple(int(i) for i in np.argsort(axes))
+    data = np.ascontiguousarray(x.data.transpose(axes))
+
+    def backward(g):
+        _accumulate(x, g.transpose(inverse))
+
+    return _result(data, (x,), backward)
+
+
+def softmax_lastaxis(x: Tensor) -> Tensor:
+    """Numerically stable softmax over the last axis (max subtracted first)."""
+    x = _coerce(x)
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    data = e / e.sum(axis=-1, keepdims=True)
+
+    def backward(g):
+        dot = (g * data).sum(axis=-1, keepdims=True)
+        _accumulate(x, (g - dot) * data)
+
+    return _result(data, (x,), backward)
+
+
 def unfused_linear(x, w, b):
     """``numcore.linear`` as ``matmul`` then a broadcast ``add``."""
-    return nc.add(nc.matmul(x, w), b)
+    return nc.add(matmul(x, w), b)
 
 
 def unfused_attention(q, k, v, heads: int):
@@ -41,11 +95,36 @@ def unfused_attention(q, k, v, heads: int):
     dh = d // heads
 
     def split(t):
-        return nc.transpose(nc.reshape(t, (n, heads, dh)), (1, 0, 2))
+        return transpose(nc.reshape(t, (n, heads, dh)), (1, 0, 2))
 
-    scores = nc.mul(nc.matmul(split(q), nc.transpose(split(k), (0, 2, 1))), 1.0 / math.sqrt(dh))
-    out = nc.matmul(nc.softmax_lastaxis(scores), split(v))
-    return nc.reshape(nc.transpose(out, (1, 0, 2)), (n, d))
+    scores = nc.mul(matmul(split(q), transpose(split(k), (0, 2, 1))), 1.0 / math.sqrt(dh))
+    out = matmul(softmax_lastaxis(scores), split(v))
+    return nc.reshape(transpose(out, (1, 0, 2)), (n, d))
+
+
+def hdr_denominators(stages, eps: float) -> list[np.ndarray]:
+    """The per-stage denominators |stage| + eps that ``model.hdr_loss`` freezes."""
+    return [np.abs(stage.data) + eps for stage in stages]
+
+
+def frozen_hdr_loss(stages, target, denominators) -> Tensor:
+    """``model.hdr_loss`` with each stage's denominator given, in the same ops
+    and order, so at the capture point both return the same value."""
+    total = None
+    for stage, denom in zip(stages, denominators):
+        ratio = (stage - target) * (1.0 / denom)
+        term = nc.mean_all(ratio * ratio)
+        total = term if total is None else total + term
+    return total
+
+
+def frozen_total_loss(result, target, weight: float, denominators) -> Tensor:
+    """``model.total_loss``'s total with the HDR denominators given."""
+    l1 = l1_loss(result.interpolated, target)
+    hdr = frozen_hdr_loss(result.stages, target, denominators)
+    if weight == 0.0:
+        return l1
+    return l1 + weight * hdr
 
 
 @dataclass

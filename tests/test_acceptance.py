@@ -22,7 +22,6 @@ from kinterp.model import (
     ALL_PLANES,
     KSpaceInterpolator,
     ModelConfig,
-    hdr_denominators,
     hdr_loss,
     tiny_config,
     total_loss,
@@ -124,8 +123,16 @@ def test_criterion_1_gradient_suite():
         "add": (lambda a, b: nc.mean_all((a + b) * (a + b)), [draw(3, 4), draw(4)]),
         "sub": (lambda a, b: nc.mean_all((a - b) * (a - b)), [draw(3, 4), draw(3, 4)]),
         "mul": (lambda a, b: nc.mean_all(a * b * a), [draw(2, 5), draw(2, 5)]),
-        "matmul": (lambda a, b: nc.mean_all((a @ b) * (a @ b)), [draw(3, 4), draw(4, 2)]),
-        "transpose": (lambda a: nc.mean_all(nc.transpose(a, (1, 0)) @ a), [draw(4, 3)]),
+        # matmul, transpose and softmax_lastaxis are the oracles' copies: they
+        # build the unfused references the fused linear and attention meet.
+        "matmul": (
+            lambda a, b: nc.mean_all(oracles.matmul(a, b) * oracles.matmul(a, b)),
+            [draw(3, 4), draw(4, 2)],
+        ),
+        "transpose": (
+            lambda a: nc.mean_all(oracles.matmul(oracles.transpose(a, (1, 0)), a)),
+            [draw(4, 3)],
+        ),
         "reshape": (lambda a: nc.mean_all(nc.reshape(a, (2, 6)) * 2.0), [draw(3, 4)]),
         "concat_rows": (
             lambda a, b: nc.mean_all(nc.concat_rows([a, b]) * nc.concat_rows([a, b])),
@@ -145,7 +152,7 @@ def test_criterion_1_gradient_suite():
             [draw(3, 6), draw(6), draw(6)],
         ),
         "softmax_lastaxis": (
-            lambda a, w: nc.mean_all(nc.softmax_lastaxis(a) * w),
+            lambda a, w: nc.mean_all(oracles.softmax_lastaxis(a) * w),
             [draw(3, 5), draw(3, 5)],
         ),
         "linear": (
@@ -175,10 +182,10 @@ def test_criterion_1_gradient_suite():
     target = RNG.uniform(-0.5, 0.5, size=(2, 4))
     stage = Tensor(base.copy(), requires_grad=True)
     hdr_loss([stage], target, eps=0.5).backward()
-    frozen = hdr_denominators([Tensor(base)], eps=0.5)
-    fd_frozen = oracles.fd_gradient(
-        lambda x: hdr_loss([Tensor(x)], target, 0.5, denominators=frozen).item(), base
-    )
+    frozen = oracles.hdr_denominators([Tensor(base)], eps=0.5)
+    frozen_at = lambda x: oracles.frozen_hdr_loss([Tensor(x)], target, frozen).item()
+    assert frozen_at(base) == hdr_loss([Tensor(base)], target, 0.5).item()
+    fd_frozen = oracles.fd_gradient(frozen_at, base)
     fd_live = oracles.fd_gradient(
         lambda x: hdr_loss([Tensor(x)], target, 0.5).item(), base
     )
@@ -203,8 +210,9 @@ def test_criterion_1_gradient_suite():
     )
     target4 = rng.standard_normal((2, 4, 4, 2))
     result = model.forward(v, mask)
-    denoms = hdr_denominators(result.stages, eps=cfg.hdr_eps)
-    total, _, _ = total_loss(result, target4, 1.0, cfg.hdr_eps, denominators=denoms)
+    denoms = oracles.hdr_denominators(result.stages, eps=cfg.hdr_eps)
+    total, _, _ = total_loss(result, target4, 1.0, cfg.hdr_eps)
+    assert oracles.frozen_total_loss(result, target4, 1.0, denoms).item() == total.item()
     total.backward()
     for name, p in model.parameters():
         assert p.grad is not None, name
@@ -215,10 +223,7 @@ def test_criterion_1_gradient_suite():
                 p.data = base_data.copy()
                 p.data.reshape(-1)[i] = value
                 res = model.forward(v, mask)
-                out, _, _ = total_loss(
-                    res, target4, 1.0, cfg.hdr_eps, denominators=denoms
-                )
-                return out.item()
+                return oracles.frozen_total_loss(res, target4, 1.0, denoms).item()
 
             x0 = base_data.reshape(-1)[i]
             fd = (objective(x0 + 1e-6) - objective(x0 - 1e-6)) / 2e-6
@@ -237,8 +242,9 @@ def test_criterion_2_oracles():
     v = oracles.xyt_volume(
         RNG.standard_normal((8, 8, 1)), RNG.standard_normal((8, 8, 1)), DOMAIN_IMAGE
     )
-    got = fft2(v).as_complex()
-    want = oracles.direct_dft2(v.as_complex())
+    k = fft2(v)
+    got = k.re + 1j * k.im
+    want = oracles.direct_dft2(v.re + 1j * v.im)
     assert oracles.rel_err(got.real, want.real) < 1e-9
     assert oracles.rel_err(got.imag, want.imag) < 1e-9
 

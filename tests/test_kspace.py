@@ -42,16 +42,18 @@ def random_volume(x, y, t, domain=DOMAIN_IMAGE, scale=1.0, rng=RNG):
 
 def test_fft2_matches_direct_dft():
     v = random_volume(8, 8, 1)
-    got = fft2(v).as_complex()
-    want = oracles.direct_dft2(v.as_complex())
+    k = fft2(v)
+    got = k.re + 1j * k.im
+    want = oracles.direct_dft2(v.re + 1j * v.im)
     assert oracles.rel_err(got.real, want.real) < 1e-9
     assert oracles.rel_err(got.imag, want.imag) < 1e-9
 
 
 def test_fft2_matches_direct_dft_rectangular():
     v = random_volume(4, 16, 3)
-    got = fft2(v).as_complex()
-    want = oracles.direct_dft2(v.as_complex())
+    k = fft2(v)
+    got = k.re + 1j * k.im
+    want = oracles.direct_dft2(v.re + 1j * v.im)
     assert oracles.rel_err(got.real, want.real) < 1e-9
     assert oracles.rel_err(got.imag, want.imag) < 1e-9
 

@@ -2,7 +2,8 @@
 
 The end-to-end gradient check freezes the relative-error denominators at the
 base point, matching the stop-gradient convention of the loss itself, and
-compares autodiff against central finite differences entry-by-entry.
+compares autodiff against central finite differences of the oracles'
+frozen-denominator loss entry-by-entry.
 """
 
 import math
@@ -35,10 +36,10 @@ from kinterp.model import (
     KSpaceInterpolator,
     ModelConfig,
     TokenBatch,
+    _plane_dims,
     array_to_volume,
     from_checkpoint,
     full_config,
-    hdr_denominators,
     hdr_loss,
     l1_loss,
     load_params,
@@ -151,20 +152,20 @@ def test_token_count_and_coords():
 
 
 def test_plane_channels():
-    m = KSpaceInterpolator(ModelConfig(8, 16, 2))
-    assert m.plane_channels(PLANE_KY_T) == 16
-    assert m.plane_channels(PLANE_KX_T) == 32
-    assert m.plane_channels(PLANE_KX_KY) == 2 * 16 * 2
+    channels = lambda plane: _plane_dims(8, 16, 2, 4, plane)[2]
+    assert channels(PLANE_KY_T) == 16
+    assert channels(PLANE_KX_T) == 32
+    assert channels(PLANE_KX_KY) == 2 * 16 * 2
     with pytest.raises(ConfigError):
-        m.plane_channels("diagonal")
+        channels("diagonal")
 
 
 def test_plane_helpers_reject_planes_the_model_does_not_run():
     # 3 divides neither X nor Y, which only an enabled kx-ky plane must satisfy
     m = KSpaceInterpolator(ModelConfig(8, 8, 2, kirm_patch=3, kirm_planes=(PLANE_KY_T,)))
-    assert m.plane_channels(PLANE_KY_T) == 16
+    assert m._dims(PLANE_KY_T)[2] == 16
     for plane in (PLANE_KX_T, PLANE_KX_KY):
-        for helper in (m.position_table, m.plane_coords, m.plane_channels):
+        for helper in (m._tables, m.plane_coords):
             with pytest.raises(ConfigError, match=plane):
                 helper(plane)
 
@@ -179,7 +180,7 @@ def test_zero_volume_tokens_are_position_codes():
     m = KSpaceInterpolator(ModelConfig(8, 8, 2))
     z = np.zeros((8, 8, 2))
     batch = m.tokenize_kyt(oracles.xyt_volume(z, z, DOMAIN_KSPACE))
-    assert np.array_equal(batch.tokens.data, m.position_table(PLANE_KY_T))
+    assert np.array_equal(batch.tokens.data, m._tables(PLANE_KY_T).pos)
 
 
 def test_tokenize_recoverable_by_pseudoinverse():
@@ -189,7 +190,7 @@ def test_tokenize_recoverable_by_pseudoinverse():
     raw = volume_to_array(v).reshape(16, 16)
     batch = m.tokenize_kyt(v)
     w = m.params["kgin.proj_in.w"].data
-    lifted = batch.tokens.data - m.position_table(PLANE_KY_T)
+    lifted = batch.tokens.data - m._tables(PLANE_KY_T).pos
     rec = (lifted @ np.linalg.pinv(w)) / m._token_scale
     assert oracles.rel_err(rec, raw) < 1e-5
 
@@ -197,7 +198,7 @@ def test_tokenize_recoverable_by_pseudoinverse():
 def test_position_table_rows_unique():
     m = KSpaceInterpolator(ModelConfig(8, 32, 8))
     for plane in (PLANE_KY_T, PLANE_KX_T, PLANE_KX_KY):
-        table = m.position_table(plane)
+        table = m._tables(plane).pos
         assert len(np.unique(table.round(12), axis=0)) == len(table)
 
 
@@ -403,7 +404,7 @@ def test_plane_raw_restore_inverse():
     arr = RNG.standard_normal((2, 16, 8, 2))
     for plane in ALL_PLANES:
         tokens = m._plane_raw(Tensor(arr), plane)
-        assert tokens.shape == (len(m.plane_coords(plane)), m.plane_channels(plane))
+        assert tokens.shape == (len(m.plane_coords(plane)), m._dims(plane)[2])
         back = m._plane_restore(tokens, plane)
         assert np.array_equal(back.data, arr)
 
@@ -456,14 +457,15 @@ def test_hdr_gradient_freezes_denominator():
     stage = Tensor(base.copy(), requires_grad=True)
     loss = hdr_loss([stage], target, eps=0.5)
     loss.backward()
-    frozen = hdr_denominators([Tensor(base)], eps=0.5)
+    frozen = oracles.hdr_denominators([Tensor(base)], eps=0.5)
 
     def f_frozen(x):
-        return hdr_loss([Tensor(x)], target, eps=0.5, denominators=frozen).item()
+        return oracles.frozen_hdr_loss([Tensor(x)], target, frozen).item()
 
     def f_live(x):
         return hdr_loss([Tensor(x)], target, eps=0.5).item()
 
+    assert f_frozen(base) == f_live(base)
     fd_frozen = oracles.fd_gradient(f_frozen, base)
     fd_live = oracles.fd_gradient(f_live, base)
     assert oracles.rel_err(stage.grad, fd_frozen) < 1e-6
@@ -505,10 +507,9 @@ def _fd_model():
 def test_end_to_end_gradients_match_finite_differences():
     m, v, mask, target = _fd_model()
     result = m.forward(v, mask)
-    frozen = hdr_denominators(result.stages, eps=m.config.hdr_eps)
-    total, _, _ = total_loss(
-        result, target, weight=1.0, eps=m.config.hdr_eps, denominators=frozen
-    )
+    frozen = oracles.hdr_denominators(result.stages, eps=m.config.hdr_eps)
+    total, _, _ = total_loss(result, target, weight=1.0, eps=m.config.hdr_eps)
+    assert oracles.frozen_total_loss(result, target, 1.0, frozen).item() == total.item()
     total.backward()
 
     for name, p in m.parameters():
@@ -521,10 +522,7 @@ def test_end_to_end_gradients_match_finite_differences():
             p.data = base.copy()
             p.data.reshape(-1)[flat_index] = flat_value
             res = m.forward(v, mask)
-            out, _, _ = total_loss(
-                res, target, weight=1.0, eps=m.config.hdr_eps, denominators=frozen
-            )
-            return out.item()
+            return oracles.frozen_total_loss(res, target, 1.0, frozen).item()
 
         for i in picks:
             x0 = base.reshape(-1)[i]

@@ -43,7 +43,7 @@ def test_exact_lines_per_frame(y_exp, t_dim, r, seed):
     mask = generate_mask(y_exp, t_dim, r, seed)
     per_frame = mask.bits.sum(axis=0)
     assert np.all(per_frame == round(y_exp / r))
-    assert abs(mask.sampled_fraction() - 1.0 / r) <= 1.0 / y_exp
+    assert abs(mask.bits.mean() - 1.0 / r) <= 1.0 / y_exp
 
 
 @given(
