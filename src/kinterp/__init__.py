@@ -19,7 +19,6 @@ from .errors import (
     RangeError,
     SpecError,
     TrainingError,
-    UnsupportedSizeError,
 )
 from .kspace import (
     DOMAIN_IMAGE,
@@ -90,7 +89,6 @@ __all__ = [
     "TrainConfig",
     "TrainResult",
     "TrainingError",
-    "UnsupportedSizeError",
     "apply_mask",
     "data_consistency",
     "denormalize",

@@ -24,7 +24,6 @@ from .errors import (
     FormatError,
     KInterpError,
     SpecError,
-    UnsupportedSizeError,
 )
 from .kspace import read_volume, write_volume
 from .model import ModelConfig, full_config, tiny_config
@@ -400,7 +399,7 @@ def main(argv: list[str] | None = None) -> int:
     except (FormatError, CheckpointError, DomainError) as exc:
         print(f"error: format: {exc}", file=sys.stderr)
         return EXIT_FORMAT
-    except (DimensionError, UnsupportedSizeError) as exc:
+    except DimensionError as exc:
         print(f"error: dimension: {exc}", file=sys.stderr)
         return EXIT_DIMENSION
     except KInterpError as exc:

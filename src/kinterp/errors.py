@@ -2,6 +2,9 @@
 
 Every failure mode raised by library code derives from ``KInterpError`` so
 callers (and the CLI) can map errors to exit codes without string matching.
+Each class names a rule the package enforces and is raised somewhere in it.
+The transforms accept any extent; extents that disagree with each other
+raise :class:`DimensionError`.
 """
 
 
@@ -11,10 +14,6 @@ class KInterpError(Exception):
 
 class DimensionError(KInterpError):
     """Shapes or extents are inconsistent with what an operation requires."""
-
-
-class UnsupportedSizeError(KInterpError):
-    """An extent falls outside what the implementation supports (e.g. non power of two)."""
 
 
 class DomainError(KInterpError):

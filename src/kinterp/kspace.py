@@ -7,9 +7,7 @@ Volumes carry a domain tag ("image" or "kspace") that only the transforms
 flip, plus a ``scale`` field recording the divisor that maps the current data
 back to its source frame.  The 2D transform is NumPy's FFT applied per
 frame with the DC component at (X//2, Y//2) and orthonormal scaling, so
-Parseval holds exactly up to roundoff.  Spatial extents must be powers of
-two: NumPy would accept any size, but the transforms keep this as a stated
-contract and reject other extents with :class:`UnsupportedSizeError`.
+Parseval holds exactly up to roundoff.
 """
 
 from __future__ import annotations
@@ -20,13 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    DegenerateInputError,
-    DimensionError,
-    DomainError,
-    FormatError,
-    UnsupportedSizeError,
-)
+from .errors import DegenerateInputError, DimensionError, DomainError, FormatError
 
 DOMAIN_IMAGE = "image"
 DOMAIN_KSPACE = "kspace"
@@ -85,19 +77,12 @@ def magnitude(v: ComplexVolume) -> np.ndarray:
     return np.ascontiguousarray(np.hypot(v.re, v.im))
 
 
-def _require_power_of_two(n: int, label: str) -> None:
-    if n < 1 or (n & (n - 1)) != 0:
-        raise UnsupportedSizeError(f"{label} extent {n} is not a power of two")
-
-
 def _centered(transform, v: ComplexVolume) -> np.ndarray:
     """Apply an orthonormal ``np.fft`` transform per frame, DC at (X//2, Y//2).
 
     Axes (2, 1) make NumPy transform Y first, then X; that order fixes the
     rounding of the result.
     """
-    _require_power_of_two(v.x_dim, "fft x")
-    _require_power_of_two(v.y_dim, "fft y")
     work = np.fft.ifftshift(v.data[..., 0] + 1j * v.data[..., 1], axes=(1, 2))
     work = np.fft.fftshift(transform(work, axes=(2, 1), norm="ortho"), axes=(1, 2))
     return np.stack([work.real, work.imag], axis=-1)
@@ -161,8 +146,6 @@ def read_volume(path: str | Path) -> ComplexVolume:
         raise FormatError(f"{path}: non-positive extent in header")
     if domain_code not in (0, 1):
         raise FormatError(f"{path}: bad domain tag {domain_code}")
-    if not (np.isfinite(scale) and scale > 0):
-        raise FormatError(f"{path}: bad scale {scale}")
     expected = x * y * t * 2 * 4
     payload = blob[_HEADER.size :]
     if len(payload) != expected:
@@ -171,6 +154,7 @@ def read_volume(path: str | Path) -> ComplexVolume:
         )
     data = np.frombuffer(payload, dtype="<f4").reshape(t, y, x, 2)
     domain = DOMAIN_IMAGE if domain_code == 0 else DOMAIN_KSPACE
+    # ComplexVolume owns the finite-payload and positive-scale rules.
     try:
         return ComplexVolume(data, domain, float(scale))
     except DegenerateInputError as exc:

@@ -26,7 +26,7 @@ import functools
 import itertools
 import math
 import struct
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -285,20 +285,21 @@ class KSpaceInterpolator:
         self._rng = np.random.default_rng(seed)
         fill = {"normal": self._draw, "zeros": np.zeros, "ones": np.ones}
         table = param_table(config)
-        self._build(config, {name: fill[init](shape) for name, (shape, init) in table.items()})
+        self._build(config, ((name, fill[init](shape)) for name, (shape, init) in table.items()))
 
-    def _build(self, config: ModelConfig, arrays: dict[str, np.ndarray]) -> None:
-        """Set the config and one parameter per array, in order.
+    def _build(self, config: ModelConfig, arrays: Iterable[tuple[str, np.ndarray]]) -> None:
+        """Set the config and one parameter per (name, array) pair, in order.
 
-        ``__init__`` passes seeded draws; ``from_checkpoint`` passes the file's
-        tensors, so loading draws nothing.
+        ``__init__`` passes a generator of seeded draws, so only one float64
+        draw is alive at a time; ``from_checkpoint`` passes the file's tensors,
+        so loading draws nothing.
         """
         self.config = config
         # Normalized k-space entries are O(1/sqrt(XY)) away from the center;
         # lift them so projected features and position codes share magnitude.
         self._token_scale = float(math.sqrt(config.x_dim * config.y_dim))
         self.params: dict[str, Tensor] = {
-            name: Tensor(arr, requires_grad=True) for name, arr in arrays.items()
+            name: Tensor(arr, requires_grad=True) for name, arr in arrays
         }
 
     def _draw(self, shape: tuple[int, ...]) -> np.ndarray:
@@ -490,8 +491,6 @@ def total_loss(
     """Interpolation l1 plus ``weight`` times the refinement HDR term."""
     l1 = l1_loss(result.interpolated, target)
     hdr = hdr_loss(result.stages, target, eps)
-    if weight == 0.0:
-        return l1, l1, hdr
     return l1 + weight * hdr, l1, hdr
 
 
@@ -624,5 +623,5 @@ def from_checkpoint(path: str | Path) -> KSpaceInterpolator:
     """
     config, tensors = load_params(path)
     model = KSpaceInterpolator.__new__(KSpaceInterpolator)
-    model._build(config, tensors)
+    model._build(config, tensors.items())
     return model

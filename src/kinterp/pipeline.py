@@ -214,9 +214,9 @@ class TrainConfig:
     steps: int = 200
     seed: int = 0
     max_lr: float = 1e-4
-    warmup_fraction: float = 0.3
-    initial_div: float = 25.0
-    final_div: float = 1e4
+    warmup_fraction: float = LrSchedule.warmup_fraction
+    initial_div: float = LrSchedule.initial_div
+    final_div: float = LrSchedule.final_div
     log_interval: int = 1
 
 

@@ -145,6 +145,40 @@ def test_eval_artifacts(workspace, tmp_path, capsys):
     assert "zero-filled psnr=" in stdout
 
 
+def test_workflow_at_an_extent_that_is_not_a_power_of_two(tmp_path):
+    """24x20x4: every command runs, and the frames keep the volume's extent."""
+    data, run, masks = tmp_path / "data", tmp_path / "run", tmp_path / "masks"
+    manifest, checkpoint = data / "manifest.txt", run / "checkpoint.kgin"
+    assert main([
+        "dataset", "--out", str(data), "--dims", "24,20,4",
+        "--n-train", "1", "--n-test", "1", "--seed", "0",
+    ]) == EXIT_OK
+    assert main([
+        "train", "--tiny", "--out", str(run), "--manifest", str(manifest),
+        "--steps", "2", "--seed", "0",
+    ]) == EXIT_OK
+    assert main([
+        "eval", "--out", str(tmp_path / "eval"), "--checkpoint", str(checkpoint),
+        "--manifest", str(manifest), "--R", "4",
+    ]) == EXIT_OK
+    assert main([
+        "mask", "--out", str(masks), "--dims", "24,20,4", "--R", "4", "--seed", "1",
+    ]) == EXIT_OK
+    mask = load_mask(masks / "mask.kmask")
+    masked, _ = apply_mask(read_volume(data / "test_000.kspace.kvol"), mask)
+    under = tmp_path / "under.kvol"
+    write_volume(masked, under)
+    out = tmp_path / "recon"
+    assert main([
+        "infer", str(under), "--out", str(out), "--checkpoint", str(checkpoint),
+        "--mask", str(masks / "mask.kmask"),
+    ]) == EXIT_OK
+    frames = sorted((out / "frames").glob("*.pgm"))
+    assert len(frames) == 4
+    for frame in frames:
+        assert frame.read_bytes().startswith(b"P5\n24 20\n255\n")
+
+
 # ----------------------------------------------------------- config handling
 
 

@@ -634,6 +634,22 @@ def test_seeded_init_draws_in_param_table_order(mode):
         assert np.array_equal(m.params[name].data, want.astype(dtype)), name
 
 
+def test_construction_holds_one_float64_draw_at_a_time():
+    """Each float64 draw is cast to a parameter before the next is made."""
+    cfg = ModelConfig(32, 32, 8, embed_dim=256, n_heads=8, n_layers=4)
+    with nc.use_mode("train"):
+        tracemalloc.start()
+        try:
+            m = KSpaceInterpolator(cfg, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    param_bytes = sum(p.data.nbytes for p in m.params.values())
+    assert peak < param_bytes + 8 * 2**20, (
+        f"construction peak {peak / 2**20:.1f} MiB, parameters {param_bytes / 2**20:.1f} MiB"
+    )
+
+
 @pytest.mark.parametrize("mode", ["test", "train"])
 def test_from_checkpoint_fills_parameters_without_drawing(tmp_path, monkeypatch, mode):
     path = tmp_path / "m.kgin"
