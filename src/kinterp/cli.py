@@ -54,6 +54,7 @@ def _parse_config_file(path: str) -> dict[str, str]:
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{p}: config file is not UTF-8 text") from exc
     values: dict[str, str] = {}
+    lines: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -61,7 +62,11 @@ def _parse_config_file(path: str) -> dict[str, str]:
         if "=" not in stripped:
             raise ConfigError(f"{p}:{lineno}: expected 'key = value', got {line!r}")
         key, _, raw = stripped.partition("=")
-        values[key.strip()] = raw.strip()
+        key = key.strip()
+        if key in lines:
+            raise ConfigError(f"{p}:{lineno}: key {key!r} repeats line {lines[key]}")
+        lines[key] = lineno
+        values[key] = raw.strip()
     return values
 
 

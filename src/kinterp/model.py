@@ -9,12 +9,12 @@ then re-tokenize the estimate along the ky-t, kx-t and (patched) kx-ky planes
 and add residual corrections; their output projections start at zero, so at
 initialization refinement is the exact identity.  Each plane's tokens are a
 fixed permutation of the [T, Y, X, 2] volume's entries: one index table per
-plane, built once per geometry and shared read-only by every model of that
-geometry, takes the volume to tokens in one gather and its inverse takes
-tokens back.  Token rows move the same way, placed by the mask's flags: the
-sampled rows are one gather out of the ky-t grid, and the decoder's input is
-one gather that puts each sampled feature, or the mask token where a row is
-flagged unsampled, at its grid row.
+plane and its inverse, built and checked once per geometry and shared
+read-only by every model of that geometry, take the volume to tokens and
+back, one ``permute`` node each way.  Token rows move by gathers placed by
+the mask's flags: the sampled rows are one gather out of the ky-t grid, and
+the decoder's input is one gather that puts each sampled feature, or the
+mask token where a row is flagged unsampled, at its grid row.
 Checkpoints load through ``load_params`` alone, which checks every tensor's
 name and shape against ``param_table`` before reading its values, and builds
 no more of that table than the file has room to name.
@@ -213,8 +213,13 @@ def _plane_tables(
         v = v.transpose(1, 2, 0, 3).reshape(y_dim // p, p, x_dim // p, p, t_dim, 2)
         v = v.transpose(0, 2, 1, 3, 4, 5)
     index = v.reshape(inner * outer, chan)
+    order = np.arange(index.size)
+    # ``nc.permute`` trusts its tables, so the permutation is checked here,
+    # once per geometry.
+    if not np.array_equal(np.sort(index, axis=None), order):
+        raise DimensionError(f"{plane} index table is not a permutation")
     inverse = np.empty(index.size, dtype=np.intp)
-    inverse[index.reshape(-1)] = np.arange(index.size)
+    inverse[index.reshape(-1)] = order
     tables = PlaneTables(
         index, inverse.reshape(t_dim, y_dim, x_dim, 2), _plane_pos_table(inner, outer, embed_dim)
     )
@@ -365,10 +370,12 @@ class KSpaceInterpolator:
             )
 
     def _plane_raw(self, y: Tensor, plane: str) -> Tensor:
-        return nc.gather(y, self._tables(plane).index)
+        tables = self._tables(plane)
+        return nc.permute(y, tables.index, tables.inverse)
 
     def _plane_restore(self, tokens: Tensor, plane: str) -> Tensor:
-        return nc.gather(tokens, self._tables(plane).inverse)
+        tables = self._tables(plane)
+        return nc.permute(tokens, tables.inverse, tables.index)
 
     def _embed(self, x: Tensor, plane: str, prefix: str) -> Tensor:
         """A [T,Y,X,2] volume as ``plane`` tokens: lifted, projected, position-coded."""

@@ -17,11 +17,18 @@ construction, so no tensor, leaf or op output, is scanned; an op that
 overflows on finite inputs yields inf/NaN that the next boundary catches.
 
 The engine holds only the ops the model runs: ``add``, ``sub``, ``mul``,
-``reshape``, ``concat_rows``, ``gather``, ``gelu``, ``layernorm``, ``abs_``
-and ``mean_all``, plus the fused ``linear`` and ``attention`` nodes that
-Transformer layers use, which record one tape node each with a hand-written
-backward.  Their unfused references, built from ``matmul``, ``transpose`` and
-``softmax_lastaxis`` nodes, live with the test oracles in ``tests/oracles.py``.
+``reshape``, ``concat_rows``, ``gather`` (token rows, repeats allowed),
+``permute`` (plane entries, by a table and its inverse), ``gelu``,
+``layernorm``, ``abs_`` and ``mean_all``, plus the fused ``linear`` and
+``attention`` nodes that Transformer layers use, which record one tape node
+each with a hand-written backward.  Their unfused references, built from
+``matmul``, ``transpose`` and ``softmax_lastaxis`` nodes, live with the test
+oracles in ``tests/oracles.py``, as do the earlier bodies that ``gelu``,
+``layernorm`` and ``attention`` must match bitwise.  Each op runs only the
+passes and allocations its result needs, in the order of its written
+expression; an op whose gradient is an array it made hands that array over
+as a first gradient (``_adopt``) instead of having it copied
+(``_accumulate``).
 ``attention`` runs its query rows in chunks of at most ``ATTENTION_BLOCK``
 score entries, with the scale folded into q and no divide over the scores.
 It keeps the first chunk's probabilities for backward when that chunk fits
@@ -54,6 +61,8 @@ ADAM_EPS = 1e-8
 _GELU_C = math.sqrt(2.0 / math.pi)
 # Score entries (heads x query rows x keys) that one attention chunk may hold.
 ATTENTION_BLOCK = 1 << 18
+# Entries of the row block that attention backward forms dP * P in.
+ATTENTION_D_BLOCK = 1 << 15
 
 
 def set_mode(mode: str) -> None:
@@ -179,12 +188,35 @@ def _result(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
+    """Add ``g`` into ``t.grad``, storing a first gradient as a C-ordered copy.
+
+    For ``g`` that is the incoming gradient or a view of it (add, reshape,
+    concat_rows, sub's first operand): another operand or the producing node
+    still holds that memory, and a transposed layout would change later BLAS
+    results.
+    """
     if not t.requires_grad:
         return
     if t.grad is None:
-        # A C-ordered copy: ``g`` may be a view shared with another operand,
-        # and a transposed layout would change later BLAS results.
         t.grad = np.array(g, dtype=t.data.dtype, order="C")
+    else:
+        t.grad += g
+
+
+def _adopt(t: Tensor, g: np.ndarray) -> None:
+    """Add ``g`` into ``t.grad``, taking a first gradient over instead of copying.
+
+    ``g`` must be an array the calling op made in its backward and shares with
+    nothing else: not the incoming gradient or a view of it, not an operand or
+    a saved activation, and not handed to another operand.  The caller gives
+    it up: ``t.grad`` becomes ``g`` itself (or a C-ordered copy, if ``g`` is
+    laid out otherwise or has another dtype), so later sums add into it in
+    place.
+    """
+    if not t.requires_grad:
+        return
+    if t.grad is None:
+        t.grad = np.asarray(g, dtype=t.data.dtype, order="C")
     else:
         t.grad += g
 
@@ -216,7 +248,7 @@ def sub(a, b) -> Tensor:
 
     def backward(g):
         _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(-g, b.shape))
+        _adopt(b, _unbroadcast(-g, b.shape))
 
     return _result(data, (a, b), backward)
 
@@ -226,8 +258,8 @@ def mul(a, b) -> Tensor:
     data = a.data * b.data
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.shape))
+        _adopt(a, _unbroadcast(g * b.data, a.shape))
+        _adopt(b, _unbroadcast(g * a.data, b.shape))
 
     return _result(data, (a, b), backward)
 
@@ -243,9 +275,9 @@ def linear(x, w, b) -> Tensor:
     data += b.data
 
     def backward(g):
-        _accumulate(x, g @ w.data.T)
-        _accumulate(w, x.data.T @ g)
-        _accumulate(b, g.sum(axis=0))
+        _adopt(x, g @ w.data.T)
+        _adopt(w, x.data.T @ g)
+        _adopt(b, g.sum(axis=0))
 
     return _result(data, (x, w, b), backward)
 
@@ -264,8 +296,9 @@ def attention(q, k, v, heads: int) -> Tensor:
     whole map is one kept chunk only when ``heads * n * n <= ATTENTION_BLOCK``.
     Every other chunk keeps only its rows' log-sum-exp L, and backward
     recomputes its probabilities P as exp(q k^T - L): one matmul and two
-    passes.  Backward applies the scale once, to dq.  Under ``no_grad``
-    nothing is kept.
+    passes, into a buffer every recomputed chunk reuses, as every chunk's dP
+    reuses another.  Backward applies the scale once, to dq.  Under
+    ``no_grad`` nothing is kept.
     """
     q, k, v = _coerce(q), _coerce(k), _coerce(v)
     if q.data.ndim != 2 or q.shape != k.shape or q.shape != v.shape:
@@ -315,20 +348,40 @@ def attention(q, k, v, heads: int) -> Tensor:
     def backward(g):
         gh = split(g)
         dq = np.empty_like(g)
+        block = np.empty((max(1, ATTENTION_D_BLOCK // n), n), dtype=g.dtype)
+        # Every recomputed P and every dP go to one reused buffer each, as
+        # contiguous prefixes, so the chunk loop allocates no chunk-sized
+        # array (a loop that did made glibc trim and refault them at n=1024).
+        size = heads * min(rows, n) * n
+        d_scores = np.empty(size, dtype=g.dtype)
+        recomputes = kept is None or len(spans) > 1
+        scores = np.empty(size, dtype=g.dtype) if recomputes else None
         for s, e in spans:
+            shape = (heads, e - s, n)
             if s == 0 and kept is not None:
                 p = kept
             else:
-                p = qs[:, s:e] @ kt
+                p = scores[: heads * (e - s) * n].reshape(shape)
+                np.matmul(qs[:, s:e], kt, out=p)
                 p -= lse[:, s:e]
                 np.exp(p, out=p)
             gc = gh[:, s:e]
             dv_part = p.transpose(0, 2, 1) @ gc
-            gs = gc @ vh.transpose(0, 2, 1)
+            gs = d_scores[: heads * (e - s) * n].reshape(shape)
+            np.matmul(gc, vh.transpose(0, 2, 1), out=gs)
             # D = rowsum(dP * P), summed as the unfused reference's softmax
             # sums it.  Where a row's softmax saturates, dP - D cancels down to
             # D's rounding, so rowsum(dO * O) or an einsum would not match it.
-            gs -= (gs * p).sum(axis=-1, keepdims=True)
+            # The products go through one reused block of rows; each row sums
+            # the same contiguous values in the same order.
+            flat_gs, flat_p = gs.reshape(-1, n), p.reshape(-1, n)
+            total = len(flat_gs)
+            d_rows = np.empty((total, 1), dtype=g.dtype)
+            for r in range(0, total, len(block)):
+                stop = min(r + len(block), total)
+                part = np.multiply(flat_gs[r:stop], flat_p[r:stop], out=block[: stop - r])
+                part.sum(axis=-1, keepdims=True, out=d_rows[r:stop])
+            gs -= d_rows.reshape(heads, e - s, 1)
             gs *= p
             dq.reshape(n, heads, dh)[s:e] = (gs @ kh).transpose(1, 0, 2)
             dkt_part = qs[:, s:e].transpose(0, 2, 1) @ gs  # [heads, dh, n]
@@ -338,9 +391,9 @@ def attention(q, k, v, heads: int) -> Tensor:
                 dv += dv_part
                 dkt += dkt_part
         dq *= scale
-        _accumulate(v, merge(dv))
-        _accumulate(q, dq)
-        _accumulate(k, merge(dkt.transpose(0, 2, 1)))
+        _adopt(v, merge(dv))
+        _adopt(q, dq)
+        _adopt(k, merge(dkt.transpose(0, 2, 1)))
 
     return _result(data, (q, k, v), backward)
 
@@ -377,9 +430,8 @@ def concat_rows(parts: list[Tensor]) -> Tensor:
 def gather(x: Tensor, index) -> Tensor:
     """``x`` flattened and read at ``index``, in the shape of ``index``.
 
-    Repeated indices accumulate gradient.  Backward scatters into a buffer of
-    -0.0, the identity of addition, so under a permutation every gradient
-    entry passes through bitwise, signed zeros included.
+    Repeated indices accumulate gradient: backward scatters into a buffer of
+    -0.0, the identity of addition.  A permutation moves through ``permute``.
     """
     x = _coerce(x)
     idx = np.asarray(index, dtype=np.intp)
@@ -390,32 +442,81 @@ def gather(x: Tensor, index) -> Tensor:
     def backward(g):
         flat = np.full(x.size, -0.0, dtype=x.data.dtype)
         np.add.at(flat, idx.reshape(-1), g.reshape(-1))
-        if x.grad is None:
-            x.grad = flat.reshape(x.shape)
-        else:
-            x.grad += flat.reshape(x.shape)
+        _adopt(x, flat.reshape(x.shape))
+
+    return _result(data, (x,), backward)
+
+
+def permute(x: Tensor, index: np.ndarray, inverse: np.ndarray) -> Tensor:
+    """``x`` flattened and read at ``index``, a permutation of its entries.
+
+    ``inverse`` is the inverse permutation in ``x``'s shape, and backward
+    reads the gradient at it: a gather both ways, where ``gather`` scatters.
+    Since -0.0 + g = g for every g, that equals ``gather``'s scatter bitwise,
+    signed zeros included.  The caller owns the permutation property (the
+    model checks its plane tables once per geometry); a call checks shapes.
+    """
+    x = _coerce(x)
+    if index.size != x.size or inverse.shape != x.shape:
+        raise DimensionError(
+            f"permute of {x.shape} needs {x.size} indices and an inverse of that shape"
+        )
+    data = x.data.reshape(-1)[index]
+
+    def backward(g):
+        _adopt(x, g.reshape(-1)[inverse])
 
     return _result(data, (x,), backward)
 
 
 def gelu(x: Tensor) -> Tensor:
-    """GELU with the tanh approximation."""
+    """GELU with the tanh approximation.
+
+    Each expression runs in its written order, in place on three buffers;
+    ``empty_like`` allocates them, since arithmetic on a 0-d array would
+    return a scalar.  Backward keeps only ``x`` and the tanh.
+    """
     x = _coerce(x)
     v = x.data
-    inner = _GELU_C * (v + 0.044715 * (v * v * v))
-    t = np.tanh(inner)
-    data = 0.5 * v * (1.0 + t)
+    # t = tanh(_GELU_C * (v + 0.044715 * (v * v * v)))
+    t = np.multiply(v, v, out=np.empty_like(v))
+    t *= v
+    t *= 0.044715
+    t += v
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    # data = 0.5 * v * (1.0 + t)
+    data = np.multiply(v, 0.5, out=np.empty_like(v))
+    data *= np.add(t, 1.0, out=np.empty_like(v))
 
     def backward(g):
-        d_inner = _GELU_C * (1.0 + 3 * 0.044715 * v**2)
-        local = 0.5 * (1.0 + t) + 0.5 * v * (1.0 - t**2) * d_inner
-        _accumulate(x, g * local)
+        # d_inner = _GELU_C * (1.0 + 3 * 0.044715 * v**2)
+        d_inner = np.multiply(v, v, out=np.empty_like(v))
+        d_inner *= 3 * 0.044715
+        d_inner += 1.0
+        d_inner *= _GELU_C
+        # local = 0.5 * (1.0 + t) + 0.5 * v * (1.0 - t**2) * d_inner
+        slope = np.multiply(t, t, out=np.empty_like(v))
+        np.subtract(1.0, slope, out=slope)
+        local = np.multiply(v, 0.5, out=np.empty_like(v))
+        local *= slope
+        local *= d_inner
+        np.add(t, 1.0, out=slope)
+        slope *= 0.5
+        slope += local
+        slope *= g
+        _adopt(x, slope)
 
     return _result(data, (x,), backward)
 
 
 def layernorm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine-map it."""
+    """Normalize the last axis to zero mean / unit variance, then affine-map it.
+
+    The variance is the sequence ``np.var`` runs (sum, divide, subtract,
+    square, sum, divide) with the subtraction kept as the normalized input,
+    so one subtract and one sum are saved and the bits are ``np.var``'s.
+    """
     x, gain, bias = _coerce(x), _coerce(gain), _coerce(bias)
     dim = x.shape[-1] if x.data.ndim else 0
     if dim < 1:
@@ -423,19 +524,31 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     if gain.shape != (dim,) or bias.shape != (dim,):
         raise DimensionError("layernorm gain/bias must match the last axis extent")
     mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LAYERNORM_EPS)
-    xhat = (x.data - mu) * inv
-    data = xhat * gain.data + bias.data
+    xhat = x.data - mu
+    data = np.square(xhat)  # the squares first, then the output
+    inv = data.sum(axis=-1, keepdims=True)
+    inv /= dim
+    # inv = 1.0 / sqrt(var + eps)
+    inv += LAYERNORM_EPS
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    np.multiply(xhat, gain.data, out=data)
+    data += bias.data
 
     def backward(g):
         gy = g * gain.data
+        scratch = gy * xhat
         m1 = gy.mean(axis=-1, keepdims=True)
-        m2 = (gy * xhat).mean(axis=-1, keepdims=True)
-        _accumulate(x, (gy - m1 - xhat * m2) * inv)
+        m2 = scratch.mean(axis=-1, keepdims=True)
+        # dx = ((gy - m1) - xhat * m2) * inv
+        gy -= m1
+        gy -= np.multiply(xhat, m2, out=scratch)
+        gy *= inv
+        _adopt(x, gy)
         reduce_axes = tuple(range(g.ndim - 1))
-        _accumulate(gain, (g * xhat).sum(axis=reduce_axes))
-        _accumulate(bias, g.sum(axis=reduce_axes))
+        _adopt(gain, np.multiply(g, xhat, out=scratch).sum(axis=reduce_axes))
+        _adopt(bias, g.sum(axis=reduce_axes))
 
     return _result(data, (x, gain, bias), backward)
 
@@ -445,7 +558,7 @@ def abs_(x: Tensor) -> Tensor:
     data = np.abs(x.data)
 
     def backward(g):
-        _accumulate(x, g * np.sign(x.data))
+        _adopt(x, g * np.sign(x.data))
 
     return _result(data, (x,), backward)
 
@@ -455,7 +568,7 @@ def mean_all(x: Tensor) -> Tensor:
     data = np.asarray(x.data.mean(), dtype=x.data.dtype)
 
     def backward(g):
-        _accumulate(x, np.broadcast_to(g / x.size, x.shape).astype(x.data.dtype))
+        _adopt(x, np.broadcast_to(g / x.size, x.shape).astype(x.data.dtype))
 
     return _result(data, (x,), backward)
 

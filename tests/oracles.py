@@ -11,11 +11,17 @@ elementary tape ops, whose gradients the FD suite checks one by one.  Three of
 those ops, ``matmul``, ``transpose`` and ``softmax_lastaxis``, serve only as
 such references, so they live here rather than in the engine; they build
 tape nodes from numcore's own ``_coerce``, ``_result``, ``_accumulate`` and
-``_unbroadcast``.  ``frozen_hdr_loss`` and ``frozen_total_loss`` are the
-model's losses with the HDR denominators held at values captured once
-(``hdr_denominators``), the objective whose finite differences the loss's
-stop-gradient must match.  ``loop_adam_step`` is Adam as one update per
-tensor, the reference for ``numcore.adam_step``'s flat buffers.
+``_unbroadcast``.  ``reference_gelu``, ``reference_layernorm``,
+``reference_attention`` and ``scatter_gather`` are the engine's earlier
+bodies of ``gelu``, ``layernorm``, ``attention`` and the plane gather: one
+temporary per expression, a fresh array per attention chunk and a scatter
+for backward.  The engine's in-place ops, reused buffers and ``permute``
+must match them bitwise.
+``frozen_hdr_loss`` and ``frozen_total_loss`` are the model's losses with
+the HDR denominators held at values captured once (``hdr_denominators``),
+the objective whose finite differences the loss's stop-gradient must match.
+``loop_adam_step`` is Adam as one update per tensor, the reference for
+``numcore.adam_step``'s flat buffers.
 """
 
 from __future__ import annotations
@@ -82,6 +88,126 @@ def softmax_lastaxis(x: Tensor) -> Tensor:
         _accumulate(x, (g - dot) * data)
 
     return _result(data, (x,), backward)
+
+
+def scatter_gather(x: Tensor, index) -> Tensor:
+    """A flat-index gather whose backward scatters with ``np.add.at`` into
+    -0.0: the plane gather before ``numcore.permute``, which reads the
+    gradient back through the inverse table and must match it bitwise."""
+    x = _coerce(x)
+    idx = np.asarray(index, dtype=np.intp)
+    data = x.data.reshape(-1)[idx]
+
+    def backward(g):
+        flat = np.full(x.size, -0.0, dtype=x.data.dtype)
+        np.add.at(flat, idx.reshape(-1), g.reshape(-1))
+        _accumulate(x, flat.reshape(x.shape))
+
+    return _result(data, (x,), backward)
+
+
+def reference_gelu(x: Tensor) -> Tensor:
+    """``numcore.gelu`` written as whole-array expressions, one temporary each."""
+    x = _coerce(x)
+    v = x.data
+    inner = nc._GELU_C * (v + 0.044715 * (v * v * v))
+    t = np.tanh(inner)
+    data = 0.5 * v * (1.0 + t)
+
+    def backward(g):
+        d_inner = nc._GELU_C * (1.0 + 3 * 0.044715 * v**2)
+        local = 0.5 * (1.0 + t) + 0.5 * v * (1.0 - t**2) * d_inner
+        _accumulate(x, g * local)
+
+    return _result(data, (x,), backward)
+
+
+def reference_layernorm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """``numcore.layernorm`` through ``np.mean``/``np.var`` and whole-array
+    expressions, one temporary each."""
+    x, gain, bias = _coerce(x), _coerce(gain), _coerce(bias)
+    mu = x.data.mean(axis=-1, keepdims=True)
+    var = x.data.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + nc.LAYERNORM_EPS)
+    xhat = (x.data - mu) * inv
+    data = xhat * gain.data + bias.data
+
+    def backward(g):
+        gy = g * gain.data
+        m1 = gy.mean(axis=-1, keepdims=True)
+        m2 = (gy * xhat).mean(axis=-1, keepdims=True)
+        _accumulate(x, (gy - m1 - xhat * m2) * inv)
+        reduce_axes = tuple(range(g.ndim - 1))
+        _accumulate(gain, (g * xhat).sum(axis=reduce_axes))
+        _accumulate(bias, g.sum(axis=reduce_axes))
+
+    return _result(data, (x, gain, bias), backward)
+
+
+def reference_attention(q, k, v, heads: int) -> Tensor:
+    """``numcore.attention`` with a fresh array per chunk in backward and D
+    as the whole ``(dP * P).sum(axis=-1)``; same chunks, same forward."""
+    q, k, v = _coerce(q), _coerce(k), _coerce(v)
+    n, d = q.shape
+    dh = d // heads
+    scale = q.data.dtype.type(1.0 / math.sqrt(dh))
+    rows = max(1, nc.ATTENTION_BLOCK // (heads * n))
+    spans = [(s, min(s + rows, n)) for s in range(0, n, rows)]
+
+    def split(a):
+        return a.reshape(n, heads, dh).transpose(1, 0, 2)
+
+    def merge(a):
+        return a.transpose(1, 0, 2).reshape(n, d)
+
+    qs, kh, vh = split(q.data * scale), split(k.data), split(v.data)
+    kt = kh.transpose(0, 2, 1)
+    data = np.empty((n, d), dtype=q.data.dtype)
+    kept = None
+    lse = np.empty((heads, n, 1), dtype=q.data.dtype)
+    for s, e in spans:
+        p = qs[:, s:e] @ kt
+        m = p.max(axis=-1, keepdims=True)
+        p -= m
+        np.exp(p, out=p)
+        l = p.sum(axis=-1, keepdims=True)
+        o = p @ vh
+        o /= l
+        data.reshape(n, heads, dh)[s:e] = o.transpose(1, 0, 2)
+        if s == 0 and heads * n <= nc.ATTENTION_BLOCK:
+            p /= l
+            kept = p
+        else:
+            np.add(m, np.log(l), out=lse[:, s:e])
+
+    def backward(g):
+        gh = split(g)
+        dq = np.empty_like(g)
+        for s, e in spans:
+            if s == 0 and kept is not None:
+                p = kept
+            else:
+                p = qs[:, s:e] @ kt
+                p -= lse[:, s:e]
+                np.exp(p, out=p)
+            gc = gh[:, s:e]
+            dv_part = p.transpose(0, 2, 1) @ gc
+            gs = gc @ vh.transpose(0, 2, 1)
+            gs -= (gs * p).sum(axis=-1, keepdims=True)
+            gs *= p
+            dq.reshape(n, heads, dh)[s:e] = (gs @ kh).transpose(1, 0, 2)
+            dkt_part = qs[:, s:e].transpose(0, 2, 1) @ gs
+            if s == 0:
+                dv, dkt = dv_part, dkt_part
+            else:
+                dv += dv_part
+                dkt += dkt_part
+        dq *= scale
+        _accumulate(v, merge(dv))
+        _accumulate(q, dq)
+        _accumulate(k, merge(dkt.transpose(0, 2, 1)))
+
+    return _result(data, (q, k, v), backward)
 
 
 def unfused_linear(x, w, b):

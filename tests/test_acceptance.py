@@ -119,6 +119,9 @@ def test_criterion_1_gradient_suite():
     gather_rng = np.random.default_rng(780)
     # every entry of a 2 x 4 operand once, then entry 3 twice more
     gather_index = np.concatenate([gather_rng.permutation(8), [3, 3]]).reshape(2, 5)
+    permute_rng = np.random.default_rng(781)
+    permute_index = permute_rng.permutation(8).reshape(4, 2)
+    permute_inverse = np.argsort(permute_index, axis=None).reshape(2, 4)
     per_op = {
         "add": (lambda a, b: nc.mean_all((a + b) * (a + b)), [draw(3, 4), draw(4)]),
         "sub": (lambda a, b: nc.mean_all((a - b) * (a - b)), [draw(3, 4), draw(3, 4)]),
@@ -145,6 +148,10 @@ def test_criterion_1_gradient_suite():
         "gather": (
             lambda a, w: nc.mean_all(nc.gather(a, gather_index) * w),
             [gather_rng.normal(size=(2, 4)), gather_rng.normal(size=(2, 5))],
+        ),
+        "permute": (
+            lambda a, w: nc.mean_all(nc.permute(a, permute_index, permute_inverse) * w),
+            [permute_rng.normal(size=(2, 4)), permute_rng.normal(size=(4, 2))],
         ),
         "gelu": (lambda a: nc.mean_all(nc.gelu(a) * nc.gelu(a)), [draw(4, 4)]),
         "layernorm": (

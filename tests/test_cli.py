@@ -283,6 +283,18 @@ def test_malformed_config_line_rejected(tmp_path):
     assert main(["mask", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
 
 
+def test_repeated_config_key_rejected(workspace, tmp_path, capsys):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("steps = 1\n# a comment\nsteps = 3\n")
+    manifest = str(workspace["data"] / "manifest.txt")
+    code = main(["train", "--tiny", "--config", str(cfg), "--out", str(tmp_path / "run"),
+                 "--manifest", manifest])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "'steps'" in err and ":3:" in err and "line 1" in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_missing_config_file(tmp_path):
     code = main(["mask", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)])
     assert code == EXIT_MISSING_FILE

@@ -409,6 +409,36 @@ def test_plane_raw_restore_inverse():
         assert np.array_equal(back.data, arr)
 
 
+@pytest.mark.parametrize("mode", ["test", "train"])
+@pytest.mark.parametrize("plane", ALL_PLANES)
+def test_plane_permute_matches_scatter_gather_bitwise(plane, mode):
+    """Both directions of a plane move through ``nc.permute``; its values
+    and gradients equal the scatter-backed gather's bit for bit, signed
+    zeros included."""
+    m = KSpaceInterpolator(ModelConfig(8, 4, 2, kirm_patch=2))
+    tables = m._tables(plane)
+    rng = np.random.default_rng(785)
+    volume = rng.standard_normal(tables.inverse.shape)
+    tokens = rng.standard_normal(tables.index.shape)
+    moves = [
+        (m._plane_raw, volume, tables.index),
+        (m._plane_restore, tokens, tables.inverse),
+    ]
+    for move, source, index in moves:
+        upstream = rng.standard_normal(index.shape)
+        upstream.reshape(-1)[::5] = -0.0
+        upstream.reshape(-1)[1::5] = 0.0
+        results = []
+        for op in (lambda t: move(t, plane), lambda t: oracles.scatter_gather(t, index)):
+            with nc.use_mode(mode):
+                leaf = Tensor(source, requires_grad=True)
+                out = op(leaf)
+                nc.mean_all(out * Tensor(upstream)).backward()
+            results.append((out.data.tobytes(), leaf.grad.tobytes()))
+        assert results[0] == results[1]
+        assert np.signbit(leaf.grad).any() and (leaf.grad == 0).sum() >= 2 * index.size // 5
+
+
 def test_plane_tables_are_shared_per_geometry_and_read_only():
     # Models that differ only in what the tables do not depend on share them.
     a = KSpaceInterpolator(ModelConfig(8, 16, 2), seed=0)

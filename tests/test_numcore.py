@@ -150,6 +150,83 @@ def test_gather():
     assert np.array_equal(np.signbit(leaf.grad.reshape(-1)), np.signbit(want))
 
 
+def test_permute_gradient_gathers_by_the_inverse():
+    rng = np.random.default_rng(782)
+    a = rng.normal(size=(3, 4))
+    index = rng.permutation(12).reshape(6, 2)
+    inverse = np.argsort(index, axis=None).reshape(3, 4)
+    leaf = Tensor(a, requires_grad=True)
+    out = nc.permute(leaf, index, inverse)
+    assert np.array_equal(out.data, a.reshape(-1)[index])
+    weight = rng.normal(size=(6, 2))
+    nc.mean_all(out * Tensor(weight)).backward()
+    assert np.array_equal(leaf.grad.reshape(-1)[index], weight * (1.0 / weight.size))
+    check_grad(lambda x: nc.mean_all(nc.permute(x, index, inverse) * Tensor(weight)), a)
+    for bad_index, bad_inverse in ((index[:5], inverse), (index, inverse.reshape(4, 3))):
+        with pytest.raises(DimensionError):
+            nc.permute(Tensor(a), bad_index, bad_inverse)
+
+
+def test_adopted_first_gradients_sum_and_share_no_buffer():
+    """A leaf that feeds the q/k/v linears holds their input gradients'
+    sum, and that sum is its own: changing it in place changes no other
+    tensor's gradient."""
+    rng = np.random.default_rng(783)
+    n, d, heads = 6, 8, 2
+    h = Tensor(rng.normal(size=(n, d)), requires_grad=True)
+    weights = [Tensor(rng.normal(size=(d, d)), requires_grad=True) for _ in range(3)]
+    biases = [Tensor(rng.normal(size=d), requires_grad=True) for _ in range(3)]
+    q, k, v = (nc.linear(h, w, b) for w, b in zip(weights, biases))
+    out = nc.attention(q, k, v, heads)
+    nc.mean_all(out * Tensor(rng.normal(size=(n, d)))).backward()
+    want = sum(t.grad @ w.data.T for t, w in zip((q, k, v), weights))
+    assert oracles.rel_err(h.grad, want) <= 1e-12
+    others = [out, q, k, v, *weights, *biases]
+    before = [t.grad.copy() for t in others]
+    h.grad += 1.0
+    for t, saved in zip(others, before):
+        assert not np.shares_memory(h.grad, t.grad)
+        assert t.grad.tobytes() == saved.tobytes()
+
+
+_REFERENCE_SHAPES = [(), (1,), (7,), (1, 6), (4, 6), (2, 3, 5)]
+
+
+@given(
+    shape=st.sampled_from(_REFERENCE_SHAPES),
+    mode=st.sampled_from(["test", "train"]),
+    scale=st.sampled_from([1e-3, 1.0, 30.0]),
+    seed=st.integers(0, 2**16),
+)
+def test_in_place_ops_match_their_reference_bodies_bitwise(shape, mode, scale, seed):
+    """``gelu`` and ``layernorm`` equal the whole-array bodies in
+    ``oracles`` bit for bit: outputs and every input gradient.
+
+    A 0-d gelu is held to the reference on the same value as one entry: on
+    a 0-d array the reference's chain turns into NumPy scalars, whose
+    ``t**2`` can round one ulp off the array square ``t * t``."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=shape) * scale
+    upstream = rng.normal(size=shape)
+
+    def run(op, arrays, reshape=None):
+        with nc.use_mode(mode):
+            leaves = [Tensor(a if reshape is None else a.reshape(reshape), requires_grad=True)
+                      for a in arrays]
+            out = op(*leaves)
+            w = upstream if reshape is None else upstream.reshape(reshape)
+            nc.mean_all(out * Tensor(w)).backward()
+        return [out.data.tobytes()] + [t.grad.tobytes() for t in leaves]
+
+    ref_shape = (1,) if shape == () else None
+    assert run(nc.gelu, [x]) == run(oracles.reference_gelu, [x], ref_shape)
+    if shape == ():
+        return
+    dim = shape[-1]
+    arrays = [x, rng.normal(size=dim), rng.normal(size=dim)]
+    assert run(nc.layernorm, arrays) == run(oracles.reference_layernorm, arrays)
+
+
 # ---- fused ops against their unfused compositions ------------------------------
 
 
@@ -245,6 +322,34 @@ def test_chunked_attention_matches_unfused_composition(monkeypatch, n, heads, bl
         untaped = nc.attention(*(Tensor(a, requires_grad=True) for a in qkv), heads)
     assert taped.requires_grad and not untaped.requires_grad
     assert taped.data.tobytes() == untaped.data.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["test", "train"])
+@pytest.mark.parametrize("d_block", [10, 30, None], ids=["row", "3-rows", "default"])
+@pytest.mark.parametrize(
+    "n, heads, block",
+    [(10, 2, None), (7, 2, 9), (10, 2, 60), (8, 2, 40)],
+    ids=["one-kept-chunk", "one-row-chunks", "ragged-last-chunk", "partly-kept-prefix"],
+)
+def test_attention_matches_its_reference_body_bitwise(monkeypatch, mode, d_block, n, heads, block):
+    """Reused chunk buffers and D summed in row blocks (of one row, of three
+    rows of ten keys with a ragged last block, or the default) give the
+    bytes of a fresh array per chunk and a whole-map D."""
+    if block is not None:
+        monkeypatch.setattr(nc, "ATTENTION_BLOCK", block)
+    if d_block is not None:
+        monkeypatch.setattr(nc, "ATTENTION_D_BLOCK", d_block)
+    rng = np.random.default_rng(784)
+    arrays = [rng.normal(size=(n, 2 * heads)) * 2.0 for _ in range(4)]
+
+    def run(op):
+        with nc.use_mode(mode):
+            q, k, v = (Tensor(a, requires_grad=True) for a in arrays[:3])
+            out = op(q, k, v, heads)
+            nc.mean_all(out * Tensor(arrays[3])).backward()
+        return [t.tobytes() for t in (out.data, q.grad, k.grad, v.grad)]
+
+    assert run(nc.attention) == run(oracles.reference_attention)
 
 
 @pytest.mark.parametrize("mode", ["test", "train"])
