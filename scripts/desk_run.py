@@ -40,6 +40,10 @@ def parse_args(argv):
     return p.parse_args(argv)
 
 
+def print_elapsed(phase, started):
+    print(f"      {phase} took {time.monotonic() - started:.1f}s")
+
+
 def main(argv=None):
     args = parse_args(argv)
     x_dim, y_dim, t_dim = (int(v) for v in args.dims.split(","))
@@ -48,10 +52,12 @@ def main(argv=None):
 
     print(f"[1/4] dataset: {args.n_train} train / {args.n_test} test phantoms "
           f"at {x_dim}x{y_dim}x{t_dim}")
+    started = time.monotonic()
     manifest = make_dataset(
         out / "data", args.n_train, args.n_test,
         DatasetSpec(x_dim, y_dim, t_dim), args.seed,
     )
+    print_elapsed("dataset", started)
 
     print(f"[2/4] training: {args.steps} steps at R={args.r_train:g}")
     cfg = TrainConfig(
@@ -64,16 +70,18 @@ def main(argv=None):
     )
     started = time.monotonic()
     result = train(cfg, out / "run")
+    print_elapsed("training", started)
     first, last = result.losses[0][4], result.losses[-1][4]
-    print(f"      loss {first:.4f} -> {last:.4f} "
-          f"({time.monotonic() - started:.0f}s)")
+    print(f"      loss {first:.4f} -> {last:.4f}")
 
     print("[3/4] scoring held-out sequences at R=4, 6, 8")
+    started = time.monotonic()
     model_reports, baseline_reports = evaluate(
         result.checkpoint_path, manifest, [4.0, 6.0, 8.0], seed=args.seed
     )
     write_report_csv(model_reports, out / "report.csv")
     write_report_csv(baseline_reports, out / "baseline.csv")
+    print_elapsed("scoring", started)
     for m_rep, b_rep in zip(model_reports, baseline_reports):
         m, b = m_rep.aggregate(), b_rep.aggregate()
         print(f"      R={m_rep.r_nominal:g}: model "

@@ -2,9 +2,11 @@
 
 Frames are rendered at 4x supersampling and box-averaged down, which
 anti-aliases the ellipse boundaries; a small smooth edge profile keeps the
-spectrum strongly low-frequency dominated.  All motion terms scale with the
-motion amplitude, so amplitude 0 yields a bitwise-static sequence, and one
-beat spans the T frames of a sequence.
+spectrum strongly low-frequency dominated.  Each ellipse is evaluated only on
+the supersampled pixels of its per-frame support box: beyond the box its edge
+ramp is exactly 0, so the frames are bitwise those of a whole-grid sum.  All
+motion terms scale with the motion amplitude, so amplitude 0 yields a
+bitwise-static sequence, and one beat spans the T frames of a sequence.
 """
 
 from __future__ import annotations
@@ -43,11 +45,15 @@ class PhantomSpec:
     motion_amplitude: float = 0.08
 
 
+def _check_extents(x_dim: int, y_dim: int, t_dim: int) -> None:
+    if min(x_dim, y_dim) < 8 or t_dim < 2:
+        raise SpecError("phantom needs X, Y >= 8 and T >= 2")
+
+
 def _validate(spec: PhantomSpec) -> None:
     if spec.seed < 0:
         raise SpecError(f"phantom seed must be non-negative, got {spec.seed}")
-    if min(spec.x_dim, spec.y_dim) < 8 or spec.t_dim < 2:
-        raise SpecError("phantom needs X, Y >= 8 and T >= 2")
+    _check_extents(spec.x_dim, spec.y_dim, spec.t_dim)
     if not 2 <= spec.n_ellipses <= 6:
         raise SpecError(f"n_ellipses must lie in [2, 6], got {spec.n_ellipses}")
     if not 0.0 <= spec.motion_amplitude <= 0.5:
@@ -127,8 +133,54 @@ def _check_in_view(params: list[dict], t: int) -> None:
             raise SpecError(f"ellipse {i} collapsed at frame {t}")
 
 
+def _support_slice(center: float, half: float, n: int) -> slice:
+    """Indices of the n pixel centres ``(i + 0.5) / n`` that can lie within
+    ``half`` of ``center``, widened by two pixels and clipped to the grid."""
+    lo = math.floor((center - half) * n - 0.5) - 2
+    hi = math.ceil((center + half) * n - 0.5) + 2
+    return slice(max(lo, 0), min(hi + 1, n))
+
+
+def _render_frame(u, v, params: list[dict], amps, edge: float) -> np.ndarray:
+    """Sum the soft-edged ellipses of one frame on the supersampled grid.
+
+    ``u`` and ``v`` are the pixel centres along X and Y.  An ellipse with
+    edge width ``w`` is nonzero only where ``q < 1 + w``, a set within
+    ``(1 + w) * hypot(rx cos, ry sin)`` of ``cx`` along u and
+    ``(1 + w) * hypot(rx sin, ry cos)`` of ``cy`` along v, so it is evaluated
+    on that box alone.  Outside it a whole-grid sum would add ``amp * 0``, a
+    signed zero, which leaves every entry as it was (the frame starts at +0
+    and a sum that cancels rounds to +0).  Inside it each entry is the same
+    sequence of operations as on a meshgrid, with the offsets ``u - cx`` and
+    ``v - cy`` broadcast from a column and a row.  The frame is therefore
+    bitwise the whole-grid one.
+    """
+    xx, yy = len(u), len(v)
+    frame = np.zeros((xx, yy), dtype=np.complex128)
+    for p, amp in zip(params, amps):
+        ct, st = math.cos(p["theta"]), math.sin(p["theta"])
+        w = max(edge / (0.5 * (p["rx"] + p["ry"])), 1e-6)
+        hu = (1.0 + w) * math.hypot(p["rx"] * ct, p["ry"] * st)
+        hv = (1.0 + w) * math.hypot(p["rx"] * st, p["ry"] * ct)
+        box = (_support_slice(p["cx"], hu, xx), _support_slice(p["cy"], hv, yy))
+        if box[0].start >= box[0].stop or box[1].start >= box[1].stop:
+            continue  # off the grid; a negative stop would wrap around
+        du, dv = u[box[0], None] - p["cx"], v[None, box[1]] - p["cy"]
+        a = (du * ct + dv * st) / p["rx"]
+        b = (-du * st + dv * ct) / p["ry"]
+        q = np.sqrt(a * a + b * b)
+        ramp = np.clip((1.0 + w - q) / (2.0 * w), 0.0, 1.0)
+        frame[box] += amp * (ramp * ramp * (3.0 - 2.0 * ramp))
+    return frame
+
+
 def generate(spec: PhantomSpec) -> ComplexVolume:
-    """Render the sequence as an image-domain complex volume (max |.| <= 1)."""
+    """Render the sequence as an image-domain complex volume (max |.| <= 1).
+
+    Each ellipse is rendered only on the supersampled pixels of its per-frame
+    support box (``_render_frame``); the volume is bitwise the one a sum over
+    the whole grid gives, since everywhere else that sum adds signed zeros.
+    """
     _validate(spec)
     rng = np.random.default_rng(spec.seed)
     ellipses = _draw_geometry(spec, rng)
@@ -141,7 +193,6 @@ def generate(spec: PhantomSpec) -> ComplexVolume:
     xx, yy = spec.x_dim * sup, spec.y_dim * sup
     u = (np.arange(xx) + 0.5) / xx
     v = (np.arange(yy) + 0.5) / yy
-    uu, vv = np.meshgrid(u, v, indexing="ij")
     edge = EDGE_SOFTNESS * 0.5 * (1.0 / spec.x_dim + 1.0 / spec.y_dim)
 
     ub = (np.arange(spec.x_dim) + 0.5) / spec.x_dim
@@ -162,16 +213,7 @@ def generate(spec: PhantomSpec) -> ComplexVolume:
     for t in range(spec.t_dim):
         params = _frame_params(spec, ellipses, t)
         _check_in_view(params, t)
-        frame = np.zeros((xx, yy), dtype=np.complex128)
-        for p, amp in zip(params, amps):
-            du, dv = uu - p["cx"], vv - p["cy"]
-            ct, st = math.cos(p["theta"]), math.sin(p["theta"])
-            a = (du * ct + dv * st) / p["rx"]
-            b = (-du * st + dv * ct) / p["ry"]
-            q = np.sqrt(a * a + b * b)
-            w = max(edge / (0.5 * (p["rx"] + p["ry"])), 1e-6)
-            ramp = np.clip((1.0 + w - q) / (2.0 * w), 0.0, 1.0)
-            frame += amp * (ramp * ramp * (3.0 - 2.0 * ramp))
+        frame = _render_frame(u, v, params, amps, edge)
         frame = frame.reshape(spec.x_dim, sup, spec.y_dim, sup).mean(axis=(1, 3))
         frame = frame * phase_map
         data[t, :, :, 0] = frame.real.T
@@ -209,6 +251,7 @@ def make_dataset(
         raise SpecError("dataset needs n_train >= 1 and n_test >= 0")
     if seed < 0:
         raise SpecError(f"dataset seed must be non-negative, got {seed}")
+    _check_extents(dataset_spec.x_dim, dataset_spec.y_dim, dataset_spec.t_dim)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)

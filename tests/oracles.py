@@ -21,7 +21,10 @@ must match them bitwise.
 the HDR denominators held at values captured once (``hdr_denominators``),
 the objective whose finite differences the loss's stop-gradient must match.
 ``loop_adam_step`` is Adam as one update per tensor, the reference for
-``numcore.adam_step``'s flat buffers.
+``numcore.adam_step``'s flat buffers.  ``full_grid_frame`` is the phantom
+renderer's earlier body, every ellipse evaluated on the whole supersampled
+meshgrid; ``phantom._render_frame``, which evaluates each ellipse on its
+support box from a broadcast column and row, must match it bitwise.
 """
 
 from __future__ import annotations
@@ -276,6 +279,22 @@ def loop_adam_step(params, grads, state: LoopAdamState, lr: float) -> None:
         v *= b2
         v += (1.0 - b2) * g * g
         p -= lr * (m / c1) / (np.sqrt(v / c2) + nc.ADAM_EPS)
+
+
+def full_grid_frame(u, v, params, amps, edge: float) -> np.ndarray:
+    """One phantom frame with every ellipse evaluated at every grid point."""
+    uu, vv = np.meshgrid(u, v, indexing="ij")
+    frame = np.zeros(uu.shape, dtype=np.complex128)
+    for p, amp in zip(params, amps):
+        du, dv = uu - p["cx"], vv - p["cy"]
+        ct, st = math.cos(p["theta"]), math.sin(p["theta"])
+        a = (du * ct + dv * st) / p["rx"]
+        b = (-du * st + dv * ct) / p["ry"]
+        q = np.sqrt(a * a + b * b)
+        w = max(edge / (0.5 * (p["rx"] + p["ry"])), 1e-6)
+        ramp = np.clip((1.0 + w - q) / (2.0 * w), 0.0, 1.0)
+        frame += amp * (ramp * ramp * (3.0 - 2.0 * ramp))
+    return frame
 
 
 def rel_err(a, b) -> float:

@@ -340,6 +340,10 @@ def test_usage_errors(workspace, tmp_path):
     ):
         for out in (not_a_dir, not_a_dir / "sub"):  # the file itself, or a path under it
             assert main([*argv, "--out", str(out)]) == EXIT_USAGE, (argv[0], out)
+    # phantom extents out of range, before --out is created
+    for dims in ("7,8,2", "32,32,1"):
+        assert main(["dataset", "--out", str(tmp_path / "D"), "--dims", dims]) == EXIT_USAGE
+        assert not (tmp_path / "D").exists(), dims
 
 
 def test_unknown_subcommand_exits_via_argparse():

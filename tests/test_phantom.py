@@ -1,9 +1,13 @@
 """Phantom generator invariants and dataset construction."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
+from kinterp import phantom
 from kinterp.errors import SpecError
 from kinterp.kspace import DOMAIN_IMAGE, fft2, magnitude, read_volume
 from kinterp.phantom import DatasetSpec, PhantomSpec, generate, make_dataset
@@ -79,6 +83,71 @@ def test_fov_rejection_at_extreme_amplitude():
         generate(PhantomSpec(32, 32, 2, seed=0, motion_amplitude=0.5))
 
 
+# ------------------------------------------------------- support-box renderer
+
+
+_ELLIPSE = st.fixed_dictionaries(
+    {
+        "cx": st.floats(-0.6, 1.6),
+        "cy": st.floats(-0.6, 1.6),
+        "rx": st.floats(0.005, 0.5),
+        "ry": st.floats(0.005, 0.5),
+        "theta": st.one_of(st.sampled_from([0.0, math.pi / 2, math.pi]), st.floats(0.0, math.pi)),
+    }
+)
+
+
+@settings(max_examples=200)
+@given(
+    xx=st.integers(8, 96),
+    yy=st.integers(8, 96),
+    params=st.lists(_ELLIPSE, min_size=1, max_size=6),
+    edge=st.sampled_from([0.0, 1e-9, 0.01, 0.05, 0.2]),
+    seed=st.integers(0, 2**16),
+)
+# crossing the left border, wholly outside, and each axis-aligned angle with
+# w at its 1e-6 floor (edge 0) on a non-square grid
+@example(xx=40, yy=24, params=[{"cx": 0.02, "cy": 0.5, "rx": 0.2, "ry": 0.1, "theta": 0.3}],
+         edge=0.05, seed=0)
+@example(xx=32, yy=32, params=[{"cx": -0.5, "cy": 1.5, "rx": 0.1, "ry": 0.1, "theta": 1.0},
+                               {"cx": 0.5, "cy": 0.5, "rx": 0.3, "ry": 0.2, "theta": 2.0}],
+         edge=0.05, seed=1)
+@example(xx=48, yy=20, params=[{"cx": 0.4, "cy": 0.6, "rx": 0.3, "ry": 0.1, "theta": t}
+                               for t in (0.0, math.pi / 2, math.pi)], edge=0.0, seed=2)
+def test_support_box_render_matches_full_grid_bitwise(xx, yy, params, edge, seed):
+    """Rendering on support boxes only changes no byte of the frame."""
+    rng = np.random.default_rng(seed)
+    amps = rng.uniform(-1, 1, len(params)) + 1j * rng.uniform(-1, 1, len(params))
+    u = (np.arange(xx) + 0.5) / xx
+    v = (np.arange(yy) + 0.5) / yy
+    got = phantom._render_frame(u, v, params, amps, edge)
+    want = oracles.full_grid_frame(u, v, params, amps, edge)
+    assert got.tobytes() == want.tobytes()
+
+
+def _generate_or_error(spec):
+    try:
+        return generate(spec).data.tobytes()
+    except SpecError as exc:
+        return repr(exc)
+
+
+@pytest.mark.parametrize("dims", [(32, 32, 8), (16, 16, 4), (24, 20, 4), (8, 8, 2), (64, 64, 3)])
+def test_generate_matches_full_grid_renderer(dims, monkeypatch):
+    """Every volume (or rejection) equals the one the full-grid renderer gives."""
+    specs = [
+        PhantomSpec(*dims, seed=seed, n_ellipses=n, motion_amplitude=a)
+        for n in (2, 3, 4, 6)
+        for a in (0.0, 0.08, 0.11, 0.5)
+        for seed in (0, 7, 31)
+    ]
+    got = [_generate_or_error(spec) for spec in specs]
+    monkeypatch.setattr(phantom, "_render_frame", oracles.full_grid_frame)
+    want = [_generate_or_error(spec) for spec in specs]
+    assert got == want
+    assert any(isinstance(g, bytes) for g in got) and any(isinstance(g, str) for g in got)
+
+
 # ------------------------------------------------------------------ datasets
 
 
@@ -138,4 +207,7 @@ def test_make_dataset_validation(tmp_path):
         make_dataset(tmp_path, 1, -1, DatasetSpec(16, 16, 2), seed=0)
     with pytest.raises(SpecError, match="seed"):  # before anything is written
         make_dataset(tmp_path / "data", 1, 1, DatasetSpec(16, 16, 2), seed=-1)
+    for dims in ((7, 8, 2), (8, 7, 2), (32, 32, 1)):  # and so are the extents
+        with pytest.raises(SpecError, match="X, Y >= 8 and T >= 2"):
+            make_dataset(tmp_path / "data", 1, 1, DatasetSpec(*dims), seed=0)
     assert not (tmp_path / "data").exists()

@@ -3,6 +3,7 @@ data-consistency, and evaluation report plumbing."""
 
 import dataclasses
 import importlib.util
+import re
 from pathlib import Path
 
 import numpy as np
@@ -581,7 +582,7 @@ def test_write_pgm_constant_frame(tmp_path):
 # ------------------------------------------------------------ desk script
 
 
-def test_desk_run_smoke(tmp_path):
+def test_desk_run_smoke(tmp_path, capsys):
     script = Path(__file__).resolve().parents[1] / "scripts" / "desk_run.py"
     spec = importlib.util.spec_from_file_location("desk_run", script)
     desk_run = importlib.util.module_from_spec(spec)
@@ -594,3 +595,6 @@ def test_desk_run_smoke(tmp_path):
         assert (tmp_path / name).is_file()
     for name in ("reference", "zero_filled", "recon"):
         assert (tmp_path / "frames" / name).is_dir()
+    printed = capsys.readouterr().out
+    for phase in ("dataset", "training", "scoring"):  # each phase's wall time
+        assert re.search(rf"^ +{phase} took \d+\.\ds$", printed, re.MULTILINE), phase
