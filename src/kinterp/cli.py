@@ -394,9 +394,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, SpecError) as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    # The OS owns "a readable file is here": a missing input, a directory
-    # given as one, or a path under a file.
-    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
+    # The OS owns "a readable file is here": a missing or unreadable input, a
+    # directory given as one, or a path under a file.
+    except (FileNotFoundError, PermissionError, IsADirectoryError, NotADirectoryError) as exc:
         print(f"error: missing-file: {exc}", file=sys.stderr)
         return EXIT_MISSING_FILE
     # Every volume the CLI sees comes from a file, so a wrong domain is a

@@ -26,9 +26,7 @@ each with a hand-written backward.  Their unfused references, built from
 oracles in ``tests/oracles.py``, as do the earlier bodies that ``gelu``,
 ``layernorm`` and ``attention`` must match bitwise.  Each op runs only the
 passes and allocations its result needs, in the order of its written
-expression; an op whose gradient is an array it made hands that array over
-as a first gradient (``_adopt``) instead of having it copied
-(``_accumulate``).
+expression.
 ``attention`` runs its query rows in chunks of at most ``ATTENTION_BLOCK``
 score entries, with the scale folded into q and no divide over the scores.
 It keeps the first chunk's probabilities for backward when that chunk fits
@@ -38,6 +36,14 @@ of a [heads, n, n] map.  Adam runs over flat buffers: ``OptimizerState`` lays
 the parameters out once, each ``Tensor.data`` becomes a view into its buffer,
 and each ``adam_step`` packs the gradients and updates every parameter in one
 pass.
+
+An op's backward closure returns one gradient per operand, in operand order,
+each a view of the incoming gradient ``g`` or an array the op made for that
+operand alone.  ``Tensor.backward`` is the one place a gradient lands: it
+skips operands that record none, stores a first gradient that may share
+memory with ``g`` as a C-ordered copy (the node or another operand still
+holds that memory), takes any other first gradient over, and adds later
+ones in place.
 """
 
 from __future__ import annotations
@@ -166,7 +172,15 @@ class Tensor:
             if node.grad is None:
                 continue
             if node._backward is not None:
-                node._backward(node.grad)
+                for parent, g in zip(node._parents, node._backward(node.grad), strict=True):
+                    if not parent.requires_grad:
+                        continue
+                    if parent.grad is None:
+                        # A view of the incoming gradient is copied, never shared.
+                        copy = True if np.may_share_memory(g, node.grad) else None
+                        parent.grad = np.array(g, parent.data.dtype, copy=copy, order="C")
+                    else:
+                        parent.grad += g
             node._backward = None
             node._parents = ()
 
@@ -176,49 +190,14 @@ def _coerce(value) -> Tensor:
 
 
 def _result(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
-    """An op's output node: a tensor that records its grad-requiring parents,
-    or none under ``no_grad``."""
+    """An op's output node: a tensor that records its operands and ``backward``
+    when any operand records a gradient, and nothing under ``no_grad``."""
     out = Tensor(data)
-    if not _recording:
-        return out
-    out._parents = tuple(p for p in parents if p.requires_grad)
-    out.requires_grad = bool(out._parents)
-    out._backward = backward if out.requires_grad else None
+    if _recording and any(p.requires_grad for p in parents):
+        out.requires_grad = True
+        out._parents = parents
+        out._backward = backward
     return out
-
-
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    """Add ``g`` into ``t.grad``, storing a first gradient as a C-ordered copy.
-
-    For ``g`` that is the incoming gradient or a view of it (add, reshape,
-    concat_rows, sub's first operand): another operand or the producing node
-    still holds that memory, and a transposed layout would change later BLAS
-    results.
-    """
-    if not t.requires_grad:
-        return
-    if t.grad is None:
-        t.grad = np.array(g, dtype=t.data.dtype, order="C")
-    else:
-        t.grad += g
-
-
-def _adopt(t: Tensor, g: np.ndarray) -> None:
-    """Add ``g`` into ``t.grad``, taking a first gradient over instead of copying.
-
-    ``g`` must be an array the calling op made in its backward and shares with
-    nothing else: not the incoming gradient or a view of it, not an operand or
-    a saved activation, and not handed to another operand.  The caller gives
-    it up: ``t.grad`` becomes ``g`` itself (or a C-ordered copy, if ``g`` is
-    laid out otherwise or has another dtype), so later sums add into it in
-    place.
-    """
-    if not t.requires_grad:
-        return
-    if t.grad is None:
-        t.grad = np.asarray(g, dtype=t.data.dtype, order="C")
-    else:
-        t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -236,8 +215,7 @@ def add(a, b) -> Tensor:
     data = a.data + b.data
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(g, b.shape))
+        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
 
     return _result(data, (a, b), backward)
 
@@ -247,8 +225,7 @@ def sub(a, b) -> Tensor:
     data = a.data - b.data
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _adopt(b, _unbroadcast(-g, b.shape))
+        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
 
     return _result(data, (a, b), backward)
 
@@ -258,8 +235,7 @@ def mul(a, b) -> Tensor:
     data = a.data * b.data
 
     def backward(g):
-        _adopt(a, _unbroadcast(g * b.data, a.shape))
-        _adopt(b, _unbroadcast(g * a.data, b.shape))
+        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
 
     return _result(data, (a, b), backward)
 
@@ -275,9 +251,7 @@ def linear(x, w, b) -> Tensor:
     data += b.data
 
     def backward(g):
-        _adopt(x, g @ w.data.T)
-        _adopt(w, x.data.T @ g)
-        _adopt(b, g.sum(axis=0))
+        return g @ w.data.T, x.data.T @ g, g.sum(axis=0)
 
     return _result(data, (x, w, b), backward)
 
@@ -391,9 +365,7 @@ def attention(q, k, v, heads: int) -> Tensor:
                 dv += dv_part
                 dkt += dkt_part
         dq *= scale
-        _adopt(v, merge(dv))
-        _adopt(q, dq)
-        _adopt(k, merge(dkt.transpose(0, 2, 1)))
+        return dq, merge(dkt.transpose(0, 2, 1)), merge(dv)
 
     return _result(data, (q, k, v), backward)
 
@@ -403,7 +375,7 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     data = x.data.reshape(shape)
 
     def backward(g):
-        _accumulate(x, g.reshape(x.shape))
+        return (g.reshape(x.shape),)
 
     return _result(data, (x,), backward)
 
@@ -416,13 +388,10 @@ def concat_rows(parts: list[Tensor]) -> Tensor:
     if any(p.shape[1:] != trailing for p in parts):
         raise DimensionError("concat_rows requires matching trailing extents")
     data = np.concatenate([p.data for p in parts], axis=0)
-    sizes = [p.shape[0] for p in parts]
+    offsets = np.cumsum([p.shape[0] for p in parts[:-1]], dtype=np.intp)
 
     def backward(g):
-        offset = 0
-        for p, n in zip(parts, sizes):
-            _accumulate(p, g[offset : offset + n])
-            offset += n
+        return np.split(g, offsets)
 
     return _result(data, tuple(parts), backward)
 
@@ -442,7 +411,7 @@ def gather(x: Tensor, index) -> Tensor:
     def backward(g):
         flat = np.full(x.size, -0.0, dtype=x.data.dtype)
         np.add.at(flat, idx.reshape(-1), g.reshape(-1))
-        _adopt(x, flat.reshape(x.shape))
+        return (flat.reshape(x.shape),)
 
     return _result(data, (x,), backward)
 
@@ -464,7 +433,7 @@ def permute(x: Tensor, index: np.ndarray, inverse: np.ndarray) -> Tensor:
     data = x.data.reshape(-1)[index]
 
     def backward(g):
-        _adopt(x, g.reshape(-1)[inverse])
+        return (g.reshape(-1)[inverse],)
 
     return _result(data, (x,), backward)
 
@@ -505,7 +474,7 @@ def gelu(x: Tensor) -> Tensor:
         slope *= 0.5
         slope += local
         slope *= g
-        _adopt(x, slope)
+        return (slope,)
 
     return _result(data, (x,), backward)
 
@@ -545,10 +514,8 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         gy -= m1
         gy -= np.multiply(xhat, m2, out=scratch)
         gy *= inv
-        _adopt(x, gy)
-        reduce_axes = tuple(range(g.ndim - 1))
-        _adopt(gain, np.multiply(g, xhat, out=scratch).sum(axis=reduce_axes))
-        _adopt(bias, g.sum(axis=reduce_axes))
+        axes = tuple(range(g.ndim - 1))
+        return gy, np.multiply(g, xhat, out=scratch).sum(axis=axes), g.sum(axis=axes)
 
     return _result(data, (x, gain, bias), backward)
 
@@ -558,7 +525,7 @@ def abs_(x: Tensor) -> Tensor:
     data = np.abs(x.data)
 
     def backward(g):
-        _adopt(x, g * np.sign(x.data))
+        return (g * np.sign(x.data),)
 
     return _result(data, (x,), backward)
 
@@ -568,7 +535,7 @@ def mean_all(x: Tensor) -> Tensor:
     data = np.asarray(x.data.mean(), dtype=x.data.dtype)
 
     def backward(g):
-        _adopt(x, np.broadcast_to(g / x.size, x.shape).astype(x.data.dtype))
+        return (np.broadcast_to(g / x.size, x.shape).astype(x.data.dtype),)
 
     return _result(data, (x,), backward)
 

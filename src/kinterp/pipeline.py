@@ -23,11 +23,13 @@ from .errors import (
     ConfigError,
     DegenerateInputError,
     DimensionError,
+    DomainError,
     FormatError,
     TrainingError,
 )
 from .kspace import (
     ComplexVolume,
+    DOMAIN_IMAGE,
     DOMAIN_KSPACE,
     ifft2,
     magnitude,
@@ -385,6 +387,8 @@ def evaluate(
     Every R is checked against the mask rules before the first forward.  Each
     sequence's two volumes are read once, and its reference magnitude and
     SSIM statistics are computed once and shared by every row that scores it.
+    A reference that is not an image-domain volume raises ``DomainError``
+    before it is scored.
     """
     if not r_values:
         raise ConfigError("evaluation needs at least one acceleration factor")
@@ -398,6 +402,8 @@ def evaluate(
     baseline_reports = [ReconReport(r) for r in r_values]
     for seq_index, (image_path, kspace_path) in enumerate(pairs):
         reference = read_volume(image_path)
+        if reference.domain != DOMAIN_IMAGE:
+            raise DomainError(f"{image_path}: the reference is not an image-domain volume")
         gt_kspace = read_volume(kspace_path)
         ref_mag = magnitude(reference)
         ref_ssim = _ssim_reference(ref_mag)

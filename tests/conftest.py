@@ -3,7 +3,16 @@
 The two training runs (a 200-step single-sequence overfit and an 800-step
 16-sequence run) are expensive on one CPU core, so they are built once per
 session and shared between the pipeline tests and the acceptance suite.
+
+OpenBLAS runs one thread unless the caller's environment names a count: it
+reads ``OPENBLAS_NUM_THREADS`` once, when NumPy is first imported, below this
+point.  Its own default of one thread per core oversubscribes a small host
+that is busy with anything else.
 """
+
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import pytest
 from hypothesis import settings

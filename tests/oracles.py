@@ -10,8 +10,9 @@ their inputs in the axis order they index.  ``unfused_linear`` and
 elementary tape ops, whose gradients the FD suite checks one by one.  Three of
 those ops, ``matmul``, ``transpose`` and ``softmax_lastaxis``, serve only as
 such references, so they live here rather than in the engine; they build
-tape nodes from numcore's own ``_coerce``, ``_result``, ``_accumulate`` and
-``_unbroadcast``.  ``reference_gelu``, ``reference_layernorm``,
+tape nodes from numcore's own ``_coerce``, ``_result`` and ``_unbroadcast``,
+and their backward closures return one gradient per operand, as the
+engine's do.  ``reference_gelu``, ``reference_layernorm``,
 ``reference_attention`` and ``scatter_gather`` are the engine's earlier
 bodies of ``gelu``, ``layernorm``, ``attention`` and the plane gather: one
 temporary per expression, a fresh array per attention chunk and a scatter
@@ -38,7 +39,7 @@ from kinterp import numcore as nc
 from kinterp.errors import DimensionError
 from kinterp.kspace import ComplexVolume
 from kinterp.model import l1_loss
-from kinterp.numcore import Tensor, _accumulate, _coerce, _result, _unbroadcast
+from kinterp.numcore import Tensor, _coerce, _result, _unbroadcast
 
 FD_STEP = 1e-6
 
@@ -62,8 +63,10 @@ def matmul(a, b) -> Tensor:
     data = a.data @ b.data
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape))
-        _accumulate(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape))
+        return (
+            _unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape),
+            _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape),
+        )
 
     return _result(data, (a, b), backward)
 
@@ -74,7 +77,7 @@ def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
     data = np.ascontiguousarray(x.data.transpose(axes))
 
     def backward(g):
-        _accumulate(x, g.transpose(inverse))
+        return (g.transpose(inverse),)
 
     return _result(data, (x,), backward)
 
@@ -88,7 +91,7 @@ def softmax_lastaxis(x: Tensor) -> Tensor:
 
     def backward(g):
         dot = (g * data).sum(axis=-1, keepdims=True)
-        _accumulate(x, (g - dot) * data)
+        return ((g - dot) * data,)
 
     return _result(data, (x,), backward)
 
@@ -104,7 +107,7 @@ def scatter_gather(x: Tensor, index) -> Tensor:
     def backward(g):
         flat = np.full(x.size, -0.0, dtype=x.data.dtype)
         np.add.at(flat, idx.reshape(-1), g.reshape(-1))
-        _accumulate(x, flat.reshape(x.shape))
+        return (flat.reshape(x.shape),)
 
     return _result(data, (x,), backward)
 
@@ -120,7 +123,7 @@ def reference_gelu(x: Tensor) -> Tensor:
     def backward(g):
         d_inner = nc._GELU_C * (1.0 + 3 * 0.044715 * v**2)
         local = 0.5 * (1.0 + t) + 0.5 * v * (1.0 - t**2) * d_inner
-        _accumulate(x, g * local)
+        return (g * local,)
 
     return _result(data, (x,), backward)
 
@@ -139,10 +142,8 @@ def reference_layernorm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         gy = g * gain.data
         m1 = gy.mean(axis=-1, keepdims=True)
         m2 = (gy * xhat).mean(axis=-1, keepdims=True)
-        _accumulate(x, (gy - m1 - xhat * m2) * inv)
-        reduce_axes = tuple(range(g.ndim - 1))
-        _accumulate(gain, (g * xhat).sum(axis=reduce_axes))
-        _accumulate(bias, g.sum(axis=reduce_axes))
+        axes = tuple(range(g.ndim - 1))
+        return (gy - m1 - xhat * m2) * inv, (g * xhat).sum(axis=axes), g.sum(axis=axes)
 
     return _result(data, (x, gain, bias), backward)
 
@@ -206,9 +207,7 @@ def reference_attention(q, k, v, heads: int) -> Tensor:
                 dv += dv_part
                 dkt += dkt_part
         dq *= scale
-        _accumulate(v, merge(dv))
-        _accumulate(q, dq)
-        _accumulate(k, merge(dkt.transpose(0, 2, 1)))
+        return dq, merge(dkt.transpose(0, 2, 1)), merge(dv)
 
     return _result(data, (q, k, v), backward)
 

@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -430,6 +431,41 @@ def test_format_errors(workspace, tmp_path):
             "eval", "--out", str(tmp_path), "--checkpoint", str(bad_ckpt),
             "--manifest", str(workspace["data"] / "manifest.txt"),
         ]) == EXIT_FORMAT
+
+
+def test_eval_rejects_a_reference_that_is_not_an_image(workspace, tmp_path, capsys):
+    """A manifest whose test image line names the k-space file: its volume
+    would otherwise be scored as the ground-truth image."""
+    kspace = workspace["data"] / "test_000.kspace.kvol"
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(f"test image {kspace}\ntest kspace {kspace}\n")
+    out = tmp_path / "eval"
+    assert main([
+        "eval", "--out", str(out), "--checkpoint", str(workspace["run"] / "checkpoint.kgin"),
+        "--manifest", str(manifest), "--R", "4",
+    ]) == EXIT_FORMAT
+    assert capsys.readouterr().err.startswith("error: format:")
+    assert not (out / "report.csv").exists()
+
+
+def test_unreadable_input_exits_missing_file(workspace, tmp_path, monkeypatch, capsys):
+    """A permission error is reported like a missing input, not as a
+    traceback.  Reading is refused by patching, since a root process can
+    read a file whatever its mode."""
+    manifest = workspace["data"] / "manifest.txt"
+    read_text = Path.read_text
+
+    def refuse_manifest(self, *args, **kwargs):
+        if self == manifest:
+            raise PermissionError(13, "Permission denied", str(self))
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", refuse_manifest)
+    assert main([
+        "eval", "--out", str(tmp_path), "--checkpoint", str(workspace["run"] / "checkpoint.kgin"),
+        "--manifest", str(manifest),
+    ]) == EXIT_MISSING_FILE
+    assert capsys.readouterr().err.startswith("error: missing-file:")
 
 
 def test_dimension_errors(workspace, tmp_path):

@@ -114,7 +114,7 @@ def test_concat_rows_gradient():
     check_grad(build, a, b)
 
 
-def test_gather_rows_gradient_accumulates_duplicates():
+def test_gather_rows_gradient_sums_duplicates():
     a = RNG.normal(size=(4, 3))
     idx = np.array([0, 2, 2, 1])[:, None] * 3 + np.arange(3)
     check_grad(lambda x: nc.mean_all(nc.gather(x, idx) * nc.gather(x, idx)), a)
@@ -167,10 +167,24 @@ def test_permute_gradient_gathers_by_the_inverse():
             nc.permute(Tensor(a), bad_index, bad_inverse)
 
 
-def test_adopted_first_gradients_sum_and_share_no_buffer():
-    """A leaf that feeds the q/k/v linears holds their input gradients'
-    sum, and that sum is its own: changing it in place changes no other
-    tensor's gradient."""
+def _assert_own_gradients(leaves, others):
+    """Each leaf's gradient is its own buffer: it shares memory with no other
+    tensor's gradient, and adding into it in place changes none of them."""
+    tensors = [*leaves, *others]
+    for leaf in leaves:
+        for t in tensors:
+            assert t is leaf or not np.shares_memory(leaf.grad, t.grad)
+        before = [t.grad.copy() for t in tensors if t is not leaf]
+        leaf.grad += 1.0
+        after = [t.grad for t in tensors if t is not leaf]
+        assert [a.tobytes() for a in after] == [b.tobytes() for b in before]
+
+
+def test_first_gradients_sum_and_share_no_buffer():
+    """The engine sums every gradient a leaf receives, and the sum is its
+    own: through the q/k/v linears into attention, through an operand used
+    twice by one op, and through ops whose gradients are views of their
+    incoming gradient (reshape, concat_rows, a broadcast add)."""
     rng = np.random.default_rng(783)
     n, d, heads = 6, 8, 2
     h = Tensor(rng.normal(size=(n, d)), requires_grad=True)
@@ -181,12 +195,44 @@ def test_adopted_first_gradients_sum_and_share_no_buffer():
     nc.mean_all(out * Tensor(rng.normal(size=(n, d)))).backward()
     want = sum(t.grad @ w.data.T for t, w in zip((q, k, v), weights))
     assert oracles.rel_err(h.grad, want) <= 1e-12
-    others = [out, q, k, v, *weights, *biases]
-    before = [t.grad.copy() for t in others]
-    h.grad += 1.0
-    for t, saved in zip(others, before):
-        assert not np.shares_memory(h.grad, t.grad)
-        assert t.grad.tobytes() == saved.tobytes()
+    _assert_own_gradients([h, *weights, *biases], [out, q, k, v])
+
+    # One operand twice in one op: add hands it two views of one gradient,
+    # mul two products.
+    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    doubled = x + x
+    nc.mean_all(doubled * Tensor(rng.normal(size=(3, 4)))).backward()
+    assert x.grad.tobytes() == (doubled.grad + doubled.grad).tobytes()
+    _assert_own_gradients([x], [doubled])
+    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    squared = x * x
+    nc.mean_all(squared * Tensor(rng.normal(size=(3, 4)))).backward()
+    assert x.grad.tobytes() == (squared.grad * x.data + squared.grad * x.data).tobytes()
+    _assert_own_gradients([x], [squared])
+
+    # Leaves reached only through view-returning ops.
+    a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    c = Tensor(rng.normal(size=(2, 2)), requires_grad=True)
+    bias = Tensor(rng.normal(size=2), requires_grad=True)
+    rows = nc.reshape(a, (3, 2))
+    joined = nc.concat_rows([rows, c])
+    shifted = joined + bias
+    nc.mean_all(shifted * Tensor(rng.normal(size=(5, 2)))).backward()
+    g = shifted.grad
+    assert a.grad.tobytes() == g[:3].reshape(2, 3).tobytes()
+    assert c.grad.tobytes() == g[3:].tobytes()
+    assert bias.grad.tobytes() == g.sum(axis=0).tobytes()
+    _assert_own_gradients([a, c, bias], [rows, joined, shifted])
+
+
+def test_backward_rejects_a_wrong_number_of_gradients():
+    """A closure must return one gradient per operand: one more or one fewer
+    raises instead of being dropped."""
+    x = Tensor(np.ones(3), requires_grad=True)
+    for returned in (lambda g: (g, g), lambda g: ()):
+        node = nc._result(x.data.copy(), (x,), returned)
+        with pytest.raises(ValueError):
+            nc.mean_all(node).backward()
 
 
 _REFERENCE_SHAPES = [(), (1,), (7,), (1, 6), (4, 6), (2, 3, 5)]
@@ -519,7 +565,7 @@ def test_no_grad_records_nothing_and_restores_recording():
 
     def recorded():
         y = x * 2.0
-        return y.requires_grad and y._parents == (x,)
+        return y.requires_grad and x in y._parents
 
     with nc.no_grad():
         y = x * 2.0
