@@ -6,15 +6,24 @@ by name, and the fully resolved configuration is echoed into the output
 directory so any run can be repeated exactly.  One table per subcommand gives
 its keys, flags, and echo order; model and training defaults come only from
 the ``tiny_config``/``full_config`` presets and ``TrainConfig``.
+
+OpenBLAS runs one thread unless the environment names a count in
+``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS``, read once
+when NumPy loads below; its default of one per core oversubscribes a busy host.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
 from typing import Callable, NamedTuple
+
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+if not any(os.environ.get(name) for name in _BLAS_THREAD_VARS):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .errors import (
     CheckpointError,
@@ -130,8 +139,10 @@ def _cast_seed(raw) -> int:
 
 
 def _cast_out(raw) -> str:
-    """An output directory: the nearest existing path at or above it must be a
-    directory (what is missing below it is made)."""
+    """An output directory: a non-empty path whose nearest existing path at or
+    above it is a directory (what is missing below it is made)."""
+    if not raw:
+        raise ConfigError("output path is empty")
     out = Path(raw)
     existing = next(p for p in (out, *out.parents) if p.exists())
     if not existing.is_dir():

@@ -243,7 +243,10 @@ def write_loss_csv(rows, path: str | Path) -> None:
 
 
 def train(cfg: TrainConfig, out_dir: str | Path) -> TrainResult:
-    """Run the masked-interpolation training loop and write checkpoint + loss log."""
+    """Run the masked-interpolation training loop and write checkpoint + loss log.
+
+    ``out_dir`` is made only once the manifest and its volumes check out.
+    """
     if cfg.steps < 1:
         raise ConfigError(f"training needs steps >= 1, got {cfg.steps}")
     if cfg.log_interval < 1:
@@ -259,7 +262,6 @@ def train(cfg: TrainConfig, out_dir: str | Path) -> TrainResult:
         final_div=cfg.final_div,
     )
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     manifest = load_manifest(cfg.manifest)
     train_pairs = manifest.get("train", [])
     if not train_pairs:
@@ -271,6 +273,7 @@ def train(cfg: TrainConfig, out_dir: str | Path) -> TrainResult:
         volumes = [read_volume(k_path) for _, k_path in train_pairs]
         for v in volumes:
             model._check_volume(v)
+        out_dir.mkdir(parents=True, exist_ok=True)
         c = cfg.model
         state = OptimizerState()
         rng = np.random.default_rng(cfg.seed)

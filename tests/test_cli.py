@@ -1,5 +1,6 @@
 """Exit codes, config-file resolution, and artifact layout of the CLI."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +23,9 @@ from kinterp.kspace import read_volume, write_volume
 from kinterp.model import full_config, tiny_config
 from kinterp.pipeline import TrainConfig, infer, load_manifest
 from kinterp.sampling import apply_mask, load_mask
+
+ROOT = Path(__file__).resolve().parent.parent
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 @pytest.fixture(scope="module")
@@ -304,7 +308,7 @@ def test_missing_config_file(tmp_path):
 # -------------------------------------------------------------- exit codes
 
 
-def test_usage_errors(workspace, tmp_path):
+def test_usage_errors(workspace, tmp_path, monkeypatch):
     manifest = str(workspace["data"] / "manifest.txt")
     assert main(["mask"]) == EXIT_USAGE  # --out is required
     assert main(["mask", "--out", str(tmp_path), "--dims", "16,16"]) == EXIT_USAGE
@@ -331,16 +335,26 @@ def test_usage_errors(workspace, tmp_path):
         ["eval", "--checkpoint", checkpoint, "--manifest", manifest],
     ):
         assert main([*argv, "--out", str(tmp_path), "--seed", "-1"]) == EXIT_USAGE, argv[0]
-    # --out naming an existing file, before any work starts
+    # --out naming an existing file, or empty, before any work starts
     not_a_dir = tmp_path / "file.txt"
     not_a_dir.write_text("x\n")
+    empty_out = tmp_path / "empty_out.cfg"
+    empty_out.write_text("out =\n")
+    monkeypatch.chdir(tmp_path)  # where an empty --out would write
+    before = sorted(tmp_path.iterdir())
     for argv in (
         ["dataset", "--n-train", "1", "--n-test", "1"],
         ["mask", "--dims", "16,16,2"],
         ["eval", "--checkpoint", checkpoint, "--manifest", manifest],
     ):
-        for out in (not_a_dir, not_a_dir / "sub"):  # the file itself, or a path under it
-            assert main([*argv, "--out", str(out)]) == EXIT_USAGE, (argv[0], out)
+        for out in (
+            ["--out", str(not_a_dir)],
+            ["--out", str(not_a_dir / "sub")],  # a path under a file
+            ["--out", ""],
+            ["--config", str(empty_out)],
+        ):
+            assert main([*argv, *out]) == EXIT_USAGE, (argv[0], out)
+    assert sorted(tmp_path.iterdir()) == before
     # phantom extents out of range, before --out is created
     for dims in ("7,8,2", "32,32,1"):
         assert main(["dataset", "--out", str(tmp_path / "D"), "--dims", dims]) == EXIT_USAGE
@@ -354,10 +368,14 @@ def test_unknown_subcommand_exits_via_argparse():
 
 
 def test_missing_file_errors(workspace, tmp_path):
-    assert main([
-        "train", "--tiny", "--out", str(tmp_path),
-        "--manifest", str(tmp_path / "none.txt"),
-    ]) == EXIT_MISSING_FILE
+    # with --dims, train itself reads the manifest; its --out is not made
+    for dims in ([], ["--dims", "16,16,2"]):
+        out = tmp_path / f"train{len(dims)}"
+        assert main([
+            "train", "--tiny", "--out", str(out),
+            "--manifest", str(tmp_path / "none.txt"), *dims,
+        ]) == EXIT_MISSING_FILE
+        assert not out.exists(), dims
     assert main([
         "infer", str(tmp_path / "none.kvol"), "--out", str(tmp_path),
         "--checkpoint", str(workspace["run"] / "checkpoint.kgin"),
@@ -393,6 +411,16 @@ def test_format_errors(workspace, tmp_path):
         "--checkpoint", str(workspace["run"] / "checkpoint.kgin"),
         "--mask", str(workspace["masks"] / "mask.kmask"),
     ]) == EXIT_FORMAT
+    # a malformed manifest, or one naming a malformed volume: train's --out is not made
+    bad_manifest = tmp_path / "bad_manifest.txt"
+    for text in ("nonsense\n", f"train image {junk}\ntrain kspace {junk}\n"):
+        bad_manifest.write_text(text)
+        out = tmp_path / "train"
+        assert main([
+            "train", "--tiny", "--out", str(out), "--manifest", str(bad_manifest),
+            "--dims", "16,16,2", "--steps", "1",
+        ]) == EXIT_FORMAT, text
+        assert not out.exists(), text
     bad_mask = tmp_path / "bad.kmask"
     rows = b"1010101010101010\n" * 2
     for header in (b"KMASK v1 -4 2 4 0\n", b"KMASK v1 16 2 4 \xe9\n", b"KMASK v1 16 2 nan 0\n"):
@@ -470,11 +498,13 @@ def test_unreadable_input_exits_missing_file(workspace, tmp_path, monkeypatch, c
 
 def test_dimension_errors(workspace, tmp_path):
     manifest = str(workspace["data"] / "manifest.txt")
-    # model dims contradict the 16x16x2 training volumes
+    # model dims contradict the 16x16x2 training volumes; --out is not made
+    out = tmp_path / "train"
     assert main([
-        "train", "--tiny", "--out", str(tmp_path), "--manifest", manifest,
+        "train", "--tiny", "--out", str(out), "--manifest", manifest,
         "--dims", "16,16,4", "--steps", "1",
     ]) == EXIT_DIMENSION
+    assert not out.exists()
     # undersampled input does not match the checkpoint geometry
     wrong = tmp_path / "wrong.kvol"
     gt = read_volume(workspace["data"] / "test_000.kspace.kvol")
@@ -492,6 +522,71 @@ def test_error_messages_reach_stderr(tmp_path, capsys):
     assert main(["mask", "--out", str(tmp_path), "--dims", "16,16"]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: config:")
+
+
+# -------------------------------------------------------------- BLAS threads
+
+
+def _child_env(**threads: str) -> dict[str, str]:
+    """This environment without any BLAS thread variable, plus ``threads``."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    return {**env, **threads}
+
+
+def test_cli_defaults_to_one_blas_thread():
+    """Importing the CLI pins OpenBLAS to one thread unless a thread variable
+    is set, read with the benchmark's lookup.  OpenBLAS caps a count at the
+    cores it may use."""
+    probe = (
+        "import sys, kinterp.cli; "
+        f"sys.path.insert(0, {str(ROOT / 'perfbench')!r}); "
+        "from worker import blas_threads; print(blas_threads())"
+    )
+    two = min(2, len(os.sched_getaffinity(0)))
+    for threads, expected in (
+        ({}, 1),
+        ({"OPENBLAS_NUM_THREADS": "2"}, two),
+        ({"OMP_NUM_THREADS": "2"}, two),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], env=_child_env(**threads),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        count = proc.stdout.split()[-1]
+        if count == "None":
+            pytest.skip("NumPy is not linked against OpenBLAS")
+        assert int(count) == expected, threads
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """train and eval at 32x32x8 write the same bytes with one BLAS thread
+    and with two."""
+    data = tmp_path / "data"
+    assert main(["dataset", "--out", str(data), "--dims", "32,32,8",
+                 "--n-train", "2", "--n-test", "1", "--seed", "0"]) == EXIT_OK
+    manifest = str(data / "manifest.txt")
+    written = []
+    for threads in ("1", "2"):
+        run, scores = tmp_path / f"run{threads}", tmp_path / f"scores{threads}"
+        script = (
+            "from kinterp.cli import main; "
+            f"assert main(['train', '--tiny', '--out', {str(run)!r}, '--manifest', {manifest!r}, "
+            "'--steps', '10', '--seed', '0']) == 0; "
+            f"assert main(['eval', '--out', {str(scores)!r}, '--manifest', {manifest!r}, "
+            f"'--checkpoint', {str(run / 'checkpoint.kgin')!r}, '--R', '4,8']) == 0"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=_child_env(OPENBLAS_NUM_THREADS=threads),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        written.append([
+            (run / "checkpoint.kgin").read_bytes(),
+            (run / "loss_log.csv").read_bytes(),
+            (scores / "report.csv").read_bytes(),
+        ])
+    assert written[0] == written[1]
 
 
 def test_end_to_end_smoke_under_five_minutes(tmp_path):

@@ -1,10 +1,13 @@
 """The error taxonomy carries no dead classes.
 
 Every class in ``errors.py`` other than the ``KInterpError`` base is raised
-somewhere in the package, and the package exports exactly those classes.
+somewhere in the package, and the package's top level exports exactly those
+classes and ``__version__``, without loading NumPy.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import kinterp
@@ -37,4 +40,15 @@ def test_package_exports_exactly_the_error_classes():
     classes = _error_classes()
     exported = {name for name in kinterp.__all__ if name.endswith("Error")}
     assert exported == classes
+    assert set(kinterp.__all__) == classes | {"__version__"}
     assert all(isinstance(getattr(kinterp, name), type) for name in classes)
+
+
+def test_importing_the_package_loads_no_numpy():
+    """So the CLI can set NumPy's environment before NumPy loads."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, kinterp; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
