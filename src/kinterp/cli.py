@@ -275,13 +275,14 @@ def _cmd_infer(args) -> int:
     out, input_path, checkpoint, mask_path = (
         Path(res.values[k]) for k in ("out", "input", "checkpoint", "mask")
     )
+    frames_dir = Path(_cast_out(str(out / "frames")))  # --out's rule, before any work
     volume = read_volume(input_path)
     mask = load_mask(mask_path)
     recon = infer(checkpoint, volume, mask)
     out.mkdir(parents=True, exist_ok=True)
     recon_path = out / "recon.kvol"
     write_volume(recon.image, recon_path)
-    frames = write_pgm_frames(recon.image, out / "frames")
+    frames = write_pgm_frames(recon.image, frames_dir)
     res.write_echo(out)
     print(f"wrote {recon_path} and {len(frames)} PGM frames")
     return EXIT_OK

@@ -7,14 +7,13 @@ single shared (zero-initialized) mask token plus fixed sinusoidal position
 embeddings and projects back to k-space.  Three sequential refinement blocks
 then re-tokenize the estimate along the ky-t, kx-t and (patched) kx-ky planes
 and add residual corrections; their output projections start at zero, so at
-initialization refinement is the exact identity.  Each plane's tokens are a
-fixed permutation of the [T, Y, X, 2] volume's entries: one index table per
-plane and its inverse, built and checked once per geometry and shared
-read-only by every model of that geometry, take the volume to tokens and
-back, one ``permute`` node each way.  Token rows move by gathers placed by
-the mask's flags: the sampled rows are one gather out of the ky-t grid, and
-the decoder's input is one gather that puts each sampled feature, or the
-mask token where a row is flagged unsampled, at its grid row.
+initialization refinement is the exact identity.  Each plane is one split
+of the [T, Y, X] grid of (re, im) pairs and one order of its axes; a
+``permute`` node each way moves the volume to that plane's tokens and back.
+Token rows move by gathers placed by the mask's flags: the sampled rows are
+one gather out of the ky-t grid, and the decoder's input is one gather that
+puts each sampled feature, or the mask token where a row is flagged
+unsampled, at its grid row.
 Checkpoints load through ``load_params`` alone, which checks every tensor's
 name and shape against ``param_table`` before reading its values, and builds
 no more of that table than the file has room to name.
@@ -172,60 +171,55 @@ def _plane_pos_table(n_inner: int, n_outer: int, dim: int) -> np.ndarray:
     )
 
 
+def _plane_recipe(
+    x_dim: int, y_dim: int, t_dim: int, patch: int, plane: str
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """A plane as a split of the [T, Y, X] grid of (re, im) pairs and the
+    order of its axes in the tokens: the first two index the token rows, the
+    second fastest, and the rest make a token's channels, pair by pair.
+    ky-t and kx-t tokens are lines along kx and ky; kx-ky tokens are p x p
+    (ky, kx) patches carrying every frame."""
+    if plane == PLANE_KY_T:
+        return (t_dim, y_dim, x_dim), (0, 1, 2)
+    if plane == PLANE_KX_T:
+        return (t_dim, y_dim, x_dim), (0, 2, 1)
+    if plane == PLANE_KX_KY:
+        p = patch
+        return (t_dim, y_dim // p, p, x_dim // p, p), (1, 3, 2, 4, 0)
+    raise ConfigError(f"unknown plane {plane!r}")
+
+
 def _plane_dims(
     x_dim: int, y_dim: int, t_dim: int, patch: int, plane: str
 ) -> tuple[int, int, int]:
     """A plane's token grid (inner, outer), inner coordinate fastest, and the
     channels of one token."""
-    if plane == PLANE_KY_T:
-        return y_dim, t_dim, 2 * x_dim
-    if plane == PLANE_KX_T:
-        return x_dim, t_dim, 2 * y_dim
-    if plane == PLANE_KX_KY:
-        return x_dim // patch, y_dim // patch, 2 * patch * patch * t_dim
-    raise ConfigError(f"unknown plane {plane!r}")
+    split, axes = _plane_recipe(x_dim, y_dim, t_dim, patch, plane)
+    outer, inner, *rest = (split[a] for a in axes)
+    return inner, outer, 2 * math.prod(rest)
 
 
-class PlaneTables(NamedTuple):
-    """A plane's fixed arrays, shared read-only by every model of one geometry."""
+class _PlaneLayout(NamedTuple):
+    """A plane's ``nc.permute`` arguments (split, axes, shape) both ways, and
+    its position codes, shared read-only by every model of one geometry."""
 
-    index: np.ndarray  # [tokens, channels]: each token entry's offset in the volume
-    inverse: np.ndarray  # [T, Y, X, 2]: each volume entry's offset in the tokens
-    pos: np.ndarray  # [tokens, embed_dim]: sinusoidal position codes
+    to_tokens: tuple[tuple[int, ...], ...]  # [T, Y, X, 2] -> [tokens, channels]
+    to_volume: tuple[tuple[int, ...], ...]  # [tokens, channels] -> [T, Y, X, 2]
+    pos: np.ndarray  # [tokens, embed_dim]
 
 
-# Three planes per geometry: the tables of the last ten or so geometries stay.
+# Three planes per geometry: those of the last ten or so geometries stay.
 @functools.lru_cache(maxsize=32)
-def _plane_tables(
+def _plane_layout(
     x_dim: int, y_dim: int, t_dim: int, patch: int, embed_dim: int, plane: str
-) -> PlaneTables:
-    """Index table, inverse permutation and position codes of one plane.
-
-    ky-t and kx-t tokens are lines of re/im pairs along kx and ky; kx-ky tokens
-    are p x p (ky, kx) patches carrying every frame.
-    """
+) -> _PlaneLayout:
+    split, axes = _plane_recipe(x_dim, y_dim, t_dim, patch, plane)
     inner, outer, chan = _plane_dims(x_dim, y_dim, t_dim, patch, plane)
-    v = np.arange(t_dim * y_dim * x_dim * 2).reshape(t_dim, y_dim, x_dim, 2)
-    if plane == PLANE_KX_T:
-        v = v.transpose(0, 2, 1, 3)
-    elif plane == PLANE_KX_KY:
-        p = patch
-        v = v.transpose(1, 2, 0, 3).reshape(y_dim // p, p, x_dim // p, p, t_dim, 2)
-        v = v.transpose(0, 2, 1, 3, 4, 5)
-    index = v.reshape(inner * outer, chan)
-    order = np.arange(index.size)
-    # ``nc.permute`` trusts its tables, so the permutation is checked here,
-    # once per geometry.
-    if not np.array_equal(np.sort(index, axis=None), order):
-        raise DimensionError(f"{plane} index table is not a permutation")
-    inverse = np.empty(index.size, dtype=np.intp)
-    inverse[index.reshape(-1)] = order
-    tables = PlaneTables(
-        index, inverse.reshape(t_dim, y_dim, x_dim, 2), _plane_pos_table(inner, outer, embed_dim)
-    )
-    for arr in tables:
-        arr.setflags(write=False)
-    return tables
+    back = tuple(map(axes.index, range(len(axes))))
+    to_volume = (tuple(split[a] for a in axes), back, (t_dim, y_dim, x_dim, 2))
+    pos = _plane_pos_table(inner, outer, embed_dim)
+    pos.setflags(write=False)
+    return _PlaneLayout((split, axes, (inner * outer, chan)), to_volume, pos)
 
 
 # A parameter's (shape, init).
@@ -330,10 +324,10 @@ class KSpaceInterpolator:
             )
         return _plane_dims(c.x_dim, c.y_dim, c.t_dim, c.kirm_patch, plane)
 
-    def _tables(self, plane: str) -> PlaneTables:
+    def _layout(self, plane: str) -> _PlaneLayout:
         self._dims(plane)  # raises for a plane this model does not run
         c = self.config
-        return _plane_tables(c.x_dim, c.y_dim, c.t_dim, c.kirm_patch, c.embed_dim, plane)
+        return _plane_layout(c.x_dim, c.y_dim, c.t_dim, c.kirm_patch, c.embed_dim, plane)
 
     def plane_coords(self, plane: str) -> np.ndarray:
         inner, outer, _ = self._dims(plane)
@@ -362,6 +356,8 @@ class KSpaceInterpolator:
     # ---- tokenization ---------------------------------------------------
 
     def _check_volume(self, v: ComplexVolume) -> None:
+        if v.domain != DOMAIN_KSPACE:
+            raise DomainError(f"the model expects a k-space volume, got {v.domain}")
         c = self.config
         if (v.x_dim, v.y_dim, v.t_dim) != (c.x_dim, c.y_dim, c.t_dim):
             raise DimensionError(
@@ -370,19 +366,17 @@ class KSpaceInterpolator:
             )
 
     def _plane_raw(self, y: Tensor, plane: str) -> Tensor:
-        tables = self._tables(plane)
-        return nc.permute(y, tables.index, tables.inverse)
+        return nc.permute(y, *self._layout(plane).to_tokens)
 
     def _plane_restore(self, tokens: Tensor, plane: str) -> Tensor:
-        tables = self._tables(plane)
-        return nc.permute(tokens, tables.inverse, tables.index)
+        return nc.permute(tokens, *self._layout(plane).to_volume)
 
     def _embed(self, x: Tensor, plane: str, prefix: str) -> Tensor:
         """A [T,Y,X,2] volume as ``plane`` tokens: lifted, projected, position-coded."""
         p = self.params
         raw = self._plane_raw(x, plane) * self._token_scale
         tokens = nc.linear(raw, p[f"{prefix}.proj_in.w"], p[f"{prefix}.proj_in.b"])
-        return tokens + self._tables(plane).pos
+        return tokens + self._layout(plane).pos
 
     def _project(self, h: Tensor, plane: str, prefix: str) -> Tensor:
         """``plane`` features projected to token channels and put back as [T,Y,X,2]."""
@@ -392,8 +386,6 @@ class KSpaceInterpolator:
 
     def tokenize_kyt(self, k: ComplexVolume) -> TokenBatch:
         """Project each (ky, t) line onto an embedding and add its position code."""
-        if k.domain != DOMAIN_KSPACE:
-            raise DomainError("tokenization expects a k-space volume")
         self._check_volume(k)
         tokens = self._embed(Tensor(k.data), PLANE_KY_T, "kgin")
         return TokenBatch(tokens)
@@ -438,7 +430,7 @@ class KSpaceInterpolator:
             )
         # Grid row -> its sampled feature, or row n: the mask token.
         source = np.where(unsampled, n, np.cumsum(~unsampled) - 1)
-        codes = np.where(unsampled[:, None], self._tables(PLANE_KY_T).pos, 0.0)
+        codes = np.where(unsampled[:, None], self._layout(PLANE_KY_T).pos, 0.0)
         d = c.embed_dim
         mask_token = nc.reshape(self.params["kgin.mask_token"], (1, d))
         rows = nc.concat_rows([feats.tokens, mask_token])

@@ -18,7 +18,7 @@ overflows on finite inputs yields inf/NaN that the next boundary catches.
 
 The engine holds only the ops the model runs: ``add``, ``sub``, ``mul``,
 ``reshape``, ``concat_rows``, ``gather`` (token rows, repeats allowed),
-``permute`` (plane entries, by a table and its inverse), ``gelu``,
+``permute`` ((re, im) pairs, by a split and an axis order), ``gelu``,
 ``layernorm``, ``abs_`` and ``mean_all``, plus the fused ``linear`` and
 ``attention`` nodes that Transformer layers use, which record one tape node
 each with a hand-written backward.  Their unfused references, built from
@@ -416,24 +416,30 @@ def gather(x: Tensor, index) -> Tensor:
     return _result(data, (x,), backward)
 
 
-def permute(x: Tensor, index: np.ndarray, inverse: np.ndarray) -> Tensor:
-    """``x`` flattened and read at ``index``, a permutation of its entries.
+def _pairs(a: np.ndarray) -> np.ndarray:
+    """A real array's entries as one flat run of complex (re, im) pairs."""
+    return np.ascontiguousarray(a).reshape(-1).view(f"c{2 * a.itemsize}")
 
-    ``inverse`` is the inverse permutation in ``x``'s shape, and backward
-    reads the gradient at it: a gather both ways, where ``gather`` scatters.
-    Since -0.0 + g = g for every g, that equals ``gather``'s scatter bitwise,
-    signed zeros included.  The caller owns the permutation property (the
-    model checks its plane tables once per geometry); a call checks shapes.
+
+def permute(x: Tensor, split: tuple, axes: tuple, shape: tuple) -> Tensor:
+    """``x``'s (re, im) pairs split into ``split``, put in ``axes`` order and
+    laid out in ``shape``.
+
+    Each pair moves as one complex item: forward is one C-ordered copy of the
+    transposed view, and backward one copy of the gradient's pairs into that
+    view of a fresh buffer, so every entry, -0.0 included, lands once, as is.
     """
     x = _coerce(x)
-    if index.size != x.size or inverse.shape != x.shape:
-        raise DimensionError(
-            f"permute of {x.shape} needs {x.size} indices and an inverse of that shape"
-        )
-    data = x.data.reshape(-1)[index]
+    sizes = {2 * math.prod(split), math.prod(shape)}
+    if sizes != {x.size} or sorted(axes) != [*range(len(split))]:
+        raise DimensionError(f"permute of {x.shape} cannot move its pairs by {split}, {axes}")
+    data = _pairs(x.data).reshape(split).transpose(axes).copy().view(x.data.dtype).reshape(shape)
 
     def backward(g):
-        return (g.reshape(-1)[inverse],)
+        pairs = _pairs(g)
+        grad = np.empty(split, dtype=pairs.dtype)
+        grad.transpose(axes)[...] = pairs.reshape([split[a] for a in axes])
+        return (grad.view(g.dtype).reshape(x.shape),)
 
     return _result(data, (x,), backward)
 

@@ -333,8 +333,8 @@ def infer(
     """
     if not isinstance(model, KSpaceInterpolator):
         model = from_checkpoint(model)
-    # The forward checks extents too, but normalize would reject an all-zero
-    # input of the wrong shape first, with a less telling error.
+    # The forward checks the domain and extents too, but normalize would
+    # reject an all-zero input of the wrong shape first, less tellingly.
     model._check_volume(undersampled)
     masked, _ = apply_mask(undersampled, mask)
     normed = normalize(masked)

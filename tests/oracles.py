@@ -98,8 +98,9 @@ def softmax_lastaxis(x: Tensor) -> Tensor:
 
 def scatter_gather(x: Tensor, index) -> Tensor:
     """A flat-index gather whose backward scatters with ``np.add.at`` into
-    -0.0: the plane gather before ``numcore.permute``, which reads the
-    gradient back through the inverse table and must match it bitwise."""
+    -0.0: the plane gather before ``numcore.permute``, which transposes
+    (re, im) pairs both ways and must match it bitwise, given index tables
+    written from each plane's coordinates."""
     x = _coerce(x)
     idx = np.asarray(index, dtype=np.intp)
     data = x.data.reshape(-1)[idx]

@@ -355,6 +355,15 @@ def test_usage_errors(workspace, tmp_path, monkeypatch):
         ):
             assert main([*argv, *out]) == EXIT_USAGE, (argv[0], out)
     assert sorted(tmp_path.iterdir()) == before
+    # infer's frames directory is held to --out's rule before any work runs
+    infer_out = tmp_path / "infer_out"
+    infer_out.mkdir()
+    (infer_out / "frames").write_text("x\n")
+    assert main([
+        "infer", str(workspace["data"] / "test_000.kspace.kvol"), "--out", str(infer_out),
+        "--checkpoint", checkpoint, "--mask", str(workspace["masks"] / "mask.kmask"),
+    ]) == EXIT_USAGE
+    assert sorted(p.name for p in infer_out.iterdir()) == ["frames"]
     # phantom extents out of range, before --out is created
     for dims in ("7,8,2", "32,32,1"):
         assert main(["dataset", "--out", str(tmp_path / "D"), "--dims", dims]) == EXIT_USAGE
@@ -411,9 +420,15 @@ def test_format_errors(workspace, tmp_path):
         "--checkpoint", str(workspace["run"] / "checkpoint.kgin"),
         "--mask", str(workspace["masks"] / "mask.kmask"),
     ]) == EXIT_FORMAT
-    # a malformed manifest, or one naming a malformed volume: train's --out is not made
+    # a malformed manifest, one naming a malformed volume, or one whose k-space
+    # slot names an image-domain volume: train's --out is not made
+    image = workspace["data"] / "train_000.image.kvol"
     bad_manifest = tmp_path / "bad_manifest.txt"
-    for text in ("nonsense\n", f"train image {junk}\ntrain kspace {junk}\n"):
+    for text in (
+        "nonsense\n",
+        f"train image {junk}\ntrain kspace {junk}\n",
+        f"train image {image}\ntrain kspace {image}\n",
+    ):
         bad_manifest.write_text(text)
         out = tmp_path / "train"
         assert main([

@@ -165,7 +165,13 @@ def test_plane_helpers_reject_planes_the_model_does_not_run():
     m = KSpaceInterpolator(ModelConfig(8, 8, 2, kirm_patch=3, kirm_planes=(PLANE_KY_T,)))
     assert m._dims(PLANE_KY_T)[2] == 16
     for plane in (PLANE_KX_T, PLANE_KX_KY):
-        for helper in (m._tables, m.plane_coords):
+        helpers = (
+            m._layout,
+            m.plane_coords,
+            lambda plane: m._plane_raw(Tensor(np.zeros((2, 8, 8, 2))), plane),
+            lambda plane: m._plane_restore(Tensor(np.zeros((16, 16))), plane),
+        )
+        for helper in helpers:
             with pytest.raises(ConfigError, match=plane):
                 helper(plane)
 
@@ -180,7 +186,7 @@ def test_zero_volume_tokens_are_position_codes():
     m = KSpaceInterpolator(ModelConfig(8, 8, 2))
     z = np.zeros((8, 8, 2))
     batch = m.tokenize_kyt(oracles.xyt_volume(z, z, DOMAIN_KSPACE))
-    assert np.array_equal(batch.tokens.data, m._tables(PLANE_KY_T).pos)
+    assert np.array_equal(batch.tokens.data, m._layout(PLANE_KY_T).pos)
 
 
 def test_tokenize_recoverable_by_pseudoinverse():
@@ -190,7 +196,7 @@ def test_tokenize_recoverable_by_pseudoinverse():
     raw = volume_to_array(v).reshape(16, 16)
     batch = m.tokenize_kyt(v)
     w = m.params["kgin.proj_in.w"].data
-    lifted = batch.tokens.data - m._tables(PLANE_KY_T).pos
+    lifted = batch.tokens.data - m._layout(PLANE_KY_T).pos
     rec = (lifted @ np.linalg.pinv(w)) / m._token_scale
     assert oracles.rel_err(rec, raw) < 1e-5
 
@@ -198,7 +204,7 @@ def test_tokenize_recoverable_by_pseudoinverse():
 def test_position_table_rows_unique():
     m = KSpaceInterpolator(ModelConfig(8, 32, 8))
     for plane in (PLANE_KY_T, PLANE_KX_T, PLANE_KX_KY):
-        table = m._tables(plane).pos
+        table = m._layout(plane).pos
         assert len(np.unique(table.round(12), axis=0)) == len(table)
 
 
@@ -379,13 +385,9 @@ def test_disabled_planes_are_exact_identities():
     assert np.array_equal(s3.data, s2.data)  # kx-ky disabled
 
 
-def test_plane_token_layout():
-    """Each volume entry holds its own flat (t, y, x, c) index, so a swapped
-    but self-consistent tiling fails where a round trip would not."""
-    t_d, y_d, x_d, p = 2, 8, 4, 2
-    m = KSpaceInterpolator(ModelConfig(x_d, y_d, t_d, kirm_patch=p))
-    volume = np.arange(t_d * y_d * x_d * 2, dtype=float).reshape(t_d, y_d, x_d, 2)
-    place = {  # (token, channel) of volume entry (t, y, x, c)
+def _token_place(t_d, y_d, x_d, p):
+    """Each plane's (token, channel) of volume entry (t, y, x, c), written out."""
+    return {
         PLANE_KY_T: lambda t, y, x, c: (t * y_d + y, 2 * x + c),
         PLANE_KX_T: lambda t, y, x, c: (t * x_d + x, 2 * y + c),
         PLANE_KX_KY: lambda t, y, x, c: (
@@ -393,7 +395,15 @@ def test_plane_token_layout():
             ((y % p) * p + x % p) * t_d * 2 + 2 * t + c,
         ),
     }
-    for plane, where in place.items():
+
+
+def test_plane_token_layout():
+    """Each volume entry holds its own flat (t, y, x, c) index, so a swapped
+    but self-consistent tiling fails where a round trip would not."""
+    t_d, y_d, x_d, p = 2, 8, 4, 2
+    m = KSpaceInterpolator(ModelConfig(x_d, y_d, t_d, kirm_patch=p))
+    volume = np.arange(t_d * y_d * x_d * 2, dtype=float).reshape(t_d, y_d, x_d, 2)
+    for plane, where in _token_place(t_d, y_d, x_d, p).items():
         tokens = m._plane_raw(Tensor(volume), plane).data
         for (t, y, x, c), entry in np.ndenumerate(volume):
             assert tokens[where(t, y, x, c)] == entry, (plane, t, y, x, c)
@@ -414,15 +424,25 @@ def test_plane_raw_restore_inverse():
 def test_plane_permute_matches_scatter_gather_bitwise(plane, mode):
     """Both directions of a plane move through ``nc.permute``; its values
     and gradients equal the scatter-backed gather's bit for bit, signed
-    zeros included."""
-    m = KSpaceInterpolator(ModelConfig(8, 4, 2, kirm_patch=2))
-    tables = m._tables(plane)
+    zeros included.  The gather's index tables come from the written
+    coordinates of ``_token_place``, not from the model."""
+    t_d, y_d, x_d, p = 2, 4, 8, 2
+    m = KSpaceInterpolator(ModelConfig(x_d, y_d, t_d, kirm_patch=p))
+    where = _token_place(t_d, y_d, x_d, p)[plane]
+    shape = (t_d, y_d, x_d, 2)
+    cells = [where(*entry) for entry in np.ndindex(shape)]
+    token_shape = tuple(np.max(cells, axis=0) + 1)
+    to_volume = np.array([np.ravel_multi_index(cell, token_shape) for cell in cells])
+    assert sorted(to_volume) == list(range(len(cells)))  # the written map is a bijection
+    to_tokens = np.empty(token_shape, dtype=np.intp)
+    for offset, cell in enumerate(cells):
+        to_tokens[cell] = offset
     rng = np.random.default_rng(785)
-    volume = rng.standard_normal(tables.inverse.shape)
-    tokens = rng.standard_normal(tables.index.shape)
+    volume = rng.standard_normal(shape)
+    tokens = rng.standard_normal(token_shape)
     moves = [
-        (m._plane_raw, volume, tables.index),
-        (m._plane_restore, tokens, tables.inverse),
+        (m._plane_raw, volume, to_tokens),
+        (m._plane_restore, tokens, to_volume.reshape(shape)),
     ]
     for move, source, index in moves:
         upstream = rng.standard_normal(index.shape)
@@ -439,16 +459,16 @@ def test_plane_permute_matches_scatter_gather_bitwise(plane, mode):
         assert np.signbit(leaf.grad).any() and (leaf.grad == 0).sum() >= 2 * index.size // 5
 
 
-def test_plane_tables_are_shared_per_geometry_and_read_only():
-    # Models that differ only in what the tables do not depend on share them.
+def test_plane_layouts_are_shared_per_geometry_and_read_only():
+    # Models that differ only in what the layouts do not depend on share them.
     a = KSpaceInterpolator(ModelConfig(8, 16, 2), seed=0)
     b = KSpaceInterpolator(ModelConfig(8, 16, 2, kirm_planes=(PLANE_KX_T,), n_layers=1), seed=1)
     for plane in (PLANE_KY_T, PLANE_KX_T):
-        assert a._tables(plane) is b._tables(plane)
-        for arr in a._tables(plane):
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr.reshape(-1)[0] = 0
+        assert a._layout(plane) is b._layout(plane)
+        pos = a._layout(plane).pos
+        assert not pos.flags.writeable
+        with pytest.raises(ValueError):
+            pos.reshape(-1)[0] = 0
 
 
 # ------------------------------------------------------------------- losses

@@ -150,21 +150,30 @@ def test_gather():
     assert np.array_equal(np.signbit(leaf.grad.reshape(-1)), np.signbit(want))
 
 
-def test_permute_gradient_gathers_by_the_inverse():
+def test_permute_moves_pairs_both_ways():
     rng = np.random.default_rng(782)
-    a = rng.normal(size=(3, 4))
-    index = rng.permutation(12).reshape(6, 2)
-    inverse = np.argsort(index, axis=None).reshape(3, 4)
+    a = rng.normal(size=(2, 3, 4))
+    split, axes, shape = (2, 3, 2), (2, 0, 1), (4, 6)
     leaf = Tensor(a, requires_grad=True)
-    out = nc.permute(leaf, index, inverse)
-    assert np.array_equal(out.data, a.reshape(-1)[index])
-    weight = rng.normal(size=(6, 2))
+    out = nc.permute(leaf, split, axes, shape)
+    weight = rng.normal(size=shape)
     nc.mean_all(out * Tensor(weight)).backward()
-    assert np.array_equal(leaf.grad.reshape(-1)[index], weight * (1.0 / weight.size))
-    check_grad(lambda x: nc.mean_all(nc.permute(x, index, inverse) * Tensor(weight)), a)
-    for bad_index, bad_inverse in ((index[:5], inverse), (index, inverse.reshape(4, 3))):
+    # pair (i, j, k), entries a[i, j, 2k:2k+2], lands at pair (k, i, j) of [2, 2, 3]
+    at = {(i, j, k): 2 * ((k * 2 + i) * 3 + j) for i, j, k in np.ndindex(split)}
+    assert sorted(at.values()) == list(range(0, a.size, 2))
+    values, upstream = out.data.reshape(-1), weight.reshape(-1) * (1.0 / weight.size)
+    for (i, j, k), s in at.items():
+        assert np.array_equal(values[s : s + 2], a[i, j, 2 * k : 2 * k + 2])
+        assert np.array_equal(leaf.grad[i, j, 2 * k : 2 * k + 2], upstream[s : s + 2])
+    check_grad(lambda x: nc.mean_all(nc.permute(x, split, axes, shape) * Tensor(weight)), a)
+    for bad in (
+        ((2, 3, 3), axes, shape),  # a split of other than the pairs
+        (split, (0, 0, 1), shape),  # an axis twice
+        (split, (0, 1), shape),  # an axis left out
+        (split, axes, (5, 5)),  # a shape of another size
+    ):
         with pytest.raises(DimensionError):
-            nc.permute(Tensor(a), bad_index, bad_inverse)
+            nc.permute(Tensor(a), *bad)
 
 
 def _assert_own_gradients(leaves, others):
