@@ -25,15 +25,7 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREAD
 if not any(os.environ.get(name) for name in _BLAS_THREAD_VARS):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-from .errors import (
-    CheckpointError,
-    ConfigError,
-    DimensionError,
-    DomainError,
-    FormatError,
-    KInterpError,
-    SpecError,
-)
+from . import ConfigError, DimensionError, DomainError, FormatError, KInterpError
 from .kspace import read_volume, write_volume
 from .model import ModelConfig, full_config, tiny_config
 from .phantom import DatasetSpec, make_dataset
@@ -150,6 +142,17 @@ def _cast_out(raw) -> str:
     return raw
 
 
+def _check_output(out: str, name: str) -> None:
+    """--out's rule for a fixed output ``name`` under ``out``: a name ending in
+    "/" is a directory, held to ``_cast_out``; any other is a file, which must
+    not be a directory."""
+    path = Path(out, name)
+    if name.endswith("/"):
+        _cast_out(str(path))
+    elif path.is_dir():
+        raise ConfigError(f"output path {path} exists and is a directory")
+
+
 def _cast_float(raw) -> float:
     try:
         return float(raw)
@@ -174,10 +177,12 @@ class _Key(NamedTuple):
 
 _MODEL_FIELDS = {f.name for f in fields(ModelConfig)}
 _TRAIN_FIELDS = {f.name for f in fields(TrainConfig)} - {"model", "manifest"}
+_ECHO = "resolved_config.txt"
 
 
 class _Resolver:
-    """Cast one command's keys from flags, config file, and table defaults."""
+    """Cast one command's keys from flags, config file, and table defaults,
+    and hold each fixed output under --out to its rule before any work."""
 
     def __init__(self, command: str, args: argparse.Namespace):
         self.keys = _COMMANDS[command].keys
@@ -199,6 +204,8 @@ class _Resolver:
                 raise ConfigError(f"missing required option {key.name!r} for {command!r}")
             if value is not None:
                 self.values[key.name] = value
+        for name in (*_COMMANDS[command].writes, _ECHO):
+            _check_output(self.values["out"], name)
 
     def write_echo(self, out_dir: Path, built: dict | None = None) -> Path:
         """Echo every key in table order: as set, else as ``built`` holds it."""
@@ -209,7 +216,7 @@ class _Resolver:
             if merged.get(key.name) is not None
         ]
         out_dir.mkdir(parents=True, exist_ok=True)
-        path = out_dir / "resolved_config.txt"
+        path = out_dir / _ECHO
         path.write_text("\n".join(lines) + "\n")
         return path
 
@@ -275,14 +282,13 @@ def _cmd_infer(args) -> int:
     out, input_path, checkpoint, mask_path = (
         Path(res.values[k]) for k in ("out", "input", "checkpoint", "mask")
     )
-    frames_dir = Path(_cast_out(str(out / "frames")))  # --out's rule, before any work
     volume = read_volume(input_path)
     mask = load_mask(mask_path)
     recon = infer(checkpoint, volume, mask)
     out.mkdir(parents=True, exist_ok=True)
     recon_path = out / "recon.kvol"
     write_volume(recon.image, recon_path)
-    frames = write_pgm_frames(recon.image, frames_dir)
+    frames = write_pgm_frames(recon.image, out / "frames")
     res.write_echo(out)
     print(f"wrote {recon_path} and {len(frames)} PGM frames")
     return EXIT_OK
@@ -319,10 +325,12 @@ class _Command(NamedTuple):
     help: str
     run: Callable[[argparse.Namespace], int]
     keys: tuple[_Key, ...]
+    writes: tuple[str, ...]
 
 
-# Each command lists the keys it accepts, in echo order.  Keys that feed
-# ModelConfig or TrainConfig have no default here: they take the dataclass's.
+# Each command lists the keys it accepts, in echo order, and the fixed outputs
+# it writes into --out besides the echo.  Keys that feed ModelConfig or
+# TrainConfig have no default here: they take the dataclass's.
 _COMMANDS = {
     "dataset": _Command("generate a phantom dataset with manifest", _cmd_dataset, (
         _SEED,
@@ -330,13 +338,13 @@ _COMMANDS = {
         _Key("dims", _cast_dims, (32, 32, 8), help="volume extents X,Y,T"),
         _Key("n_train", _cast_int, 4),
         _Key("n_test", _cast_int, 2),
-    )),
+    ), writes=("manifest.txt",)),
     "mask": _Command("generate a ky-t undersampling mask", _cmd_mask, (
         _SEED,
         _OUT,
         _Key("dims", _cast_dims, (32, 32, 8), help="volume extents X,Y,T (Y and T are used)"),
         _Key("R", _cast_float, 4.0, help="nominal acceleration factor"),
-    )),
+    ), writes=("mask.kmask",)),
     "train": _Command("train an interpolation model", _cmd_train, (
         _Key("seed", _cast_seed),
         _OUT,
@@ -356,20 +364,20 @@ _COMMANDS = {
         _Key("kirm_planes", _cast_planes, flag=None),
         _Key("loss_weight_hdr", _cast_float, flag=None),
         _Key("hdr_eps", _cast_float, flag=None),
-    )),
+    ), writes=("checkpoint.kgin", "loss_log.csv")),
     "infer": _Command("reconstruct one undersampled volume", _cmd_infer, (
         _OUT,
         _Key("input", required=True, flag="positional", help="undersampled k-space .kvol"),
         _Key("checkpoint", required=True),
         _Key("mask", required=True, help="path to the .kmask sampling pattern"),
-    )),
+    ), writes=("recon.kvol", "frames/")),
     "eval": _Command("score a checkpoint on the test split", _cmd_eval, (
         _SEED,
         _OUT,
         _Key("checkpoint", required=True),
         _Key("manifest", required=True),
         _Key("R", _cast_r_list, [4.0], help="comma-separated acceleration factors"),
-    )),
+    ), writes=("report.csv", "baseline.csv")),
 }
 
 
@@ -403,7 +411,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, SpecError) as exc:
+    except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return EXIT_USAGE
     # The OS owns "a readable file is here": a missing or unreadable input, a
@@ -413,7 +421,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_MISSING_FILE
     # Every volume the CLI sees comes from a file, so a wrong domain is a
     # wrong header tag in that file.
-    except (FormatError, CheckpointError, DomainError) as exc:
+    except (FormatError, DomainError) as exc:
         print(f"error: format: {exc}", file=sys.stderr)
         return EXIT_FORMAT
     except DimensionError as exc:

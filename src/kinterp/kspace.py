@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateInputError, DimensionError, DomainError, FormatError
+from . import DegenerateInputError, DimensionError, DomainError, FormatError
 
 DOMAIN_IMAGE = "image"
 DOMAIN_KSPACE = "kspace"

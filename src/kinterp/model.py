@@ -32,14 +32,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import ConfigError, DegenerateInputError, DimensionError, DomainError, FormatError
 from . import numcore as nc
-from .errors import (
-    CheckpointError,
-    ConfigError,
-    DegenerateInputError,
-    DimensionError,
-    DomainError,
-)
 from .kspace import DOMAIN_KSPACE, ComplexVolume
 from .numcore import Tensor
 from .sampling import SamplingMask
@@ -538,12 +532,12 @@ def _unpack(fmt: str, blob: bytes, at: int, path: Path) -> tuple[tuple, int]:
     """The values of ``fmt`` at offset ``at`` in ``blob``, and the offset after them."""
     end = at + struct.calcsize(fmt)
     if end > len(blob):
-        raise CheckpointError(f"{path}: truncated checkpoint")
+        raise FormatError(f"{path}: truncated checkpoint")
     return struct.unpack_from(fmt, blob, at), end
 
 
 def load_params(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
-    """Parse a checkpoint; malformed content raises :class:`CheckpointError`.
+    """Parse a checkpoint; malformed content raises :class:`FormatError`.
 
     Each tensor's name and shape are checked against ``param_table`` of the
     embedded config before its payload is read, so a header cannot make the
@@ -558,9 +552,9 @@ def load_params(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
     blob = path.read_bytes()
     (magic, version), at = _unpack(_CKPT_HEAD.format, blob, 0, path)
     if magic != _CKPT_MAGIC:
-        raise CheckpointError(f"{path}: bad magic {magic!r}")
+        raise FormatError(f"{path}: bad magic {magic!r}")
     if version != _CKPT_VERSION:
-        raise CheckpointError(f"{path}: unsupported version {version}")
+        raise FormatError(f"{path}: unsupported version {version}")
     fields, at = _unpack(_CKPT_CONFIG.format, blob, at, path)
     try:
         config = ModelConfig(
@@ -577,13 +571,13 @@ def load_params(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
             hdr_eps=fields[10],
         )
     except ConfigError as exc:
-        raise CheckpointError(f"{path}: invalid embedded config: {exc}") from exc
+        raise FormatError(f"{path}: invalid embedded config: {exc}") from exc
     (count,), at = _unpack("<I", blob, at, path)
     if count * _CKPT_MIN_ENTRY > len(blob) - at:
-        raise CheckpointError(f"{path}: truncated checkpoint")
+        raise FormatError(f"{path}: truncated checkpoint")
     expected = dict(itertools.islice(_param_entries(config), count + 1))
     if count != len(expected):
-        raise CheckpointError(f"{path}: checkpoint tensor names do not match the model")
+        raise FormatError(f"{path}: checkpoint tensor names do not match the model")
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,), at = _unpack("<I", blob, at, path)
@@ -591,25 +585,25 @@ def load_params(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
         try:
             name = encoded.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise CheckpointError(f"{path}: tensor name is not UTF-8") from exc
+            raise FormatError(f"{path}: tensor name is not UTF-8") from exc
         # Distinct names from the table, as many as it has: every name once.
         if name not in expected or name in tensors:
-            raise CheckpointError(f"{path}: checkpoint tensor names do not match the model")
+            raise FormatError(f"{path}: checkpoint tensor names do not match the model")
         shape = expected[name][0]
         (rank,), at = _unpack("<I", blob, at, path)
         dims, at = _unpack(f"<{rank}I", blob, at, path)
         if dims != shape:
-            raise CheckpointError(f"{path}: checkpoint tensor {name} has shape {dims}")
+            raise FormatError(f"{path}: checkpoint tensor {name} has shape {dims}")
         n_values = math.prod(shape)
         if at + 4 * n_values > len(blob):
-            raise CheckpointError(f"{path}: truncated checkpoint")
+            raise FormatError(f"{path}: truncated checkpoint")
         arr = np.frombuffer(blob, dtype="<f4", count=n_values, offset=at).reshape(shape)
         if not np.isfinite(arr).all():
-            raise CheckpointError(f"{path}: checkpoint tensor {name} has non-finite values")
+            raise FormatError(f"{path}: checkpoint tensor {name} has non-finite values")
         tensors[name] = arr.copy()
         at += 4 * n_values
     if at != len(blob):
-        raise CheckpointError(f"{path}: trailing bytes after tensor table")
+        raise FormatError(f"{path}: trailing bytes after tensor table")
     return config, {name: tensors[name] for name in expected}
 
 

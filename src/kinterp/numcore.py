@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, RangeError, TrainingError
+from . import ConfigError, DimensionError, TrainingError
 
 _MODES = {"test": np.float64, "train": np.float32}
 _active_mode = "train"
@@ -682,7 +682,7 @@ def lr_at(schedule: LrSchedule, step: int) -> float:
     """Learning rate for ``step`` in [0, total_steps)."""
     total = schedule.total_steps
     if not 0 <= step < total:
-        raise RangeError(f"schedule step {step} outside [0, {total})")
+        raise ValueError(f"schedule step {step} outside [0, {total})")
     warmup = int(round(schedule.warmup_fraction * total))
     warmup = min(max(warmup, 1), total - 1)
     lo = schedule.max_lr / schedule.initial_div

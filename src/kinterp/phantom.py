@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SpecError
+from . import ConfigError
 from .kspace import ComplexVolume, DOMAIN_IMAGE, fft2, magnitude, write_volume
 
 SUPERSAMPLE = 4
@@ -47,17 +47,17 @@ class PhantomSpec:
 
 def _check_extents(x_dim: int, y_dim: int, t_dim: int) -> None:
     if min(x_dim, y_dim) < 8 or t_dim < 2:
-        raise SpecError("phantom needs X, Y >= 8 and T >= 2")
+        raise ConfigError("phantom needs X, Y >= 8 and T >= 2")
 
 
 def _validate(spec: PhantomSpec) -> None:
     if spec.seed < 0:
-        raise SpecError(f"phantom seed must be non-negative, got {spec.seed}")
+        raise ConfigError(f"phantom seed must be non-negative, got {spec.seed}")
     _check_extents(spec.x_dim, spec.y_dim, spec.t_dim)
     if not 2 <= spec.n_ellipses <= 6:
-        raise SpecError(f"n_ellipses must lie in [2, 6], got {spec.n_ellipses}")
+        raise ConfigError(f"n_ellipses must lie in [2, 6], got {spec.n_ellipses}")
     if not 0.0 <= spec.motion_amplitude <= 0.5:
-        raise SpecError(f"motion amplitude {spec.motion_amplitude} outside [0, 0.5]")
+        raise ConfigError(f"motion amplitude {spec.motion_amplitude} outside [0, 0.5]")
 
 
 def _draw_geometry(spec: PhantomSpec, rng: np.random.Generator) -> list[dict]:
@@ -84,7 +84,7 @@ def _draw_geometry(spec: PhantomSpec, rng: np.random.Generator) -> list[dict]:
         reach = max(rx, ry) * (1.0 + abs(pulse) * a_m) + a_m * move_scale
         lo, hi = _FOV_MARGIN + reach, 1.0 - _FOV_MARGIN - reach
         if lo > hi:
-            raise SpecError(
+            raise ConfigError(
                 f"ellipse {i} cannot fit in the field of view with motion "
                 f"amplitude {a_m}"
             )
@@ -130,7 +130,7 @@ def _check_in_view(params: list[dict], t: int) -> None:
     # bounds every frame's wobble plus squeezed radius: only a collapse is left.
     for i, p in enumerate(params):
         if max(p["rx"], p["ry"]) <= 0:
-            raise SpecError(f"ellipse {i} collapsed at frame {t}")
+            raise ConfigError(f"ellipse {i} collapsed at frame {t}")
 
 
 def _support_slice(center: float, half: float, n: int) -> slice:
@@ -248,9 +248,9 @@ def make_dataset(
     Returns the manifest path; lines read ``<split> <image|kspace> <filename>``.
     """
     if n_train < 1 or n_test < 0:
-        raise SpecError("dataset needs n_train >= 1 and n_test >= 0")
+        raise ConfigError("dataset needs n_train >= 1 and n_test >= 0")
     if seed < 0:
-        raise SpecError(f"dataset seed must be non-negative, got {seed}")
+        raise ConfigError(f"dataset seed must be non-negative, got {seed}")
     _check_extents(dataset_spec.x_dim, dataset_spec.y_dim, dataset_spec.t_dim)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

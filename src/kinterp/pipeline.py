@@ -12,14 +12,12 @@ from __future__ import annotations
 
 import csv
 import math
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from . import numcore as nc
-from .errors import (
+from . import (
     ConfigError,
     DegenerateInputError,
     DimensionError,
@@ -27,6 +25,7 @@ from .errors import (
     FormatError,
     TrainingError,
 )
+from . import numcore as nc
 from .kspace import (
     ComplexVolume,
     DOMAIN_IMAGE,
@@ -227,7 +226,6 @@ class TrainResult:
     checkpoint_path: Path
     log_path: Path
     losses: list[tuple[int, float, float, float, float]] = field(default_factory=list)
-    duration_seconds: float = 0.0
 
 
 def _mask_seed(seed: int, salt: int, index: int) -> int:
@@ -267,7 +265,6 @@ def train(cfg: TrainConfig, out_dir: str | Path) -> TrainResult:
     if not train_pairs:
         raise FormatError(f"manifest {cfg.manifest} has no train sequences")
 
-    started = time.monotonic()
     with nc.use_mode("train"):
         model = KSpaceInterpolator(cfg.model, seed=cfg.seed)
         volumes = [read_volume(k_path) for _, k_path in train_pairs]
@@ -305,7 +302,7 @@ def train(cfg: TrainConfig, out_dir: str | Path) -> TrainResult:
         r for r in rows if r[0] % cfg.log_interval == 0 or r[0] == cfg.steps - 1
     ]
     write_loss_csv(logged, log_path)
-    return TrainResult(checkpoint_path, log_path, rows, time.monotonic() - started)
+    return TrainResult(checkpoint_path, log_path, rows)
 
 
 # ---- inference ----------------------------------------------------------------

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, FormatError, SpecError
+from . import ConfigError, DimensionError, DomainError, FormatError
 from .kspace import DOMAIN_KSPACE, ComplexVolume
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -40,9 +40,9 @@ class SamplingMask:
         if self.bits.ndim != 2:
             raise DimensionError("mask bits must be a 2D (Y, T) array")
         if not np.all((self.bits == 0) | (self.bits == 1)):
-            raise SpecError("mask bits must be 0 or 1")
+            raise ConfigError("mask bits must be 0 or 1")
         if not (np.isfinite(self.r_nominal) and self.r_nominal > 0):
-            raise SpecError(f"nominal acceleration must be positive, got {self.r_nominal}")
+            raise ConfigError(f"nominal acceleration must be positive, got {self.r_nominal}")
 
     @property
     def keep(self) -> np.ndarray:
@@ -66,22 +66,22 @@ def center_band(y_dim: int) -> np.ndarray:
 
 
 def check_mask_spec(y_dim: int, t_dim: int, r_nominal: float) -> None:
-    """Raise :class:`SpecError` unless a (Y, T) mask at acceleration R can be drawn."""
+    """Raise :class:`ConfigError` unless a (Y, T) mask at acceleration R can be drawn."""
     if y_dim < 8:
-        raise SpecError(f"mask generation needs Y >= 8, got {y_dim}")
+        raise ConfigError(f"mask generation needs Y >= 8, got {y_dim}")
     if t_dim < 1:
-        raise SpecError(f"mask generation needs T >= 1, got {t_dim}")
+        raise ConfigError(f"mask generation needs T >= 1, got {t_dim}")
     if not r_nominal > 1:
-        raise SpecError(f"acceleration R must exceed 1, got {r_nominal}")
+        raise ConfigError(f"acceleration R must exceed 1, got {r_nominal}")
     if r_nominal > y_dim:
-        raise SpecError(f"acceleration R={r_nominal} cannot exceed Y={y_dim}")
+        raise ConfigError(f"acceleration R={r_nominal} cannot exceed Y={y_dim}")
 
 
 def generate_mask(y_dim: int, t_dim: int, r_nominal: float, seed: int) -> SamplingMask:
     """Draw a deterministic variable-density ky-t mask for acceleration R."""
     check_mask_spec(y_dim, t_dim, r_nominal)
     if seed < 0:
-        raise SpecError(f"mask seed must be non-negative, got {seed}")
+        raise ConfigError(f"mask seed must be non-negative, got {seed}")
     lines_per_frame = max(1, round(y_dim / r_nominal))
     center = y_dim // 2
     band = center_band(y_dim)

@@ -11,6 +11,7 @@ that is busy with anything else.
 """
 
 import os
+import time
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
@@ -72,7 +73,9 @@ def overfit_run(dataset_manifests, tmp_path_factory):
         seed=0,
         max_lr=1e-4,
     )
-    return {"config": cfg, "result": train(cfg, out)}
+    started = time.monotonic()
+    result = train(cfg, out)
+    return {"config": cfg, "result": result, "seconds": time.monotonic() - started}
 
 
 @pytest.fixture(scope="session")

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from kinterp import numcore as nc
-from kinterp.errors import DimensionError
+from kinterp import DimensionError
 from kinterp.kspace import ComplexVolume
 from kinterp.model import l1_loss
 from kinterp.numcore import Tensor, _coerce, _result, _unbroadcast

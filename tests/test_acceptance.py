@@ -306,7 +306,7 @@ def test_criterion_4_mask_properties():
 @records(5, "single-sequence overfit")
 def test_criterion_5_overfit(overfit_run, dataset_manifests):
     result = overfit_run["result"]
-    assert result.duration_seconds < 300.0
+    assert overfit_run["seconds"] < 300.0
     first_total = result.losses[0][4]
     last_total = result.losses[-1][4]
     assert last_total < 0.5 * first_total, (

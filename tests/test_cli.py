@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import kinterp
 from kinterp import cli
 from kinterp import numcore as nc
 from kinterp.cli import (
@@ -16,6 +17,7 @@ from kinterp.cli import (
     EXIT_FORMAT,
     EXIT_MISSING_FILE,
     EXIT_OK,
+    EXIT_RUNTIME,
     EXIT_USAGE,
     main,
 )
@@ -364,6 +366,21 @@ def test_usage_errors(workspace, tmp_path, monkeypatch):
         "--checkpoint", checkpoint, "--mask", str(workspace["masks"] / "mask.kmask"),
     ]) == EXIT_USAGE
     assert sorted(p.name for p in infer_out.iterdir()) == ["frames"]
+    # a directory at a fixed output name, before any work runs or anything is written
+    volume = str(workspace["data"] / "test_000.kspace.kvol")
+    mask = str(workspace["masks"] / "mask.kmask")
+    for argv, name in (
+        (["dataset", "--n-train", "1", "--n-test", "1"], "manifest.txt"),
+        (["mask", "--dims", "16,16,2"], "resolved_config.txt"),
+        (["train", "--tiny", "--manifest", manifest, "--steps", "2"], "checkpoint.kgin"),
+        (["infer", volume, "--checkpoint", checkpoint, "--mask", mask], "recon.kvol"),
+        (["eval", "--checkpoint", checkpoint, "--manifest", manifest], "report.csv"),
+    ):
+        blocked = tmp_path / f"blocked_{argv[0]}"
+        (blocked / name).mkdir(parents=True)
+        assert main([*argv, "--out", str(blocked)]) == EXIT_USAGE, argv[0]
+        assert [p.name for p in blocked.iterdir()] == [name], argv[0]
+        assert not any((blocked / name).iterdir()), argv[0]
     # phantom extents out of range, before --out is created
     for dims in ("7,8,2", "32,32,1"):
         assert main(["dataset", "--out", str(tmp_path / "D"), "--dims", dims]) == EXIT_USAGE
@@ -531,6 +548,36 @@ def test_dimension_errors(workspace, tmp_path):
         "--checkpoint", str(workspace["run"] / "checkpoint.kgin"),
         "--mask", str(big / "mask.kmask"),
     ]) == EXIT_DIMENSION
+
+
+# The exit-code contract: each exported error class, and each OS error the CLI
+# reports as a missing file, with its exit code and stderr kind.
+EXIT_CONTRACT = {
+    kinterp.ConfigError: (EXIT_USAGE, "config"),
+    kinterp.FormatError: (EXIT_FORMAT, "format"),
+    kinterp.DomainError: (EXIT_FORMAT, "format"),
+    kinterp.DimensionError: (EXIT_DIMENSION, "dimension"),
+    kinterp.DegenerateInputError: (EXIT_RUNTIME, "runtime"),
+    kinterp.TrainingError: (EXIT_RUNTIME, "runtime"),
+    kinterp.KInterpError: (EXIT_RUNTIME, "runtime"),
+    FileNotFoundError: (EXIT_MISSING_FILE, "missing-file"),
+    PermissionError: (EXIT_MISSING_FILE, "missing-file"),
+    IsADirectoryError: (EXIT_MISSING_FILE, "missing-file"),
+    NotADirectoryError: (EXIT_MISSING_FILE, "missing-file"),
+}
+
+
+def test_every_error_maps_to_its_exit_code(tmp_path, monkeypatch, capsys):
+    exported = {getattr(kinterp, name) for name in kinterp.__all__ if name != "__version__"}
+    assert exported <= EXIT_CONTRACT.keys(), "every exported class needs a row"
+    for exc_type, (code, kind) in EXIT_CONTRACT.items():
+        def fail(*args, exc_type=exc_type):
+            raise exc_type("probe")
+
+        monkeypatch.setattr(cli, "generate_mask", fail)
+        assert main(["mask", "--out", str(tmp_path / "m")]) == code, exc_type.__name__
+        assert capsys.readouterr().err == f"error: {kind}: probe\n", exc_type.__name__
+    assert not (tmp_path / "m").exists()
 
 
 def test_error_messages_reach_stderr(tmp_path, capsys):

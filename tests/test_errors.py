@@ -1,8 +1,9 @@
 """The error taxonomy carries no dead classes.
 
-Every class in ``errors.py`` other than the ``KInterpError`` base is raised
-somewhere in the package, and the package's top level exports exactly those
-classes and ``__version__``, without loading NumPy.
+The package's ``__init__.py`` defines the error classes; every one other than
+the ``KInterpError`` base is raised somewhere in the package, and the top
+level exports exactly those classes and ``__version__``, without loading
+NumPy.
 """
 
 import ast
@@ -16,7 +17,7 @@ PACKAGE = Path(kinterp.__file__).parent
 
 
 def _error_classes() -> set[str]:
-    tree = ast.parse((PACKAGE / "errors.py").read_text())
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
     return {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from kinterp.errors import DegenerateInputError, DimensionError, DomainError, FormatError
+from kinterp import DegenerateInputError, DimensionError, DomainError, FormatError
 from kinterp.kspace import (
     DOMAIN_IMAGE,
     DOMAIN_KSPACE,

@@ -19,12 +19,12 @@ from hypothesis.extra.numpy import arrays
 
 import oracles
 from kinterp import numcore as nc
-from kinterp.errors import (
-    CheckpointError,
+from kinterp import (
     ConfigError,
     DegenerateInputError,
     DimensionError,
     DomainError,
+    FormatError,
 )
 from kinterp.kspace import DOMAIN_IMAGE, DOMAIN_KSPACE, normalize
 from kinterp.model import (
@@ -626,23 +626,23 @@ def test_checkpoint_rejects_malformed(tmp_path):
 
     bad = tmp_path / "bad.kgin"
     bad.write_bytes(b"XXXX" + blob[4:])
-    with pytest.raises(CheckpointError):
+    with pytest.raises(FormatError):
         load_params(bad)
     bad.write_bytes(blob[: len(blob) // 2])
-    with pytest.raises(CheckpointError):
+    with pytest.raises(FormatError):
         load_params(bad)
     bad.write_bytes(blob + b"\x00")
-    with pytest.raises(CheckpointError):
+    with pytest.raises(FormatError):
         load_params(bad)
     at = blob.index(b"kgin.proj_in.w")
     bad.write_bytes(blob[:at] + b"\xff" + blob[at + 1 :])  # tensor name not UTF-8
-    with pytest.raises(CheckpointError):
+    with pytest.raises(FormatError):
         load_params(bad)
     at += len(b"kgin.proj_in.w")
     (rank,) = struct.unpack_from("<I", blob, at)
     huge = struct.pack("<4I", 3, 2**20, 2**20, 2**24)  # 2**64 values: 0 in int64
     bad.write_bytes(blob[:at] + huge + blob[at + 4 + 4 * rank :])
-    with pytest.raises(CheckpointError):
+    with pytest.raises(FormatError):
         load_params(bad)
     at = blob.index(b"kgin.proj_out.b") + len(b"kgin.proj_out.b")
     (rank,) = struct.unpack_from("<I", blob, at)
@@ -650,19 +650,19 @@ def test_checkpoint_rejects_malformed(tmp_path):
     for value in (np.nan, np.inf, -np.inf):  # named at load, not blamed on a volume later
         stored = np.array([value], dtype="<f4").tobytes()
         bad.write_bytes(blob[:payload] + stored + blob[payload + 4 :])
-        with pytest.raises(CheckpointError, match="kgin.proj_out.b"):
+        with pytest.raises(FormatError, match="kgin.proj_out.b"):
             load_params(bad)
     eps_at = 8 + 9 * 4 + 8  # magic, version, nine integers, loss_weight_hdr
     for eps in (math.nan, math.inf):
         bad.write_bytes(blob[:eps_at] + struct.pack("<d", eps) + blob[eps_at + 8 :])
-        with pytest.raises(CheckpointError, match="hdr_eps"):
+        with pytest.raises(FormatError, match="hdr_eps"):
             load_params(bad)
     # one tensor stored twice in place of another: the count still matches
     first, second, third = (
         blob.index(name) - 4 for name in (b"kgin.proj_in.b", b"kgin.mask_token", b"kgin.enc.0.")
     )
     bad.write_bytes(blob[:second] + blob[first:second] + blob[third:])
-    with pytest.raises(CheckpointError):
+    with pytest.raises(FormatError):
         load_params(bad)
 
 
@@ -744,21 +744,21 @@ def test_from_checkpoint_checks_tensors_before_building(tmp_path, monkeypatch):
 
     monkeypatch.setattr(KSpaceInterpolator, "__init__", never_built)
     for bad in (empty, swapped):
-        with pytest.raises(CheckpointError):
+        with pytest.raises(FormatError):
             from_checkpoint(bad)
 
 
 # Loads a checkpoint in a child whose address space is capped once its imports
-# are done; exit 0 means the loader raised CheckpointError.
+# are done; exit 0 means the loader raised FormatError.
 _CAPPED_LOAD = """
 import resource, sys
-from kinterp.errors import CheckpointError
+from kinterp import FormatError
 from kinterp.model import load_params
 _, hard = resource.getrlimit(resource.RLIMIT_AS)
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, hard))
 try:
     load_params(sys.argv[1])
-except CheckpointError:
+except FormatError:
     sys.exit(0)
 sys.exit(1)
 """

@@ -13,12 +13,7 @@ from hypothesis import example, given, strategies as st
 
 import oracles
 from kinterp import numcore as nc
-from kinterp.errors import (
-    ConfigError,
-    DimensionError,
-    RangeError,
-    TrainingError,
-)
+from kinterp import ConfigError, DimensionError, TrainingError
 from kinterp.numcore import (
     LrSchedule,
     OptimizerState,
@@ -748,9 +743,9 @@ def test_schedule_boundaries():
 
 def test_schedule_out_of_range():
     sched = LrSchedule(max_lr=1e-4, total_steps=10)
-    with pytest.raises(RangeError):
+    with pytest.raises(ValueError):
         lr_at(sched, 10)
-    with pytest.raises(RangeError):
+    with pytest.raises(ValueError):
         lr_at(sched, -1)
 
 

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from kinterp import phantom
-from kinterp.errors import SpecError
+from kinterp import ConfigError
 from kinterp.kspace import DOMAIN_IMAGE, fft2, magnitude, read_volume
 from kinterp.phantom import DatasetSpec, PhantomSpec, generate, make_dataset
 
@@ -62,24 +62,24 @@ def test_spectrum_is_low_frequency_dominated():
 
 
 def test_validation():
-    with pytest.raises(SpecError):
+    with pytest.raises(ConfigError):
         generate(PhantomSpec(4, 32, 2, seed=0))
-    with pytest.raises(SpecError):
+    with pytest.raises(ConfigError):
         generate(PhantomSpec(32, 32, 1, seed=0))
-    with pytest.raises(SpecError):
+    with pytest.raises(ConfigError):
         generate(PhantomSpec(32, 32, 2, seed=0, n_ellipses=1))
-    with pytest.raises(SpecError):
+    with pytest.raises(ConfigError):
         generate(PhantomSpec(32, 32, 2, seed=0, n_ellipses=7))
-    with pytest.raises(SpecError):
+    with pytest.raises(ConfigError):
         generate(PhantomSpec(32, 32, 2, seed=0, motion_amplitude=0.6))
-    with pytest.raises(SpecError):
+    with pytest.raises(ConfigError):
         generate(PhantomSpec(32, 32, 2, seed=0, motion_amplitude=-0.1))
-    with pytest.raises(SpecError, match="seed"):
+    with pytest.raises(ConfigError, match="seed"):
         generate(PhantomSpec(32, 32, 2, seed=-1))
 
 
 def test_fov_rejection_at_extreme_amplitude():
-    with pytest.raises(SpecError, match="field of view"):
+    with pytest.raises(ConfigError, match="field of view"):
         generate(PhantomSpec(32, 32, 2, seed=0, motion_amplitude=0.5))
 
 
@@ -128,7 +128,7 @@ def test_support_box_render_matches_full_grid_bitwise(xx, yy, params, edge, seed
 def _generate_or_error(spec):
     try:
         return generate(spec).data.tobytes()
-    except SpecError as exc:
+    except ConfigError as exc:
         return repr(exc)
 
 
@@ -201,13 +201,13 @@ def test_make_dataset_determinism(tmp_path):
 
 
 def test_make_dataset_validation(tmp_path):
-    with pytest.raises(SpecError):
+    with pytest.raises(ConfigError):
         make_dataset(tmp_path, 0, 1, DatasetSpec(16, 16, 2), seed=0)
-    with pytest.raises(SpecError):
+    with pytest.raises(ConfigError):
         make_dataset(tmp_path, 1, -1, DatasetSpec(16, 16, 2), seed=0)
-    with pytest.raises(SpecError, match="seed"):  # before anything is written
+    with pytest.raises(ConfigError, match="seed"):  # before anything is written
         make_dataset(tmp_path / "data", 1, 1, DatasetSpec(16, 16, 2), seed=-1)
     for dims in ((7, 8, 2), (8, 7, 2), (32, 32, 1)):  # and so are the extents
-        with pytest.raises(SpecError, match="X, Y >= 8 and T >= 2"):
+        with pytest.raises(ConfigError, match="X, Y >= 8 and T >= 2"):
             make_dataset(tmp_path / "data", 1, 1, DatasetSpec(*dims), seed=0)
     assert not (tmp_path / "data").exists()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from kinterp.errors import DimensionError, DomainError, FormatError, SpecError
+from kinterp import ConfigError, DimensionError, DomainError, FormatError
 from kinterp.kspace import DOMAIN_IMAGE, DOMAIN_KSPACE
 from kinterp.sampling import (
     SamplingMask,
@@ -76,17 +76,17 @@ def test_generate_mask_determinism():
 
 
 def test_generate_mask_validation():
-    with pytest.raises(SpecError):
+    with pytest.raises(ConfigError):
         generate_mask(32, 8, 1.0, seed=0)  # R must exceed 1
-    with pytest.raises(SpecError):
+    with pytest.raises(ConfigError):
         generate_mask(32, 8, 0.5, seed=0)
-    with pytest.raises(SpecError):
+    with pytest.raises(ConfigError):
         generate_mask(32, 8, 33.0, seed=0)  # R cannot exceed Y
-    with pytest.raises(SpecError):
+    with pytest.raises(ConfigError):
         generate_mask(4, 8, 2.0, seed=0)  # Y too small
-    with pytest.raises(SpecError):
+    with pytest.raises(ConfigError):
         generate_mask(32, 0, 2.0, seed=0)
-    with pytest.raises(SpecError, match="seed"):
+    with pytest.raises(ConfigError, match="seed"):
         generate_mask(32, 8, 4.0, seed=-1)
 
 
@@ -123,9 +123,9 @@ def test_frames_differ():
 def test_mask_validation():
     with pytest.raises(DimensionError):
         SamplingMask(np.zeros((4, 4, 4)), 2.0)
-    with pytest.raises(SpecError):
+    with pytest.raises(ConfigError):
         SamplingMask(np.full((8, 2), 2), 2.0)
-    with pytest.raises(SpecError):
+    with pytest.raises(ConfigError):
         SamplingMask(np.zeros((8, 2)), 0.0)
 
 

@@ -6,9 +6,10 @@ or property of those classes, is referenced somewhere in the package, in
 name counts when it is imported by name, read as an attribute of its module
 (``nc.attention``) or used as a bare name in its own module; a method or
 property counts by attribute name.  Tests do not count: a name that only
-tests reach belongs in ``tests/oracles.py``.  The package's own
-``__init__.py`` does not count either: a re-export is not a use.  Dunder
-methods and ``cli.main``, the console entry point, are exempt.
+tests reach belongs in ``tests/oracles.py``.  The top level counts as module
+``__init__``, whose names ``from . import X`` and ``from kinterp import X``
+import.  Dunder methods and ``cli.main``, the console entry point, are
+exempt.
 """
 
 import ast
@@ -43,9 +44,10 @@ def _references(tree: ast.AST, module: str | None, aliases: dict[str, str]) -> C
             refs["attr", node.attr] += 1
             if isinstance(node.value, ast.Name) and node.value.id in aliases:
                 refs["module-attr", aliases[node.value.id], node.attr] += 1
-        elif isinstance(node, ast.ImportFrom) and node.module is not None:
+        elif isinstance(node, ast.ImportFrom):
+            source = (node.module or "kinterp").split(".")[-1]
             for alias in node.names:
-                refs["import", node.module.split(".")[-1], alias.name] += 1
+                refs["import", "__init__" if source == "kinterp" else source, alias.name] += 1
         elif isinstance(node, ast.Name) and module is not None:
             refs["bare", module, node.id] += 1
     return refs
@@ -65,12 +67,7 @@ def _definitions(tree: ast.Module):
 
 
 def test_every_public_name_is_reached_by_the_program():
-    files = [
-        path
-        for folder in CALLERS
-        for path in sorted(folder.glob("*.py"))
-        if path != PACKAGE / "__init__.py"
-    ]
+    files = [path for folder in CALLERS for path in sorted(folder.glob("*.py"))]
     trees = {path: ast.parse(path.read_text()) for path in files}
     modules = {path.stem for path in files if path.parent == PACKAGE}
     refs = Counter()
