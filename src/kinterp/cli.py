@@ -19,7 +19,7 @@ import os
 import sys
 from dataclasses import fields
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 if not any(os.environ.get(name) for name in _BLAS_THREAD_VARS):
@@ -28,10 +28,11 @@ if not any(os.environ.get(name) for name in _BLAS_THREAD_VARS):
 from . import ConfigError, DimensionError, DomainError, FormatError, KInterpError
 from .kspace import read_volume, write_volume
 from .model import ModelConfig, full_config, tiny_config
-from .phantom import DatasetSpec, make_dataset
+from .phantom import DatasetSpec, make_dataset, volume_names
 from .pipeline import (
     TrainConfig,
     evaluate,
+    frame_name,
     infer,
     load_manifest,
     train,
@@ -182,7 +183,7 @@ _ECHO = "resolved_config.txt"
 
 class _Resolver:
     """Cast one command's keys from flags, config file, and table defaults,
-    and hold each fixed output under --out to its rule before any work."""
+    and hold each output name under --out to its rule before any work."""
 
     def __init__(self, command: str, args: argparse.Namespace):
         self.keys = _COMMANDS[command].keys
@@ -204,7 +205,7 @@ class _Resolver:
                 raise ConfigError(f"missing required option {key.name!r} for {command!r}")
             if value is not None:
                 self.values[key.name] = value
-        for name in (*_COMMANDS[command].writes, _ECHO):
+        for name in (*_COMMANDS[command].writes(self.values), _ECHO):
             _check_output(self.values["out"], name)
 
     def write_echo(self, out_dir: Path, built: dict | None = None) -> Path:
@@ -283,6 +284,8 @@ def _cmd_infer(args) -> int:
         Path(res.values[k]) for k in ("out", "input", "checkpoint", "mask")
     )
     volume = read_volume(input_path)
+    for t in range(volume.t_dim):
+        _check_output(str(out), f"frames/{frame_name(t)}")
     mask = load_mask(mask_path)
     recon = infer(checkpoint, volume, mask)
     out.mkdir(parents=True, exist_ok=True)
@@ -325,12 +328,20 @@ class _Command(NamedTuple):
     help: str
     run: Callable[[argparse.Namespace], int]
     keys: tuple[_Key, ...]
-    writes: tuple[str, ...]
+    writes: Callable[[dict], Iterable[str]]
 
 
-# Each command lists the keys it accepts, in echo order, and the fixed outputs
-# it writes into --out besides the echo.  Keys that feed ModelConfig or
-# TrainConfig have no default here: they take the dataclass's.
+def _dataset_writes(values: dict) -> Iterable[str]:
+    yield "manifest.txt"
+    for split in ("train", "test"):
+        for i in range(values[f"n_{split}"]):
+            yield from volume_names(split, i)
+
+
+# Each command lists the keys it accepts, in echo order, and the names it
+# writes into --out besides the echo, given its resolved values.  Keys that
+# feed ModelConfig or TrainConfig have no default here: they take the
+# dataclass's.
 _COMMANDS = {
     "dataset": _Command("generate a phantom dataset with manifest", _cmd_dataset, (
         _SEED,
@@ -338,13 +349,13 @@ _COMMANDS = {
         _Key("dims", _cast_dims, (32, 32, 8), help="volume extents X,Y,T"),
         _Key("n_train", _cast_int, 4),
         _Key("n_test", _cast_int, 2),
-    ), writes=("manifest.txt",)),
+    ), writes=_dataset_writes),
     "mask": _Command("generate a ky-t undersampling mask", _cmd_mask, (
         _SEED,
         _OUT,
         _Key("dims", _cast_dims, (32, 32, 8), help="volume extents X,Y,T (Y and T are used)"),
         _Key("R", _cast_float, 4.0, help="nominal acceleration factor"),
-    ), writes=("mask.kmask",)),
+    ), writes=lambda v: ("mask.kmask",)),
     "train": _Command("train an interpolation model", _cmd_train, (
         _Key("seed", _cast_seed),
         _OUT,
@@ -364,20 +375,20 @@ _COMMANDS = {
         _Key("kirm_planes", _cast_planes, flag=None),
         _Key("loss_weight_hdr", _cast_float, flag=None),
         _Key("hdr_eps", _cast_float, flag=None),
-    ), writes=("checkpoint.kgin", "loss_log.csv")),
+    ), writes=lambda v: ("checkpoint.kgin", "loss_log.csv")),
     "infer": _Command("reconstruct one undersampled volume", _cmd_infer, (
         _OUT,
         _Key("input", required=True, flag="positional", help="undersampled k-space .kvol"),
         _Key("checkpoint", required=True),
         _Key("mask", required=True, help="path to the .kmask sampling pattern"),
-    ), writes=("recon.kvol", "frames/")),
+    ), writes=lambda v: ("recon.kvol", "frames/")),
     "eval": _Command("score a checkpoint on the test split", _cmd_eval, (
         _SEED,
         _OUT,
         _Key("checkpoint", required=True),
         _Key("manifest", required=True),
         _Key("R", _cast_r_list, [4.0], help="comma-separated acceleration factors"),
-    ), writes=("report.csv", "baseline.csv")),
+    ), writes=lambda v: ("report.csv", "baseline.csv")),
 }
 
 

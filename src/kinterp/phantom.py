@@ -234,6 +234,12 @@ def _float32_quantize(v: ComplexVolume) -> ComplexVolume:
     return ComplexVolume(v.data.astype(np.float32).astype(np.float64), v.domain, v.scale)
 
 
+def volume_names(split: str, index: int) -> tuple[str, str]:
+    """The image and k-space ``.kvol`` file names of one dataset sequence."""
+    stem = f"{split}_{index:03d}"
+    return f"{stem}.image.kvol", f"{stem}.kspace.kvol"
+
+
 def make_dataset(
     out_dir: str | Path,
     n_train: int,
@@ -273,8 +279,7 @@ def make_dataset(
             image = ComplexVolume(image.data / peak, DOMAIN_IMAGE, 1.0)
             image = _float32_quantize(image)
             kvol = fft2(image)
-            image_name = f"{split}_{i:03d}.image.kvol"
-            kspace_name = f"{split}_{i:03d}.kspace.kvol"
+            image_name, kspace_name = volume_names(split, i)
             write_volume(image, out_dir / image_name)
             write_volume(kvol, out_dir / kspace_name)
             lines.append(f"{split} image {image_name}")

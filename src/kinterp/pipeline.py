@@ -218,7 +218,6 @@ class TrainConfig:
     warmup_fraction: float = LrSchedule.warmup_fraction
     initial_div: float = LrSchedule.initial_div
     final_div: float = LrSchedule.final_div
-    log_interval: int = 1
 
 
 @dataclass
@@ -247,8 +246,6 @@ def train(cfg: TrainConfig, out_dir: str | Path) -> TrainResult:
     """
     if cfg.steps < 1:
         raise ConfigError(f"training needs steps >= 1, got {cfg.steps}")
-    if cfg.log_interval < 1:
-        raise ConfigError(f"log interval must be >= 1, got {cfg.log_interval}")
     if cfg.seed < 0:
         raise ConfigError(f"training seed must be non-negative, got {cfg.seed}")
     check_mask_spec(cfg.model.y_dim, cfg.model.t_dim, cfg.r_train)
@@ -298,10 +295,7 @@ def train(cfg: TrainConfig, out_dir: str | Path) -> TrainResult:
         checkpoint_path = out_dir / "checkpoint.kgin"
         save_params(model, checkpoint_path)
     log_path = out_dir / "loss_log.csv"
-    logged = [
-        r for r in rows if r[0] % cfg.log_interval == 0 or r[0] == cfg.steps - 1
-    ]
-    write_loss_csv(logged, log_path)
+    write_loss_csv(rows, log_path)
     return TrainResult(checkpoint_path, log_path, rows)
 
 
@@ -452,6 +446,11 @@ def write_report_csv(reports: list[ReconReport], path: str | Path) -> None:
 # ---- frame export ----------------------------------------------------------------
 
 
+def frame_name(t: int) -> str:
+    """The PGM file name of frame ``t``."""
+    return f"frame_{t:03d}.pgm"
+
+
 def write_pgm_frames(volume: ComplexVolume, out_dir: str | Path) -> list[Path]:
     """Write each frame's magnitude as an 8-bit binary PGM, min-max scaled."""
     out_dir = Path(out_dir)
@@ -467,7 +466,7 @@ def write_pgm_frames(volume: ComplexVolume, out_dir: str | Path) -> list[Path]:
             scaled = np.zeros_like(frame)
         # PGM raster is row-major top to bottom; emit y as rows.
         raster = scaled.astype(np.uint8).T
-        path = out_dir / f"frame_{t:03d}.pgm"
+        path = out_dir / frame_name(t)
         with open(path, "wb") as fh:
             fh.write(f"P5\n{raster.shape[1]} {raster.shape[0]}\n255\n".encode())
             fh.write(raster.tobytes())

@@ -101,6 +101,14 @@ def test_infer_artifacts(workspace, tmp_path, capsys):
     assert recon.domain == "image"
     assert len(list((out / "frames").glob("*.pgm"))) == 2
     assert "recon.kvol" in capsys.readouterr().out
+    # infer masks its own input, so the fully sampled volume gives the same bytes
+    full = tmp_path / "recon_full"
+    assert main([
+        "infer", str(data / "test_000.kspace.kvol"), "--out", str(full),
+        "--checkpoint", str(run / "checkpoint.kgin"),
+        "--mask", str(masks / "mask.kmask"),
+    ]) == EXIT_OK
+    assert (full / "recon.kvol").read_bytes() == (out / "recon.kvol").read_bytes()
 
 
 def test_infer_computes_in_float32_by_default(workspace, tmp_path):
@@ -366,21 +374,25 @@ def test_usage_errors(workspace, tmp_path, monkeypatch):
         "--checkpoint", checkpoint, "--mask", str(workspace["masks"] / "mask.kmask"),
     ]) == EXIT_USAGE
     assert sorted(p.name for p in infer_out.iterdir()) == ["frames"]
-    # a directory at a fixed output name, before any work runs or anything is written
+    # a directory at an output name, before any work runs or anything is written
     volume = str(workspace["data"] / "test_000.kspace.kvol")
     mask = str(workspace["masks"] / "mask.kmask")
     for argv, name in (
         (["dataset", "--n-train", "1", "--n-test", "1"], "manifest.txt"),
+        (["dataset", "--n-train", "2", "--n-test", "1"], "train_000.kspace.kvol"),
+        (["dataset", "--n-train", "2", "--n-test", "1"], "test_000.kspace.kvol"),
         (["mask", "--dims", "16,16,2"], "resolved_config.txt"),
         (["train", "--tiny", "--manifest", manifest, "--steps", "2"], "checkpoint.kgin"),
         (["infer", volume, "--checkpoint", checkpoint, "--mask", mask], "recon.kvol"),
+        (["infer", volume, "--checkpoint", checkpoint, "--mask", mask],
+         "frames/frame_001.pgm"),
         (["eval", "--checkpoint", checkpoint, "--manifest", manifest], "report.csv"),
     ):
-        blocked = tmp_path / f"blocked_{argv[0]}"
+        blocked = tmp_path / f"blocked_{argv[0]}_{name.replace('/', '_')}"
         (blocked / name).mkdir(parents=True)
-        assert main([*argv, "--out", str(blocked)]) == EXIT_USAGE, argv[0]
-        assert [p.name for p in blocked.iterdir()] == [name], argv[0]
-        assert not any((blocked / name).iterdir()), argv[0]
+        assert main([*argv, "--out", str(blocked)]) == EXIT_USAGE, name
+        assert [p.name for p in blocked.iterdir()] == [name.split("/")[0]], name
+        assert not any((blocked / name).iterdir()), name
     # phantom extents out of range, before --out is created
     for dims in ("7,8,2", "32,32,1"):
         assert main(["dataset", "--out", str(tmp_path / "D"), "--dims", dims]) == EXIT_USAGE

@@ -223,8 +223,6 @@ def test_train_validation(small_root):
     with pytest.raises(ConfigError):
         train(TrainConfig(**{**good.__dict__, "steps": 0}), "unused")
     with pytest.raises(ConfigError):
-        train(TrainConfig(**{**good.__dict__, "log_interval": 0}), "unused")
-    with pytest.raises(ConfigError):
         train(TrainConfig(**{**good.__dict__, "r_train": 1.0}), "unused")
     with pytest.raises(ConfigError, match="seed"):
         train(TrainConfig(**{**good.__dict__, "seed": -1}), "unused")
@@ -326,21 +324,6 @@ def test_adam_buffers_reach_every_holder_of_a_parameter(small_root):
     # One step moves an entry by a few lr at most; the stale values are 10 away.
     assert not np.array_equal(shared.data, rebound)
     assert np.abs(shared.data - rebound).max() < 1e-2
-
-
-def test_train_log_interval_subsets_csv(small_root, tmp_path):
-    cfg = TrainConfig(
-        model=tiny_config(16, 16, 2),
-        manifest=small_root["manifest"],
-        steps=6,
-        seed=0,
-        log_interval=4,
-    )
-    result = train(cfg, tmp_path / "out")
-    assert len(result.losses) == 6  # the in-memory record is never thinned
-    lines = result.log_path.read_text().splitlines()
-    steps = [int(line.split(",")[0]) for line in lines[1:]]
-    assert steps == [0, 4, 5]  # multiples of the interval plus the final step
 
 
 def test_train_rejects_non_finite_loss(small_root, tmp_path, monkeypatch):
@@ -585,14 +568,29 @@ def test_desk_run_smoke(tmp_path, capsys):
     spec = importlib.util.spec_from_file_location("desk_run", script)
     desk_run = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(desk_run)
+    out = tmp_path / "desk"
     assert desk_run.main([
-        "--out", str(tmp_path), "--dims", "16,16,2",
+        "--out", str(out), "--dims", "16,16,2",
         "--n-train", "1", "--n-test", "1", "--steps", "2",
     ]) == 0
-    for name in ("report.csv", "baseline.csv", "mask.kmask"):
-        assert (tmp_path / name).is_file()
-    for name in ("reference", "zero_filled", "recon"):
-        assert (tmp_path / "frames" / name).is_dir()
+    phases = {"dataset": "data", "train": "run", "eval": "scores", "mask": "mask",
+              "infer": "recon"}
+    assert sorted(p.name for p in out.iterdir()) == sorted(phases.values())
+    for directory in phases.values():
+        assert (out / directory / "resolved_config.txt").is_file(), directory
+    for name in ("scores/report.csv", "scores/baseline.csv", "mask/mask.kmask"):
+        assert (out / name).is_file(), name
+    for name in ("frames", "reference", "zero_filled"):
+        assert len(list((out / "recon" / name).glob("*.pgm"))) == 2, name
     printed = capsys.readouterr().out
-    for phase in ("dataset", "training", "scoring"):  # each phase's wall time
-        assert re.search(rf"^ +{phase} took \d+\.\ds$", printed, re.MULTILINE), phase
+    for phase in phases:  # one wall-time line per phase
+        found = re.findall(rf"^ +{phase} took \d+\.\ds$", printed, re.MULTILINE)
+        assert len(found) == 1, phase
+    assert re.search(r"^loss \d+\.\d{4} -> \d+\.\d{4}$", printed, re.MULTILINE)
+    # A failed phase ends the run with its command's exit code and message.
+    failed = tmp_path / "failed"
+    assert desk_run.main(["--out", str(failed), "--dims", "7,7,2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: config: phantom needs X, Y >= 8 and T >= 2\n"
+    assert "[2/5]" not in captured.out
+    assert not failed.exists()
