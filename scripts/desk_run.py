@@ -5,7 +5,8 @@ Runs ``kinterp dataset``, ``train --tiny``, ``eval --R 4,6,8``, ``mask`` and
 ``--out`` with its own ``resolved_config.txt``, and prints each phase's wall
 time.  Beside ``infer``'s frames it writes the reference and zero-filled
 frames for eyeballing.  A failed phase ends the run with that command's exit
-code, after the command's one-line ``error:`` message.
+code, after the command's one-line ``error:`` message; an ``--n-test`` below
+1, which ``eval`` would reject only after training, exits 2 before any phase.
 
     python3 scripts/desk_run.py --out /tmp/desk --steps 800 --n-train 16
 """
@@ -37,6 +38,10 @@ def parse_args(argv):
 
 def main(argv=None):
     args = parse_args(argv)
+    if args.n_test < 1:  # eval would find no test sequence, after training in full
+        print("error: config: --n-test must be at least 1: eval scores the test split",
+              file=sys.stderr)
+        return cli.EXIT_USAGE
     out = args.out
     manifest = out / "data" / "manifest.txt"
     checkpoint = out / "run" / "checkpoint.kgin"

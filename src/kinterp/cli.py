@@ -109,6 +109,10 @@ def _cast_r_list(raw: str) -> list[float]:
         raise ConfigError(f"bad acceleration list {raw!r}") from exc
     if not values:
         raise ConfigError("acceleration list is empty")
+    # Report rows are keyed by R alone, so a repeat would make two that no
+    # reader tells apart.
+    if len(set(values)) != len(values):
+        raise ConfigError(f"acceleration list {raw!r} repeats a value")
     return values
 
 

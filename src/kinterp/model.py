@@ -220,6 +220,15 @@ def _plane_layout(
 _Entry = tuple[tuple[int, ...], str]
 
 
+# A layer's parameters, by name under its prefix, in the order the two
+# sublayer nodes take them.
+_ATTENTION_SUBLAYER = (
+    "ln1.gain", "ln1.bias", "attn.wq", "attn.bq", "attn.wk", "attn.bk",
+    "attn.wv", "attn.bv", "attn.wo", "attn.bo",
+)
+_MLP_SUBLAYER = ("ln2.gain", "ln2.bias", "mlp.w1", "mlp.b1", "mlp.w2", "mlp.b2")
+
+
 def _stack_entries(c: ModelConfig, prefix: str) -> Iterator[tuple[str, _Entry]]:
     d, hidden = c.embed_dim, c.embed_dim * c.mlp_ratio
     for i in range(c.n_layers):
@@ -330,21 +339,14 @@ class KSpaceInterpolator:
 
     # ---- transformer plumbing ------------------------------------------
 
-    def _attention(self, h: Tensor, base: str) -> Tensor:
-        p = self.params
-        q, k, v = (nc.linear(h, p[f"{base}.attn.w{c}"], p[f"{base}.attn.b{c}"]) for c in "qkv")
-        out = nc.attention(q, k, v, self.config.n_heads)
-        return nc.linear(out, p[f"{base}.attn.wo"], p[f"{base}.attn.bo"])
-
     def _stack(self, x: Tensor, prefix: str) -> Tensor:
         p = self.params
         for i in range(self.config.n_layers):
             base = f"{prefix}.{i}"
-            h = nc.layernorm(x, p[f"{base}.ln1.gain"], p[f"{base}.ln1.bias"])
-            x = x + self._attention(h, base)
-            h = nc.layernorm(x, p[f"{base}.ln2.gain"], p[f"{base}.ln2.bias"])
-            u = nc.gelu(nc.linear(h, p[f"{base}.mlp.w1"], p[f"{base}.mlp.b1"]))
-            x = x + nc.linear(u, p[f"{base}.mlp.w2"], p[f"{base}.mlp.b2"])
+            attn = [p[f"{base}.{name}"] for name in _ATTENTION_SUBLAYER]
+            mlp = [p[f"{base}.{name}"] for name in _MLP_SUBLAYER]
+            x = nc.attention_sublayer(x, *attn, heads=self.config.n_heads)
+            x = nc.mlp_sublayer(x, *mlp)
         return nc.layernorm(x, p[f"{prefix}.norm.gain"], p[f"{prefix}.norm.bias"])
 
     # ---- tokenization ---------------------------------------------------

@@ -18,16 +18,26 @@ overflows on finite inputs yields inf/NaN that the next boundary catches.
 
 The engine holds only the ops the model runs: ``add``, ``sub``, ``mul``,
 ``reshape``, ``concat_rows``, ``gather`` (token rows, repeats allowed),
-``permute`` ((re, im) pairs, by a split and an axis order), ``gelu``,
-``layernorm``, ``abs_`` and ``mean_all``, plus the fused ``linear`` and
-``attention`` nodes that Transformer layers use, which record one tape node
-each with a hand-written backward.  Their unfused references, built from
-``matmul``, ``transpose`` and ``softmax_lastaxis`` nodes, live with the test
-oracles in ``tests/oracles.py``, as do the earlier bodies that ``gelu``,
-``layernorm`` and ``attention`` must match bitwise.  Each op runs only the
-passes and allocations its result needs, in the order of its written
-expression.
-``attention`` runs its query rows in chunks of at most ``ATTENTION_BLOCK``
+``permute`` ((re, im) pairs, by a split and an axis order), ``linear``,
+``layernorm``, ``abs_`` and ``mean_all``, plus one node per pre-LN
+Transformer sublayer: ``attention_sublayer`` (layernorm, the q, k and v
+linears, attention, the output linear and the residual add) and
+``mlp_sublayer`` (layernorm, linear, gelu, linear and the residual add).
+linear, layernorm, gelu and attention each have one body (``_linear``,
+``_layernorm``, ``_gelu``, ``_attention``) on arrays, returning the output
+and a backward closure that keeps what backward needs; the single-op nodes
+and both sublayer nodes are built from these bodies.  So a sublayer node
+keeps only what its bodies' closures keep (layernorm's normalized input and
+1 / sigma, each linear's input, attention's scaled q, k, v and kept chunk or
+log-sum-exp, gelu's input and tanh), not the outputs that the tape of single
+ops held, such as q and the output linear's result.  The composition of
+single ops that each sublayer must match bitwise, and the gelu and attention
+nodes it uses, live with the test oracles in ``tests/oracles.py``, as do the
+unfused references built from ``matmul``, ``transpose`` and
+``softmax_lastaxis`` nodes and the earlier bodies that gelu, layernorm and
+attention must match bitwise.  Each op runs only the passes and allocations
+its result needs, in the order of its written expression.
+Attention runs its query rows in chunks of at most ``ATTENTION_BLOCK``
 score entries, with the scale folded into q and no divide over the scores.
 It keeps the first chunk's probabilities for backward when that chunk fits
 one block, and for every other chunk only its rows' log-sum-exp, from which
@@ -38,12 +48,13 @@ and each ``adam_step`` packs the gradients and updates every parameter in one
 pass.
 
 An op's backward closure returns one gradient per operand, in operand order,
-each a view of the incoming gradient ``g`` or an array the op made for that
-operand alone.  ``Tensor.backward`` is the one place a gradient lands: it
-skips operands that record none, stores a first gradient that may share
-memory with ``g`` as a C-ordered copy (the node or another operand still
-holds that memory), takes any other first gradient over, and adds later
-ones in place.
+each a view of the incoming gradient ``g``, an array the op made for that
+operand alone, or None for an operand that records none (``add``, ``sub``,
+``mul`` and ``linear`` form no product for one).  ``Tensor.backward`` is the
+one place a gradient lands: it skips operands that record none, stores a
+first gradient that may share memory with ``g`` as a C-ordered copy (the
+node or another operand still holds that memory), takes any other first
+gradient over, and adds later ones in place.
 """
 
 from __future__ import annotations
@@ -215,7 +226,10 @@ def add(a, b) -> Tensor:
     data = a.data + b.data
 
     def backward(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return (
+            _unbroadcast(g, a.shape) if a.requires_grad else None,
+            _unbroadcast(g, b.shape) if b.requires_grad else None,
+        )
 
     return _result(data, (a, b), backward)
 
@@ -225,7 +239,10 @@ def sub(a, b) -> Tensor:
     data = a.data - b.data
 
     def backward(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return (
+            _unbroadcast(g, a.shape) if a.requires_grad else None,
+            _unbroadcast(-g, b.shape) if b.requires_grad else None,
+        )
 
     return _result(data, (a, b), backward)
 
@@ -235,29 +252,43 @@ def mul(a, b) -> Tensor:
     data = a.data * b.data
 
     def backward(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return (
+            _unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+            _unbroadcast(g * a.data, b.shape) if b.requires_grad else None,
+        )
 
     return _result(data, (a, b), backward)
 
 
-def linear(x, w, b) -> Tensor:
-    """``x @ w + b`` for [n, d_in] rows as one node."""
-    x, w, b = _coerce(x), _coerce(w), _coerce(b)
-    if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]:
+# The bodies of linear, attention, gelu and layernorm take and return arrays:
+# the output and a backward closure that keeps what it needs and maps the
+# incoming gradient to one gradient per operand.  The single-op nodes and the
+# two sublayer nodes below are built from them.
+
+
+def _linear(x: np.ndarray, w: np.ndarray, b: np.ndarray):
+    """``x @ w + b`` for [n, d_in] rows.  Backward takes which operands want
+    a gradient (all by default) and returns None for the others."""
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
         raise DimensionError(f"linear needs [n, d_in] @ [d_in, d_out], got {x.shape} @ {w.shape}")
     if b.shape != (w.shape[1],):
         raise DimensionError(f"linear bias {b.shape} does not match {w.shape[1]} outputs")
-    data = x.data @ w.data
-    data += b.data
+    data = x @ w
+    data += b
 
-    def backward(g):
-        return g @ w.data.T, x.data.T @ g, g.sum(axis=0)
+    def backward(g, wants=(True, True, True)):
+        want_x, want_w, want_b = wants
+        return (
+            g @ w.T if want_x else None,
+            x.T @ g if want_w else None,
+            g.sum(axis=0) if want_b else None,
+        )
 
-    return _result(data, (x, w, b), backward)
+    return data, backward
 
 
-def attention(q, k, v, heads: int) -> Tensor:
-    """Multi-head scaled dot-product attention over [n, d] rows, as one node.
+def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int):
+    """Multi-head scaled dot-product attention over [n, d] rows.
 
     Splits d into ``heads`` slices, computes softmax(q k^T / sqrt(d/heads)) v
     per head and merges the heads back to [n, d].  The scale multiplies q once
@@ -266,16 +297,15 @@ def attention(q, k, v, heads: int) -> Tensor:
     Query rows run in chunks of at most ``ATTENTION_BLOCK`` score entries,
     each against every key, so each row's softmax is exact.  When ``heads * n
     <= ATTENTION_BLOCK`` the first ``ATTENTION_BLOCK // (heads * n)`` rows
-    form the first chunk, which the node keeps, normalized, for backward; the
-    whole map is one kept chunk only when ``heads * n * n <= ATTENTION_BLOCK``.
-    Every other chunk keeps only its rows' log-sum-exp L, and backward
-    recomputes its probabilities P as exp(q k^T - L): one matmul and two
-    passes, into a buffer every recomputed chunk reuses, as every chunk's dP
-    reuses another.  Backward applies the scale once, to dq.  Under
-    ``no_grad`` nothing is kept.
+    form the first chunk, which backward keeps, normalized; the whole map is
+    one kept chunk only when ``heads * n * n <= ATTENTION_BLOCK``.  Every
+    other chunk keeps only its rows' log-sum-exp L, and backward recomputes
+    its probabilities P as exp(q k^T - L): one matmul and two passes, into a
+    buffer every recomputed chunk reuses, as every chunk's dP reuses another.
+    Backward applies the scale once, to dq, and returns dk as a column-major
+    view.  Under ``no_grad`` nothing is kept.
     """
-    q, k, v = _coerce(q), _coerce(k), _coerce(v)
-    if q.data.ndim != 2 or q.shape != k.shape or q.shape != v.shape:
+    if q.ndim != 2 or q.shape != k.shape or q.shape != v.shape:
         raise DimensionError(
             f"attention needs equal [n, d] q/k/v, got {q.shape}, {k.shape}, {v.shape}"
         )
@@ -286,7 +316,7 @@ def attention(q, k, v, heads: int) -> Tensor:
         raise DimensionError(f"attention width {d} not divisible by {heads} heads")
     dh = d // heads
     # A float64 scalar would promote the float32 scores to float64.
-    scale = q.data.dtype.type(1.0 / math.sqrt(dh))
+    scale = q.dtype.type(1.0 / math.sqrt(dh))
     rows = max(1, ATTENTION_BLOCK // (heads * n))
     spans = [(s, min(s + rows, n)) for s in range(0, n, rows)]
 
@@ -296,12 +326,12 @@ def attention(q, k, v, heads: int) -> Tensor:
     def merge(a):
         return a.transpose(1, 0, 2).reshape(n, d)
 
-    qs, kh, vh = split(q.data * scale), split(k.data), split(v.data)
+    qs, kh, vh = split(q * scale), split(k), split(v)
     kt = kh.transpose(0, 2, 1)
 
-    data = np.empty((n, d), dtype=q.data.dtype)
+    data = np.empty((n, d), dtype=q.dtype)
     kept = None
-    lse = np.empty((heads, n, 1), dtype=q.data.dtype)
+    lse = np.empty((heads, n, 1), dtype=q.dtype)
     for s, e in spans:
         p = qs[:, s:e] @ kt
         m = p.max(axis=-1, keepdims=True)
@@ -367,7 +397,173 @@ def attention(q, k, v, heads: int) -> Tensor:
         dq *= scale
         return dq, merge(dkt.transpose(0, 2, 1)), merge(dv)
 
-    return _result(data, (q, k, v), backward)
+    return data, backward
+
+
+def _gelu(v: np.ndarray):
+    """GELU with the tanh approximation.
+
+    Each expression runs in its written order, in place on three buffers;
+    ``empty_like`` allocates them, since arithmetic on a 0-d array would
+    return a scalar.  Backward keeps only ``v`` and the tanh.
+    """
+    # t = tanh(_GELU_C * (v + 0.044715 * (v * v * v)))
+    t = np.multiply(v, v, out=np.empty_like(v))
+    t *= v
+    t *= 0.044715
+    t += v
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    # data = 0.5 * v * (1.0 + t)
+    data = np.multiply(v, 0.5, out=np.empty_like(v))
+    data *= np.add(t, 1.0, out=np.empty_like(v))
+
+    def backward(g):
+        # d_inner = _GELU_C * (1.0 + 3 * 0.044715 * v**2)
+        d_inner = np.multiply(v, v, out=np.empty_like(v))
+        d_inner *= 3 * 0.044715
+        d_inner += 1.0
+        d_inner *= _GELU_C
+        # local = 0.5 * (1.0 + t) + 0.5 * v * (1.0 - t**2) * d_inner
+        slope = np.multiply(t, t, out=np.empty_like(v))
+        np.subtract(1.0, slope, out=slope)
+        local = np.multiply(v, 0.5, out=np.empty_like(v))
+        local *= slope
+        local *= d_inner
+        np.add(t, 1.0, out=slope)
+        slope *= 0.5
+        slope += local
+        slope *= g
+        return (slope,)
+
+    return data, backward
+
+
+def _layernorm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
+    """Normalize the last axis to zero mean / unit variance, then affine-map it.
+
+    The variance is the sequence ``np.var`` runs (sum, divide, subtract,
+    square, sum, divide) with the subtraction kept as the normalized input,
+    so one subtract and one sum are saved and the bits are ``np.var``'s.
+    Backward keeps the normalized input and 1 / sigma.
+    """
+    dim = x.shape[-1] if x.ndim else 0
+    if dim < 1:
+        raise DimensionError("layernorm needs a non-empty last axis")
+    if gain.shape != (dim,) or bias.shape != (dim,):
+        raise DimensionError("layernorm gain/bias must match the last axis extent")
+    mu = x.mean(axis=-1, keepdims=True)
+    xhat = x - mu
+    data = np.square(xhat)  # the squares first, then the output
+    inv = data.sum(axis=-1, keepdims=True)
+    inv /= dim
+    # inv = 1.0 / sqrt(var + eps)
+    inv += LAYERNORM_EPS
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    np.multiply(xhat, gain, out=data)
+    data += bias
+
+    def backward(g):
+        gy = g * gain
+        scratch = gy * xhat
+        m1 = gy.mean(axis=-1, keepdims=True)
+        m2 = scratch.mean(axis=-1, keepdims=True)
+        # dx = ((gy - m1) - xhat * m2) * inv
+        gy -= m1
+        gy -= np.multiply(xhat, m2, out=scratch)
+        gy *= inv
+        axes = tuple(range(g.ndim - 1))
+        return gy, np.multiply(g, xhat, out=scratch).sum(axis=axes), g.sum(axis=axes)
+
+    return data, backward
+
+
+def linear(x, w, b) -> Tensor:
+    """``x @ w + b`` for [n, d_in] rows as one node.  An operand that records
+    no gradient gets no product in backward."""
+    parents = x, w, b = _coerce(x), _coerce(w), _coerce(b)
+    data, grads = _linear(x.data, w.data, b.data)
+
+    def backward(g):
+        return grads(g, [p.requires_grad for p in parents])
+
+    return _result(data, parents, backward)
+
+
+def layernorm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    x, gain, bias = _coerce(x), _coerce(gain), _coerce(bias)
+    data, backward = _layernorm(x.data, gain.data, bias.data)
+    return _result(data, (x, gain, bias), backward)
+
+
+def attention_sublayer(x, gain, bias, wq, bq, wk, bk, wv, bv, wo, bo, heads: int) -> Tensor:
+    """A pre-LN attention sublayer as one node: with ``h = layernorm(x, gain,
+    bias)`` and ``q, k, v`` its three linears, ``x + linear(attention(q, k,
+    v), wo, bo)``.
+
+    The op bodies run in that order.  Backward keeps the layernorm's
+    normalized input and 1 / sigma, ``h``, what attention keeps and its
+    output; not q (attention keeps it scaled) nor wo's output.  It copies
+    the q/k/v gradients C-ordered, as the tape stored them, and sums h's
+    three gradients as ``(q + k) + v``, the tape's order, so every gradient
+    is bitwise the composition's.
+    """
+    parents = tuple(_coerce(t) for t in (x, gain, bias, wq, bq, wk, bk, wv, bv, wo, bo))
+    x, gain, bias, wq, bq, wk, bk, wv, bv, wo, bo = (t.data for t in parents)
+    h, ln_grads = _layernorm(x, gain, bias)
+    q, q_grads = _linear(h, wq, bq)
+    k, k_grads = _linear(h, wk, bk)
+    v, v_grads = _linear(h, wv, bv)
+    a, attention_grads = _attention(q, k, v, heads)
+    data, o_grads = _linear(a, wo, bo)
+    if data.shape != x.shape:
+        raise DimensionError(f"sublayer output {data.shape} does not match its input {x.shape}")
+    data += x  # the residual's two terms commute
+
+    def backward(g):
+        da, dwo, dbo = o_grads(g)
+        dq, dk, dv = (np.ascontiguousarray(d) for d in attention_grads(da))
+        dh, dwq, dbq = q_grads(dq)
+        dh_k, dwk, dbk = k_grads(dk)
+        dh += dh_k
+        dh_v, dwv, dbv = v_grads(dv)
+        dh += dh_v
+        dx, dgain, dbias = ln_grads(dh)
+        dx += g
+        return dx, dgain, dbias, dwq, dbq, dwk, dbk, dwv, dbv, dwo, dbo
+
+    return _result(data, parents, backward)
+
+
+def mlp_sublayer(x, gain, bias, w1, b1, w2, b2) -> Tensor:
+    """A pre-LN MLP sublayer as one node: with ``h = layernorm(x, gain,
+    bias)``, ``x + linear(gelu(linear(h, w1, b1)), w2, b2)``.
+
+    The op bodies run in that order.  Backward keeps the layernorm's
+    normalized input and 1 / sigma, ``h``, w1's output, the tanh and the
+    gelu output; not w2's output.
+    """
+    parents = tuple(_coerce(t) for t in (x, gain, bias, w1, b1, w2, b2))
+    x, gain, bias, w1, b1, w2, b2 = (t.data for t in parents)
+    h, ln_grads = _layernorm(x, gain, bias)
+    u, up_grads = _linear(h, w1, b1)
+    u, gelu_grads = _gelu(u)
+    data, down_grads = _linear(u, w2, b2)
+    if data.shape != x.shape:
+        raise DimensionError(f"sublayer output {data.shape} does not match its input {x.shape}")
+    data += x  # the residual's two terms commute
+
+    def backward(g):
+        du, dw2, db2 = down_grads(g)
+        (du,) = gelu_grads(du)
+        dh, dw1, db1 = up_grads(du)
+        dx, dgain, dbias = ln_grads(dh)
+        dx += g
+        return dx, dgain, dbias, dw1, db1, dw2, db2
+
+    return _result(data, parents, backward)
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -442,88 +638,6 @@ def permute(x: Tensor, split: tuple, axes: tuple, shape: tuple) -> Tensor:
         return (grad.view(g.dtype).reshape(x.shape),)
 
     return _result(data, (x,), backward)
-
-
-def gelu(x: Tensor) -> Tensor:
-    """GELU with the tanh approximation.
-
-    Each expression runs in its written order, in place on three buffers;
-    ``empty_like`` allocates them, since arithmetic on a 0-d array would
-    return a scalar.  Backward keeps only ``x`` and the tanh.
-    """
-    x = _coerce(x)
-    v = x.data
-    # t = tanh(_GELU_C * (v + 0.044715 * (v * v * v)))
-    t = np.multiply(v, v, out=np.empty_like(v))
-    t *= v
-    t *= 0.044715
-    t += v
-    t *= _GELU_C
-    np.tanh(t, out=t)
-    # data = 0.5 * v * (1.0 + t)
-    data = np.multiply(v, 0.5, out=np.empty_like(v))
-    data *= np.add(t, 1.0, out=np.empty_like(v))
-
-    def backward(g):
-        # d_inner = _GELU_C * (1.0 + 3 * 0.044715 * v**2)
-        d_inner = np.multiply(v, v, out=np.empty_like(v))
-        d_inner *= 3 * 0.044715
-        d_inner += 1.0
-        d_inner *= _GELU_C
-        # local = 0.5 * (1.0 + t) + 0.5 * v * (1.0 - t**2) * d_inner
-        slope = np.multiply(t, t, out=np.empty_like(v))
-        np.subtract(1.0, slope, out=slope)
-        local = np.multiply(v, 0.5, out=np.empty_like(v))
-        local *= slope
-        local *= d_inner
-        np.add(t, 1.0, out=slope)
-        slope *= 0.5
-        slope += local
-        slope *= g
-        return (slope,)
-
-    return _result(data, (x,), backward)
-
-
-def layernorm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine-map it.
-
-    The variance is the sequence ``np.var`` runs (sum, divide, subtract,
-    square, sum, divide) with the subtraction kept as the normalized input,
-    so one subtract and one sum are saved and the bits are ``np.var``'s.
-    """
-    x, gain, bias = _coerce(x), _coerce(gain), _coerce(bias)
-    dim = x.shape[-1] if x.data.ndim else 0
-    if dim < 1:
-        raise DimensionError("layernorm needs a non-empty last axis")
-    if gain.shape != (dim,) or bias.shape != (dim,):
-        raise DimensionError("layernorm gain/bias must match the last axis extent")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xhat = x.data - mu
-    data = np.square(xhat)  # the squares first, then the output
-    inv = data.sum(axis=-1, keepdims=True)
-    inv /= dim
-    # inv = 1.0 / sqrt(var + eps)
-    inv += LAYERNORM_EPS
-    np.sqrt(inv, out=inv)
-    np.divide(1.0, inv, out=inv)
-    xhat *= inv
-    np.multiply(xhat, gain.data, out=data)
-    data += bias.data
-
-    def backward(g):
-        gy = g * gain.data
-        scratch = gy * xhat
-        m1 = gy.mean(axis=-1, keepdims=True)
-        m2 = scratch.mean(axis=-1, keepdims=True)
-        # dx = ((gy - m1) - xhat * m2) * inv
-        gy -= m1
-        gy -= np.multiply(xhat, m2, out=scratch)
-        gy *= inv
-        axes = tuple(range(g.ndim - 1))
-        return gy, np.multiply(g, xhat, out=scratch).sum(axis=axes), g.sum(axis=axes)
-
-    return _result(data, (x, gain, bias), backward)
 
 
 def abs_(x: Tensor) -> Tensor:

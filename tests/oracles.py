@@ -12,12 +12,16 @@ those ops, ``matmul``, ``transpose`` and ``softmax_lastaxis``, serve only as
 such references, so they live here rather than in the engine; they build
 tape nodes from numcore's own ``_coerce``, ``_result`` and ``_unbroadcast``,
 and their backward closures return one gradient per operand, as the
-engine's do.  ``reference_gelu``, ``reference_layernorm``,
-``reference_attention`` and ``scatter_gather`` are the engine's earlier
-bodies of ``gelu``, ``layernorm``, ``attention`` and the plane gather: one
-temporary per expression, a fresh array per attention chunk and a scatter
-for backward.  The engine's in-place ops, reused buffers and ``permute``
-must match them bitwise.
+engine's do.  ``composed_attention_sublayer`` and ``composed_mlp_sublayer``
+are the model's layers as the single-op nodes they recorded before
+numcore's two sublayer nodes, which must match them bitwise; ``gelu`` and
+``attention`` are nodes built from numcore's bodies of those ops, which
+only these compositions and the tests run.  ``reference_gelu``,
+``reference_layernorm``, ``reference_attention`` and ``scatter_gather`` are
+the engine's earlier bodies of gelu, layernorm, attention and the plane
+gather: one temporary per expression, a fresh array per attention chunk and
+a scatter for backward.  The engine's in-place ops, reused buffers and
+``permute`` must match them bitwise.
 ``frozen_hdr_loss`` and ``frozen_total_loss`` are the model's losses with
 the HDR denominators held at values captured once (``hdr_denominators``),
 the objective whose finite differences the loss's stop-gradient must match.
@@ -211,6 +215,37 @@ def reference_attention(q, k, v, heads: int) -> Tensor:
         return dq, merge(dkt.transpose(0, 2, 1)), merge(dv)
 
     return _result(data, (q, k, v), backward)
+
+
+def gelu(x: Tensor) -> Tensor:
+    """``numcore``'s gelu body as a node of its own: the model runs it only
+    inside the MLP sublayer."""
+    x = _coerce(x)
+    data, backward = nc._gelu(x.data)
+    return _result(data, (x,), backward)
+
+
+def attention(q, k, v, heads: int) -> Tensor:
+    """``numcore``'s attention body as a node of its own: the model runs it
+    only inside the attention sublayer."""
+    q, k, v = _coerce(q), _coerce(k), _coerce(v)
+    data, backward = nc._attention(q.data, k.data, v.data, heads)
+    return _result(data, (q, k, v), backward)
+
+
+def composed_attention_sublayer(x, gain, bias, wq, bq, wk, bk, wv, bv, wo, bo, heads: int):
+    """``numcore.attention_sublayer`` as the layernorm, linear, attention and
+    add nodes the model's layers recorded before it."""
+    h = nc.layernorm(x, gain, bias)
+    q, k, v = (nc.linear(h, w, b) for w, b in ((wq, bq), (wk, bk), (wv, bv)))
+    return x + nc.linear(attention(q, k, v, heads), wo, bo)
+
+
+def composed_mlp_sublayer(x, gain, bias, w1, b1, w2, b2):
+    """``numcore.mlp_sublayer`` as the layernorm, linear, gelu and add nodes
+    the model's layers recorded before it."""
+    h = nc.layernorm(x, gain, bias)
+    return x + nc.linear(gelu(nc.linear(h, w1, b1)), w2, b2)
 
 
 def unfused_linear(x, w, b):

@@ -120,6 +120,15 @@ def test_criterion_1_gradient_suite():
     # every entry of a 2 x 4 operand once, then entry 3 twice more
     gather_index = np.concatenate([gather_rng.permutation(8), [3, 3]]).reshape(2, 5)
     permute_rng = np.random.default_rng(781)
+    sublayer_rng = np.random.default_rng(782)
+    sublayer_draw = lambda *shape: sublayer_rng.normal(size=shape)
+    # gain, bias, then (w, b) for q, k, v and the output; gain, bias, w1, b1, w2, b2
+    attention_params = [sublayer_draw(*s) for s in [(4,), (4,)] + [(4, 4), (4,)] * 4]
+    # The key bias shifts all of a query's scores by one amount, which the
+    # softmax cancels: its gradient is zero, which no relative check can
+    # hold rounding to, so it stays a constant here.
+    key_bias = Tensor(attention_params.pop(5))
+    mlp_params = [sublayer_draw(*s) for s in [(4,), (4,), (4, 8), (8,), (8, 4), (4,)]]
     per_op = {
         "add": (lambda a, b: nc.mean_all((a + b) * (a + b)), [draw(3, 4), draw(4)]),
         "sub": (lambda a, b: nc.mean_all((a - b) * (a - b)), [draw(3, 4), draw(3, 4)]),
@@ -151,7 +160,7 @@ def test_criterion_1_gradient_suite():
             lambda a, w: nc.mean_all(nc.permute(a, (2, 3, 2), (2, 0, 1), (4, 6)) * w),
             [permute_rng.normal(size=(2, 3, 4)), permute_rng.normal(size=(4, 6))],
         ),
-        "gelu": (lambda a: nc.mean_all(nc.gelu(a) * nc.gelu(a)), [draw(4, 4)]),
+        "gelu": (lambda a: nc.mean_all(oracles.gelu(a) * oracles.gelu(a)), [draw(4, 4)]),
         "layernorm": (
             lambda a, g, b: nc.mean_all(nc.layernorm(a, g, b) * nc.layernorm(a, g, b)),
             [draw(3, 6), draw(6), draw(6)],
@@ -165,16 +174,26 @@ def test_criterion_1_gradient_suite():
             [fused_draw(3, 4), fused_draw(4, 2), fused_draw(2)],
         ),
         "attention": (
-            lambda q, k, v, w: nc.mean_all(nc.attention(q, k, v, 2) * w),
+            lambda q, k, v, w: nc.mean_all(oracles.attention(q, k, v, 2) * w),
             [fused_draw(5, 4), fused_draw(5, 4), fused_draw(5, 4), fused_draw(5, 4)],
         ),
         # 2 heads x 7 rows: chunks of 2 + 2 + 2 + 1 query rows, only the
         # first kept by the 28-entry block, the rest recomputed in backward
         "attention (chunked)": (
             _with_attention_block(
-                28, lambda q, k, v, w: nc.mean_all(nc.attention(q, k, v, 2) * w)
+                28, lambda q, k, v, w: nc.mean_all(oracles.attention(q, k, v, 2) * w)
             ),
             [chunked_draw(7, 4) for _ in range(4)],
+        ),
+        "attention_sublayer": (
+            lambda x, w, *p: nc.mean_all(
+                nc.attention_sublayer(x, *p[:5], key_bias, *p[5:], heads=2) * w
+            ),
+            [sublayer_draw(5, 4), sublayer_draw(5, 4), *attention_params],
+        ),
+        "mlp_sublayer": (
+            lambda x, w, *p: nc.mean_all(nc.mlp_sublayer(x, *p) * w),
+            [sublayer_draw(5, 4), sublayer_draw(5, 4), *mlp_params],
         ),
         "abs": (lambda a: nc.mean_all(nc.abs_(a) * nc.abs_(a)), [safe]),
         "mean_all": (lambda a: nc.mean_all(a * a), [draw(7)]),

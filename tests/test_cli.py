@@ -160,6 +160,22 @@ def test_eval_artifacts(workspace, tmp_path, capsys):
     assert "zero-filled psnr=" in stdout
 
 
+def test_eval_rejects_a_repeated_acceleration(workspace, tmp_path, capsys):
+    """Report rows are keyed by R, so a repeat, in any spelling, exits 2
+    with nothing written."""
+    out = tmp_path / "eval"
+    for r_list in ("4,4", "4,4.0", "2,4,2.00"):
+        code = main([
+            "eval", "--out", str(out),
+            "--checkpoint", str(workspace["run"] / "checkpoint.kgin"),
+            "--manifest", str(workspace["data"] / "manifest.txt"),
+            "--R", r_list,
+        ])
+        assert code == EXIT_USAGE, r_list
+        assert f"acceleration list '{r_list}' repeats a value" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_workflow_at_an_extent_that_is_not_a_power_of_two(tmp_path):
     """24x20x4: every command runs, and the frames keep the volume's extent."""
     data, run, masks = tmp_path / "data", tmp_path / "run", tmp_path / "masks"

@@ -288,6 +288,62 @@ def test_forward_without_tape_matches_taped_forward(mode):
         assert b.requires_grad is False and b._parents == () and b._backward is None
 
 
+def _tiny_step_loss(x_dim, y_dim, t_dim, seed=0):
+    """The loss of one tiny-preset training step's forward, as ``train``
+    builds it: a normalized masked volume in, its own target as the array."""
+    rng = np.random.default_rng(seed)
+    model = KSpaceInterpolator(tiny_config(x_dim, y_dim, t_dim), seed=seed)
+    for plane in ALL_PLANES:  # every refinement stage adds a correction
+        w = model.params[f"kirm.{plane}.proj_out.w"]
+        w.data[:] = rng.normal(0.0, 0.05, size=w.shape)
+    volume = kvol(x_dim, y_dim, t_dim, rng)
+    mask = generate_mask(y_dim, t_dim, 4.0, seed=1)
+    masked, _ = apply_mask(volume, mask)
+    normed = normalize(masked)
+    target = volume_to_array(volume) / (normed.scale / volume.scale)
+    cfg = model.config
+    total, _, _ = total_loss(model.forward(normed, mask), target, cfg.loss_weight_hdr, cfg.hdr_eps)
+    return model, total
+
+
+def _op_nodes(root: Tensor) -> int:
+    """The recorded op nodes that ``root``'s backward would visit."""
+    seen, stack, count = {id(root)}, [root], 0
+    while stack:
+        node = stack.pop()
+        count += node._backward is not None
+        for parent in node._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return count
+
+
+def test_a_tiny_step_records_one_tape_node_per_sublayer():
+    """A tiny step's tape has 74 op nodes at every extent: each of the ten
+    Transformer layers (two per stack, five stacks) records one node per
+    sublayer, where it recorded twelve as single ops."""
+    assert [_op_nodes(_tiny_step_loss(*dims)[1]) for dims in ((8, 8, 2), (16, 16, 4))] == [74, 74]
+
+
+@pytest.mark.parametrize("mode", ["test", "train"])
+def test_sublayer_nodes_give_the_composed_layers_bits(monkeypatch, mode):
+    """A tiny step through the two sublayer nodes gives the loss and every
+    parameter gradient of one through the single-op nodes they replace."""
+    results = []
+    for composed in (False, True):
+        with monkeypatch.context() as patch:
+            if composed:
+                patch.setattr(nc, "attention_sublayer", oracles.composed_attention_sublayer)
+                patch.setattr(nc, "mlp_sublayer", oracles.composed_mlp_sublayer)
+            with nc.use_mode(mode):
+                model, total = _tiny_step_loss(8, 8, 2)
+                total.backward()
+        results.append([total.data.tobytes()] + [p.grad.tobytes() for p in model.params.values()])
+    assert len(results[0]) == 1 + len(model.params)
+    assert results[0] == results[1]
+
+
 def test_infer_peaks_below_a_quarter_of_a_taped_forward():
     """A forward that records no tape frees each activation after its last use."""
     with nc.use_mode("train"):

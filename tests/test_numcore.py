@@ -4,6 +4,7 @@ Every differentiable op is checked against the central finite-difference
 oracle in 64-bit mode (h=1e-6, rel. 1e-4), per the gradient acceptance gate.
 """
 
+import itertools
 import math
 import tracemalloc
 
@@ -195,7 +196,7 @@ def test_first_gradients_sum_and_share_no_buffer():
     weights = [Tensor(rng.normal(size=(d, d)), requires_grad=True) for _ in range(3)]
     biases = [Tensor(rng.normal(size=d), requires_grad=True) for _ in range(3)]
     q, k, v = (nc.linear(h, w, b) for w, b in zip(weights, biases))
-    out = nc.attention(q, k, v, heads)
+    out = oracles.attention(q, k, v, heads)
     nc.mean_all(out * Tensor(rng.normal(size=(n, d)))).backward()
     want = sum(t.grad @ w.data.T for t, w in zip((q, k, v), weights))
     assert oracles.rel_err(h.grad, want) <= 1e-12
@@ -269,7 +270,7 @@ def test_in_place_ops_match_their_reference_bodies_bitwise(shape, mode, scale, s
         return [out.data.tobytes()] + [t.grad.tobytes() for t in leaves]
 
     ref_shape = (1,) if shape == () else None
-    assert run(nc.gelu, [x]) == run(oracles.reference_gelu, [x], ref_shape)
+    assert run(oracles.gelu, [x]) == run(oracles.reference_gelu, [x], ref_shape)
     if shape == ():
         return
     dim = shape[-1]
@@ -317,7 +318,7 @@ def test_fused_ops_match_unfused_composition(n, heads, head_dim, d_out, seed):
     )
     qkv = [rng.normal(size=(n, d)) * 2.0 for _ in range(3)]
     _assert_matches_composition(
-        lambda q, k, v: nc.attention(q, k, v, heads),
+        lambda q, k, v: oracles.attention(q, k, v, heads),
         lambda q, k, v: oracles.unfused_attention(q, k, v, heads),
         qkv,
         rng.normal(size=(n, d)),
@@ -333,16 +334,16 @@ def test_fused_ops_reject_mismatched_shapes():
     with pytest.raises(DimensionError):
         nc.linear(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((4, 2))), Tensor(np.ones(2)))
     with pytest.raises(DimensionError):
-        nc.attention(x, x, Tensor(np.ones((3, 2))), 2)  # v width
+        oracles.attention(x, x, Tensor(np.ones((3, 2))), 2)  # v width
     with pytest.raises(DimensionError):
-        nc.attention(x, Tensor(np.ones((2, 4))), x, 2)  # k rows
+        oracles.attention(x, Tensor(np.ones((2, 4))), x, 2)  # k rows
     with pytest.raises(DimensionError):
-        nc.attention(x, x, x, 3)  # 4 not divisible by 3 heads
+        oracles.attention(x, x, x, 3)  # 4 not divisible by 3 heads
     with pytest.raises(DimensionError):
-        nc.attention(Tensor(np.ones(4)), Tensor(np.ones(4)), Tensor(np.ones(4)), 1)
+        oracles.attention(Tensor(np.ones(4)), Tensor(np.ones(4)), Tensor(np.ones(4)), 1)
     empty = Tensor(np.ones((0, 4)))
     with pytest.raises(DimensionError):
-        nc.attention(empty, empty, empty, 2)  # no query rows
+        oracles.attention(empty, empty, empty, 2)  # no query rows
 
 
 # rows per chunk = max(1, block // (heads * n)): 1 with every chunk over the
@@ -362,14 +363,14 @@ def test_chunked_attention_matches_unfused_composition(monkeypatch, n, heads, bl
     d = heads * 3
     qkv = [rng.normal(size=(n, d)) * 2.0 for _ in range(3)]
     _assert_matches_composition(
-        lambda q, k, v: nc.attention(q, k, v, heads),
+        lambda q, k, v: oracles.attention(q, k, v, heads),
         lambda q, k, v: oracles.unfused_attention(q, k, v, heads),
         qkv,
         rng.normal(size=(n, d)),
     )
-    taped = nc.attention(*(Tensor(a, requires_grad=True) for a in qkv), heads)
+    taped = oracles.attention(*(Tensor(a, requires_grad=True) for a in qkv), heads)
     with nc.no_grad():
-        untaped = nc.attention(*(Tensor(a, requires_grad=True) for a in qkv), heads)
+        untaped = oracles.attention(*(Tensor(a, requires_grad=True) for a in qkv), heads)
     assert taped.requires_grad and not untaped.requires_grad
     assert taped.data.tobytes() == untaped.data.tobytes()
 
@@ -399,7 +400,7 @@ def test_attention_matches_its_reference_body_bitwise(monkeypatch, mode, d_block
             nc.mean_all(out * Tensor(arrays[3])).backward()
         return [t.tobytes() for t in (out.data, q.grad, k.grad, v.grad)]
 
-    assert run(nc.attention) == run(oracles.reference_attention)
+    assert run(oracles.attention) == run(oracles.reference_attention)
 
 
 @pytest.mark.parametrize("mode", ["test", "train"])
@@ -411,7 +412,7 @@ def test_attention_over_one_key_passes_gradient_only_to_v(mode, heads, head_dim)
     d = heads * head_dim
     with nc.use_mode(mode):
         q, k, v = (Tensor(rng.normal(size=(1, d)) * 2.0, requires_grad=True) for _ in range(3))
-        out = nc.attention(q, k, v, heads)
+        out = oracles.attention(q, k, v, heads)
         nc.mean_all(out * Tensor(rng.normal(size=(1, d)))).backward()
         assert out.data.dtype == nc.active_dtype()
     assert np.array_equal(out.data, v.data)
@@ -428,7 +429,7 @@ def test_attention_memory_stays_below_half_a_probability_map():
         w = Tensor(rng.normal(size=(n, d)))
         tracemalloc.start()
         try:
-            nc.mean_all(nc.attention(q, k, v, heads) * w).backward()
+            nc.mean_all(oracles.attention(q, k, v, heads) * w).backward()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -436,11 +437,102 @@ def test_attention_memory_stays_below_half_a_probability_map():
     assert peak < half_map, f"peak {peak / 2**20:.1f} MiB"
 
 
+def _sublayer_operands(rng, n, d, hidden):
+    """An input row block and both sublayers' parameters, in their nodes'
+    argument order."""
+    x = rng.normal(size=(n, d))
+    attention = [rng.normal(size=s) for s in [(d,), (d,)] + [(d, d), (d,)] * 4]
+    mlp = [rng.normal(size=s) for s in [(d,), (d,), (d, hidden), (hidden,), (hidden, d), (d,)]]
+    return x, attention, mlp
+
+
+# 9 rows of 2 heads: one kept chunk, chunks of 4 + 4 + 1 rows (the first
+# kept) and one-row chunks that are all recomputed.
+@pytest.mark.parametrize("mode", ["test", "train"])
+@pytest.mark.parametrize("block", [None, 72, 9], ids=["one-kept-chunk", "ragged", "one-row"])
+def test_sublayers_match_their_composition_bitwise(monkeypatch, mode, block):
+    """Each sublayer node gives the bytes of the nodes it replaces: its
+    output, every operand's gradient, and its output under ``no_grad``."""
+    if block is not None:
+        monkeypatch.setattr(nc, "ATTENTION_BLOCK", block)
+    rng = np.random.default_rng(785)
+    n, heads = 9, 2
+    x, attention, mlp = _sublayer_operands(rng, n, 4 * heads, 16 * heads)
+    weight = rng.normal(size=x.shape)
+    cases = {
+        "attention": (
+            lambda *t: nc.attention_sublayer(*t, heads=heads),
+            lambda *t: oracles.composed_attention_sublayer(*t, heads=heads),
+            attention,
+        ),
+        "mlp": (nc.mlp_sublayer, oracles.composed_mlp_sublayer, mlp),
+    }
+
+    def run(op, params):
+        with nc.use_mode(mode):
+            leaves = [Tensor(a, requires_grad=True) for a in [x, *params]]
+            out = op(*leaves)
+            nc.mean_all(out * Tensor(weight)).backward()
+            with nc.no_grad():
+                untaped = op(*(Tensor(a, requires_grad=True) for a in [x, *params]))
+        assert not untaped.requires_grad and untaped._parents == ()
+        return [out.data.tobytes(), untaped.data.tobytes()] + [t.grad.tobytes() for t in leaves]
+
+    for name, (fused, composed, params) in cases.items():
+        got, want = run(fused, params), run(composed, params)
+        assert got[0] == got[1], name  # the tape does not change the output
+        for i, (a, b) in enumerate(zip(got, want)):
+            assert a == b, f"{name}: entry {i}"
+
+
+def test_sublayers_reject_mismatched_shapes():
+    rng = np.random.default_rng(786)
+    x, attention, mlp = _sublayer_operands(rng, 3, 4, 8)
+    for name, op, params, at in (
+        ("attention", lambda *t: nc.attention_sublayer(*t, heads=2), attention, 8),
+        ("mlp", nc.mlp_sublayer, mlp, 4),
+    ):
+        bad = [*params]  # an output projection to 2 of the input's 4 channels
+        bad[at], bad[at + 1] = rng.normal(size=(len(params[at]), 2)), np.ones(2)
+        with pytest.raises(DimensionError, match="does not match its input"):
+            op(Tensor(x), *(Tensor(a) for a in bad))
+        with pytest.raises(DimensionError):  # a layernorm gain of the wrong width
+            op(Tensor(x), Tensor(np.ones(3)), *(Tensor(a) for a in params[1:]))
+    with pytest.raises(DimensionError):
+        nc.attention_sublayer(Tensor(x), *(Tensor(a) for a in attention), heads=3)
+
+
+def test_gradients_only_for_operands_that_record_one():
+    """add, sub, mul and linear hand back None, not a product, for an operand
+    that records no gradient; the operands that record one get the same
+    bytes as when every operand records one."""
+    rng = np.random.default_rng(787)
+    a, b = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+    w, bias = rng.normal(size=(4, 2)), rng.normal(size=2)
+    g = rng.normal(size=(3, 4))
+    for op in (nc.add, nc.sub, nc.mul):
+        for wants in ((True, False), (False, True)):
+            node = op(*(Tensor(v, requires_grad=r) for v, r in zip((a, b), wants)))
+            full = op(Tensor(a, requires_grad=True), Tensor(b, requires_grad=True))
+            for got, want, recorded in zip(node._backward(g), full._backward(g), wants):
+                assert (got is None) != recorded
+                assert got is None or got.tobytes() == want.tobytes()
+    g = rng.normal(size=(3, 2))
+    full = nc.linear(*(Tensor(v, requires_grad=True) for v in (a, w, bias)))._backward(g)
+    for wants in itertools.product((True, False), repeat=3):
+        if not any(wants):
+            continue  # a node with no recording operand keeps no backward
+        node = nc.linear(*(Tensor(v, requires_grad=r) for v, r in zip((a, w, bias), wants)))
+        for got, want, recorded in zip(node._backward(g), full, wants):
+            assert (got is None) != recorded
+            assert got is None or got.tobytes() == want.tobytes()
+
+
 def test_gelu_values_and_gradient():
-    assert nc.gelu(Tensor(np.array(0.0))).item() == 0.0
-    assert abs(nc.gelu(Tensor(np.array(10.0))).item() - 10.0) < 1e-6
+    assert oracles.gelu(Tensor(np.array(0.0))).item() == 0.0
+    assert abs(oracles.gelu(Tensor(np.array(10.0))).item() - 10.0) < 1e-6
     x = np.array([-2.0, -0.5, 0.5, 2.0])
-    check_grad(lambda t: nc.mean_all(nc.gelu(t)), x)
+    check_grad(lambda t: nc.mean_all(oracles.gelu(t)), x)
 
 
 def test_layernorm_constant_input_is_zero():
@@ -506,7 +598,7 @@ def test_two_layer_mlp_composite_gradient():
     w2 = RNG.normal(size=(8, 1)) * 0.5
 
     def mlp(xx, ww1, bb1, ww2):
-        return nc.mean_all(oracles.matmul(nc.gelu(oracles.matmul(xx, ww1) + bb1), ww2))
+        return nc.mean_all(oracles.matmul(oracles.gelu(oracles.matmul(xx, ww1) + bb1), ww2))
 
     check_grad(mlp, x, w1, b1, w2)
 

@@ -563,11 +563,16 @@ def test_write_pgm_constant_frame(tmp_path):
 # ------------------------------------------------------------ desk script
 
 
-def test_desk_run_smoke(tmp_path, capsys):
+def _desk_run():
     script = Path(__file__).resolve().parents[1] / "scripts" / "desk_run.py"
     spec = importlib.util.spec_from_file_location("desk_run", script)
     desk_run = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(desk_run)
+    return desk_run
+
+
+def test_desk_run_smoke(tmp_path, capsys):
+    desk_run = _desk_run()
     out = tmp_path / "desk"
     assert desk_run.main([
         "--out", str(out), "--dims", "16,16,2",
@@ -594,3 +599,17 @@ def test_desk_run_smoke(tmp_path, capsys):
     assert captured.err == "error: config: phantom needs X, Y >= 8 and T >= 2\n"
     assert "[2/5]" not in captured.out
     assert not failed.exists()
+
+
+def test_desk_run_without_a_test_split_fails_before_any_phase(tmp_path, capsys):
+    """``eval`` needs a test sequence, so the run stops before training."""
+    desk_run = _desk_run()
+    out = tmp_path / "desk"
+    for n_test in ("0", "-1"):
+        assert desk_run.main(["--out", str(out), "--n-test", n_test, "--steps", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: config: --n-test must be at least 1: eval scores the test split\n"
+        )
+        assert captured.out == ""
+        assert not out.exists()

@@ -4,7 +4,7 @@ Every public function and class in ``src/kinterp``, and every public method
 or property of those classes, is referenced somewhere in the package, in
 ``perfbench`` or in ``scripts`` outside its own definition.  A module-level
 name counts when it is imported by name, read as an attribute of its module
-(``nc.attention``) or used as a bare name in its own module; a method or
+(``nc.linear``) or used as a bare name in its own module; a method or
 property counts by attribute name.  Tests do not count: a name that only
 tests reach belongs in ``tests/oracles.py``.  The top level counts as module
 ``__init__``, whose names ``from . import X`` and ``from kinterp import X``
