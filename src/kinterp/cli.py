@@ -50,6 +50,8 @@ EXIT_DIMENSION = 5
 
 
 def _parse_config_file(path: str) -> dict[str, str]:
+    if not path:
+        raise ConfigError("config path is empty")
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
@@ -191,7 +193,7 @@ class _Resolver:
 
     def __init__(self, command: str, args: argparse.Namespace):
         self.keys = _COMMANDS[command].keys
-        file_cfg = _parse_config_file(args.config) if args.config else {}
+        file_cfg = {} if args.config is None else _parse_config_file(args.config)
         allowed = {key.name for key in self.keys}
         for name in file_cfg:
             if name not in allowed:
@@ -205,8 +207,9 @@ class _Resolver:
                 value = key.cast(file_cfg[key.name])
             else:
                 value = key.default
-            if value is None and key.required:
-                raise ConfigError(f"missing required option {key.name!r} for {command!r}")
+            # Every required key is a path, and an empty one would name ".".
+            if key.required and not value:
+                raise ConfigError(f"missing or empty required option {key.name!r} for {command!r}")
             if value is not None:
                 self.values[key.name] = value
         for name in (*_COMMANDS[command].writes(self.values), _ECHO):
@@ -253,17 +256,16 @@ def _cmd_mask(args) -> int:
 
 
 def _train_config(values: dict) -> TrainConfig:
-    """Apply the explicitly set keys to the chosen preset and TrainConfig."""
+    """Apply the explicitly set keys to the chosen preset, at the extents of
+    the manifest's first training volume in name order, and to TrainConfig."""
     manifest = Path(values["manifest"])
-    dims = values.get("dims")
-    if dims is None:
-        pairs = load_manifest(manifest).get("train", [])
-        if not pairs:
-            raise FormatError(f"manifest {manifest} has no train sequences")
-        probe = read_volume(pairs[0][1])
-        dims = (probe.x_dim, probe.y_dim, probe.t_dim)
+    pairs = load_manifest(manifest).get("train", [])
+    if not pairs:
+        raise FormatError(f"manifest {manifest} has no train sequences")
+    probe = read_volume(pairs[0][1])
     preset = tiny_config if values["tiny"] else full_config
-    model = preset(*dims, **{k: v for k, v in values.items() if k in _MODEL_FIELDS})
+    model = preset(probe.x_dim, probe.y_dim, probe.t_dim,
+                   **{k: v for k, v in values.items() if k in _MODEL_FIELDS})
     overrides = {k: v for k, v in values.items() if k in _TRAIN_FIELDS}
     if "R" in values:
         overrides["r_train"] = values["R"]
@@ -275,8 +277,7 @@ def _cmd_train(args) -> int:
     cfg = _train_config(res.values)
     out = Path(res.values["out"])
     result = train(cfg, out)
-    m = cfg.model
-    built = {**vars(m), **vars(cfg), "R": cfg.r_train, "dims": (m.x_dim, m.y_dim, m.t_dim)}
+    built = {**vars(cfg.model), **vars(cfg), "R": cfg.r_train}
     res.write_echo(out, built)
     print(f"wrote {result.checkpoint_path} and {result.log_path}")
     return EXIT_OK
@@ -364,7 +365,6 @@ _COMMANDS = {
         _Key("seed", _cast_seed),
         _OUT,
         _Key("manifest", required=True),
-        _Key("dims", _cast_dims, help="volume extents X,Y,T (default: from manifest)"),
         _Key("R", _cast_float, help="training acceleration factor"),
         _Key("steps", _cast_int),
         _Key("tiny", _cast_bool, False, flag="switch", help=tiny_config.__doc__),

@@ -26,7 +26,7 @@ import itertools
 import math
 import struct
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -48,6 +48,10 @@ _INIT_STD = 0.02
 _CKPT_MAGIC = b"KGIN"
 _CKPT_VERSION = 1
 _CKPT_HEAD = struct.Struct("<4sI")
+# ModelConfig's fields in declaration order: the ints as u32, kirm_planes as a
+# u32 whose bit i is ALL_PLANES[i], and the two floats as f64.  A field added
+# to ModelConfig makes both pack and the strict zip fail until the format
+# gives it a place.
 _CKPT_CONFIG = struct.Struct("<9Idd")
 # Every tensor entry holds at least a name length and a rank.
 _CKPT_MIN_ENTRY = struct.calcsize("<2I")
@@ -492,32 +496,32 @@ def total_loss(
 # ---- checkpoints -----------------------------------------------------------
 
 
-def _planes_bitmask(planes: tuple[str, ...]) -> int:
-    return sum(1 << i for i, p in enumerate(ALL_PLANES) if p in planes)
+_CKPT_FIELDS = tuple(f.name for f in fields(ModelConfig))
 
 
-def _planes_from_bitmask(mask: int) -> tuple[str, ...]:
-    return tuple(p for i, p in enumerate(ALL_PLANES) if mask & (1 << i))
+def _header_values(config: ModelConfig) -> tuple:
+    values = {name: getattr(config, name) for name in _CKPT_FIELDS}
+    values["kirm_planes"] = sum(1 << ALL_PLANES.index(p) for p in config.kirm_planes)
+    return tuple(values.values())
+
+
+def _header_config(values: tuple, path: Path) -> ModelConfig:
+    kwargs = dict(zip(_CKPT_FIELDS, values, strict=True))
+    mask = kwargs["kirm_planes"]
+    if mask >> len(ALL_PLANES):
+        raise FormatError(f"{path}: plane bitmask {mask:#x} sets a bit no plane owns")
+    kwargs["kirm_planes"] = tuple(p for i, p in enumerate(ALL_PLANES) if mask >> i & 1)
+    try:
+        return ModelConfig(**kwargs)
+    except ConfigError as exc:
+        raise FormatError(f"{path}: invalid embedded config: {exc}") from exc
 
 
 def save_params(model: KSpaceInterpolator, path: str | Path) -> None:
     """Write config plus all named tensors (float32 payloads) to ``path``."""
-    c = model.config
     chunks = [
         _CKPT_HEAD.pack(_CKPT_MAGIC, _CKPT_VERSION),
-        _CKPT_CONFIG.pack(
-            c.x_dim,
-            c.y_dim,
-            c.t_dim,
-            c.embed_dim,
-            c.n_heads,
-            c.n_layers,
-            c.mlp_ratio,
-            c.kirm_patch,
-            _planes_bitmask(c.kirm_planes),
-            c.loss_weight_hdr,
-            c.hdr_eps,
-        ),
+        _CKPT_CONFIG.pack(*_header_values(model.config)),
         struct.pack("<I", len(model.params)),
     ]
     for name, tensor in model.params.items():
@@ -557,23 +561,8 @@ def load_params(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
         raise FormatError(f"{path}: bad magic {magic!r}")
     if version != _CKPT_VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
-    fields, at = _unpack(_CKPT_CONFIG.format, blob, at, path)
-    try:
-        config = ModelConfig(
-            x_dim=fields[0],
-            y_dim=fields[1],
-            t_dim=fields[2],
-            embed_dim=fields[3],
-            n_heads=fields[4],
-            n_layers=fields[5],
-            mlp_ratio=fields[6],
-            kirm_patch=fields[7],
-            kirm_planes=_planes_from_bitmask(fields[8]),
-            loss_weight_hdr=fields[9],
-            hdr_eps=fields[10],
-        )
-    except ConfigError as exc:
-        raise FormatError(f"{path}: invalid embedded config: {exc}") from exc
+    values, at = _unpack(_CKPT_CONFIG.format, blob, at, path)
+    config = _header_config(values, path)
     (count,), at = _unpack("<I", blob, at, path)
     if count * _CKPT_MIN_ENTRY > len(blob) - at:
         raise FormatError(f"{path}: truncated checkpoint")

@@ -176,6 +176,8 @@ def load_mask(path: str | Path) -> SamplingMask:
         raise FormatError(f"{path}: non-positive extent in mask header")
     if not (math.isfinite(r_nominal) and r_nominal > 0):
         raise FormatError(f"{path}: bad acceleration {head[4]!r} in mask header")
+    if seed < 0:
+        raise FormatError(f"{path}: negative seed {seed} in mask header")
     rows = lines[1:]
     if len(rows) != t_dim:
         raise FormatError(f"{path}: expected {t_dim} rows, found {len(rows)}")

@@ -1,6 +1,8 @@
 """Exit codes, config-file resolution, and artifact layout of the CLI."""
 
 import os
+import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -22,7 +24,7 @@ from kinterp.cli import (
     main,
 )
 from kinterp.kspace import read_volume, write_volume
-from kinterp.model import full_config, tiny_config
+from kinterp.model import full_config, load_params, tiny_config
 from kinterp.pipeline import TrainConfig, infer, load_manifest
 from kinterp.sampling import apply_mask, load_mask
 
@@ -77,8 +79,11 @@ def test_train_artifacts(workspace):
     log = (run / "loss_log.csv").read_text().splitlines()
     assert log[0] == "step,lr,l1,hdr,total"
     assert len(log) == 3
+    # the extents are the first training volume's, and no key states them
+    config, _ = load_params(run / "checkpoint.kgin")
+    assert (config.x_dim, config.y_dim, config.t_dim) == (16, 16, 2)
     echoed = (run / "resolved_config.txt").read_text()
-    assert "dims = 16,16,2" in echoed  # probed from the manifest
+    assert not any(line.startswith("dims") for line in echoed.splitlines())
     assert "tiny = true" in echoed
 
 
@@ -271,7 +276,6 @@ def test_train_echo_lists_every_key(workspace, tmp_path, monkeypatch):
         "seed = 0",
         f"out = {out}",
         f"manifest = {manifest}",
-        "dims = 16,16,2",
         "R = 4.0",
         "steps = 200",
         "tiny = true",
@@ -334,7 +338,7 @@ def test_missing_config_file(tmp_path):
 # -------------------------------------------------------------- exit codes
 
 
-def test_usage_errors(workspace, tmp_path, monkeypatch):
+def test_usage_errors(workspace, tmp_path, monkeypatch, capsys):
     manifest = str(workspace["data"] / "manifest.txt")
     assert main(["mask"]) == EXIT_USAGE  # --out is required
     assert main(["mask", "--out", str(tmp_path), "--dims", "16,16"]) == EXIT_USAGE
@@ -409,6 +413,35 @@ def test_usage_errors(workspace, tmp_path, monkeypatch):
         assert main([*argv, "--out", str(blocked)]) == EXIT_USAGE, name
         assert [p.name for p in blocked.iterdir()] == [name.split("/")[0]], name
         assert not any((blocked / name).iterdir()), name
+    # an empty input path, which would name ".", or an empty --config: before
+    # any work, whether a flag or a config file gives it
+    empty_out = tmp_path / "empty_in"
+    empty_manifest = tmp_path / "empty_manifest.cfg"
+    empty_manifest.write_text("manifest =\n")
+    for argv in (
+        ["train", "--tiny", "--manifest", ""],
+        ["train", "--tiny", "--config", str(empty_manifest)],
+        ["eval", "--checkpoint", "", "--manifest", manifest],
+        ["eval", "--checkpoint", checkpoint, "--manifest", ""],
+        ["infer", "", "--checkpoint", checkpoint, "--mask", mask],
+        ["infer", volume, "--checkpoint", "", "--mask", mask],
+        ["infer", volume, "--checkpoint", checkpoint, "--mask", ""],
+        ["mask", "--config", ""],
+        ["train", "--tiny", "--manifest", manifest, "--config", ""],
+    ):
+        assert main([*argv, "--out", str(empty_out)]) == EXIT_USAGE, argv
+        assert not empty_out.exists(), argv
+    # train has no dims key: its extents are its data's, and an echo written
+    # before the key went is refused by name
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--tiny", "--out", str(empty_out), "--manifest", manifest,
+              "--dims", "16,16,2"])
+    assert exc.value.code == EXIT_USAGE
+    old_echo = tmp_path / "old_echo.cfg"
+    old_echo.write_text(f"manifest = {manifest}\ndims = 16,16,2\ntiny = true\n")
+    assert main(["train", "--config", str(old_echo), "--out", str(empty_out)]) == EXIT_USAGE
+    assert "unknown config key 'dims'" in capsys.readouterr().err
+    assert not empty_out.exists()
     # phantom extents out of range, before --out is created
     for dims in ("7,8,2", "32,32,1"):
         assert main(["dataset", "--out", str(tmp_path / "D"), "--dims", dims]) == EXIT_USAGE
@@ -422,14 +455,12 @@ def test_unknown_subcommand_exits_via_argparse():
 
 
 def test_missing_file_errors(workspace, tmp_path):
-    # with --dims, train itself reads the manifest; its --out is not made
-    for dims in ([], ["--dims", "16,16,2"]):
-        out = tmp_path / f"train{len(dims)}"
-        assert main([
-            "train", "--tiny", "--out", str(out),
-            "--manifest", str(tmp_path / "none.txt"), *dims,
-        ]) == EXIT_MISSING_FILE
-        assert not out.exists(), dims
+    # train reads the manifest before its --out is made
+    out = tmp_path / "train"
+    assert main([
+        "train", "--tiny", "--out", str(out), "--manifest", str(tmp_path / "none.txt"),
+    ]) == EXIT_MISSING_FILE
+    assert not out.exists()
     assert main([
         "infer", str(tmp_path / "none.kvol"), "--out", str(tmp_path),
         "--checkpoint", str(workspace["run"] / "checkpoint.kgin"),
@@ -478,17 +509,20 @@ def test_format_errors(workspace, tmp_path):
         out = tmp_path / "train"
         assert main([
             "train", "--tiny", "--out", str(out), "--manifest", str(bad_manifest),
-            "--dims", "16,16,2", "--steps", "1",
+            "--steps", "1",
         ]) == EXIT_FORMAT, text
         assert not out.exists(), text
     bad_mask = tmp_path / "bad.kmask"
     rows = b"1010101010101010\n" * 2
-    for header in (b"KMASK v1 -4 2 4 0\n", b"KMASK v1 16 2 4 \xe9\n", b"KMASK v1 16 2 nan 0\n"):
+    for header in (b"KMASK v1 -4 2 4 0\n", b"KMASK v1 16 2 4 \xe9\n", b"KMASK v1 16 2 nan 0\n",
+                   b"KMASK v1 16 2 4 -5\n"):
         bad_mask.write_bytes(header + rows)
+        out = tmp_path / "recon"
         assert main([
-            "infer", str(workspace["data"] / "test_000.kspace.kvol"), "--out", str(tmp_path),
+            "infer", str(workspace["data"] / "test_000.kspace.kvol"), "--out", str(out),
             "--checkpoint", str(workspace["run"] / "checkpoint.kgin"), "--mask", str(bad_mask),
-        ]) == EXIT_FORMAT
+        ]) == EXIT_FORMAT, header
+        assert not out.exists(), header
     # a payload holding NaN
     nan_kvol = tmp_path / "nan.kvol"
     blob = bytearray((workspace["data"] / "test_000.kspace.kvol").read_bytes())
@@ -519,6 +553,15 @@ def test_format_errors(workspace, tmp_path):
             "eval", "--out", str(tmp_path), "--checkpoint", str(bad_ckpt),
             "--manifest", str(workspace["data"] / "manifest.txt"),
         ]) == EXIT_FORMAT
+    # a refinement plane bit that no plane owns: eval writes nothing
+    planes_at = 8 + 8 * 4  # magic, version, eight integers
+    bad_ckpt.write_bytes(blob[:planes_at] + struct.pack("<I", 0b100111) + blob[planes_at + 4:])
+    out = tmp_path / "scores"
+    assert main([
+        "eval", "--out", str(out), "--checkpoint", str(bad_ckpt),
+        "--manifest", str(workspace["data"] / "manifest.txt"),
+    ]) == EXIT_FORMAT
+    assert not out.exists()
 
 
 def test_eval_rejects_a_reference_that_is_not_an_image(workspace, tmp_path, capsys):
@@ -557,12 +600,19 @@ def test_unreadable_input_exits_missing_file(workspace, tmp_path, monkeypatch, c
 
 
 def test_dimension_errors(workspace, tmp_path):
-    manifest = str(workspace["data"] / "manifest.txt")
-    # model dims contradict the 16x16x2 training volumes; --out is not made
+    # the second training volume's extents disagree with the first's, which
+    # set the model's; --out is not made
+    mixed = tmp_path / "mixed"
+    assert main(["dataset", "--out", str(mixed), "--dims", "16,16,4",
+                 "--n-train", "1", "--n-test", "0"]) == EXIT_OK
+    for kind in ("image", "kspace"):  # a 16x16x2 sequence that sorts first
+        shutil.copy(workspace["data"] / f"train_000.{kind}.kvol", mixed / f"a.{kind}.kvol")
+        with open(mixed / "manifest.txt", "a") as fh:
+            fh.write(f"train {kind} a.{kind}.kvol\n")
     out = tmp_path / "train"
     assert main([
-        "train", "--tiny", "--out", str(out), "--manifest", manifest,
-        "--dims", "16,16,4", "--steps", "1",
+        "train", "--tiny", "--out", str(out), "--manifest", str(mixed / "manifest.txt"),
+        "--steps", "1",
     ]) == EXIT_DIMENSION
     assert not out.exists()
     # undersampled input does not match the checkpoint geometry

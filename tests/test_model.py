@@ -6,6 +6,7 @@ compares autodiff against central finite differences of the oracles'
 frozen-denominator loss entry-by-entry.
 """
 
+import dataclasses
 import math
 import struct
 import subprocess
@@ -674,6 +675,44 @@ def test_checkpoint_preserves_plane_subset(tmp_path):
     assert from_checkpoint(path).config.kirm_planes == (PLANE_KY_T, PLANE_KX_KY)
 
 
+# Every ModelConfig field at a value other than its default.
+NON_DEFAULT_CONFIG = ModelConfig(
+    12, 8, 3, embed_dim=8, n_heads=2, n_layers=1, mlp_ratio=2, kirm_patch=2,
+    kirm_planes=(PLANE_KY_T, PLANE_KX_KY), loss_weight_hdr=0.25, hdr_eps=0.125,
+)
+
+
+def test_checkpoint_keeps_every_config_field(tmp_path):
+    defaults = ModelConfig(12, 8, 3)
+    for f in dataclasses.fields(ModelConfig):
+        if f.name not in ("x_dim", "y_dim", "t_dim"):
+            assert getattr(NON_DEFAULT_CONFIG, f.name) != getattr(defaults, f.name), f.name
+    path = tmp_path / "m.kgin"
+    save_params(KSpaceInterpolator(NON_DEFAULT_CONFIG, seed=16), path)
+    config, _ = load_params(path)
+    assert config == NON_DEFAULT_CONFIG
+    again = tmp_path / "m2.kgin"
+    save_params(from_checkpoint(path), again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_checkpoint_header_layout_is_pinned(tmp_path):
+    """The config block is ModelConfig's fields in this order.  A field added
+    or moved changes checkpoint.kgin's format, so this fails until the format
+    is decided on purpose."""
+    assert [f.name for f in dataclasses.fields(ModelConfig)] == [
+        "x_dim", "y_dim", "t_dim", "embed_dim", "n_heads", "n_layers", "mlp_ratio",
+        "kirm_patch", "kirm_planes", "loss_weight_hdr", "hdr_eps",
+    ]
+    path = tmp_path / "m.kgin"
+    save_params(KSpaceInterpolator(NON_DEFAULT_CONFIG, seed=16), path)
+    block = struct.pack("<9Idd", 12, 8, 3, 8, 2, 1, 2, 2, 0b101, 0.25, 0.125)
+    head = path.read_bytes()[: 8 + len(block) + 4]
+    assert head == b"KGIN" + struct.pack("<I", 1) + block + struct.pack(
+        "<I", len(param_table(NON_DEFAULT_CONFIG))
+    )
+
+
 def test_checkpoint_rejects_malformed(tmp_path):
     m = KSpaceInterpolator(ModelConfig(8, 8, 2), seed=15)
     path = tmp_path / "m.kgin"
@@ -707,6 +746,13 @@ def test_checkpoint_rejects_malformed(tmp_path):
         stored = np.array([value], dtype="<f4").tobytes()
         bad.write_bytes(blob[:payload] + stored + blob[payload + 4 :])
         with pytest.raises(FormatError, match="kgin.proj_out.b"):
+            load_params(bad)
+    planes_at = 8 + 8 * 4  # magic, version, eight integers
+    assert struct.unpack_from("<I", blob, planes_at) == (0b111,)
+    for bit in (3, 5, 31):  # a plane bit that no plane owns
+        flipped = struct.pack("<I", 0b111 | 1 << bit)
+        bad.write_bytes(blob[:planes_at] + flipped + blob[planes_at + 4 :])
+        with pytest.raises(FormatError, match="no plane owns"):
             load_params(bad)
     eps_at = 8 + 9 * 4 + 8  # magic, version, nine integers, loss_weight_hdr
     for eps in (math.nan, math.inf):

@@ -272,6 +272,9 @@ def test_kmask_rejects_malformed_files(tmp_path):
     path.write_text("KMASK v1 -4 2 4 0\n1010\n1010\n")  # negative extent
     with pytest.raises(FormatError):
         load_mask(path)
+    path.write_text("KMASK v1 8 1 2 -5\n10101010\n")  # negative seed
+    with pytest.raises(FormatError, match="negative seed"):
+        load_mask(path)
     path.write_text("KMASK v1 8 0 2 0\n")  # no frames
     with pytest.raises(FormatError):
         load_mask(path)
