@@ -26,7 +26,7 @@ if not any(os.environ.get(name) for name in _BLAS_THREAD_VARS):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from . import ConfigError, DimensionError, DomainError, FormatError, KInterpError
-from .kspace import read_volume, write_volume
+from .kspace import read_extents, read_volume, write_volume
 from .model import ModelConfig, full_config, tiny_config
 from .phantom import DatasetSpec, make_dataset, volume_names
 from .pipeline import (
@@ -256,15 +256,15 @@ def _cmd_mask(args) -> int:
 
 
 def _train_config(values: dict) -> TrainConfig:
-    """Apply the explicitly set keys to the chosen preset, at the extents of
-    the manifest's first training volume in name order, and to TrainConfig."""
+    """Apply the explicitly set keys to the chosen preset, at the extents in
+    the header of the manifest's first training volume in name order, and to
+    TrainConfig; ``train`` reads and checks every volume's payload."""
     manifest = Path(values["manifest"])
     pairs = load_manifest(manifest).get("train", [])
     if not pairs:
         raise FormatError(f"manifest {manifest} has no train sequences")
-    probe = read_volume(pairs[0][1])
     preset = tiny_config if values["tiny"] else full_config
-    model = preset(probe.x_dim, probe.y_dim, probe.t_dim,
+    model = preset(*read_extents(pairs[0][1]),
                    **{k: v for k, v in values.items() if k in _MODEL_FIELDS})
     overrides = {k: v for k, v in values.items() if k in _TRAIN_FIELDS}
     if "R" in values:

@@ -131,13 +131,13 @@ def write_volume(v: ComplexVolume, path: str | Path) -> None:
         fh.write(v.data.astype("<f4").tobytes())
 
 
-def read_volume(path: str | Path) -> ComplexVolume:
-    """Parse a .kvol file; malformed content raises :class:`FormatError`."""
-    path = Path(path)
-    blob = path.read_bytes()
-    if len(blob) < _HEADER.size:
+def _read_header(fh, path: Path) -> tuple[int, int, int, str, float]:
+    """Read and check the .kvol header of an open file; return its X, Y, T,
+    domain and scale."""
+    head = fh.read(_HEADER.size)
+    if len(head) < _HEADER.size:
         raise FormatError(f"{path}: truncated header")
-    magic, version, x, y, t, domain_code, scale = _HEADER.unpack_from(blob)
+    magic, version, x, y, t, domain_code, scale = _HEADER.unpack_from(head)
     if magic != _KVOL_MAGIC:
         raise FormatError(f"{path}: bad magic {magic!r}")
     if version != _KVOL_VERSION:
@@ -146,16 +146,31 @@ def read_volume(path: str | Path) -> ComplexVolume:
         raise FormatError(f"{path}: non-positive extent in header")
     if domain_code not in (0, 1):
         raise FormatError(f"{path}: bad domain tag {domain_code}")
+    return x, y, t, DOMAIN_IMAGE if domain_code == 0 else DOMAIN_KSPACE, float(scale)
+
+
+def read_extents(path: str | Path) -> tuple[int, int, int]:
+    """The (X, Y, T) extents of a .kvol file, from its header alone."""
+    path = Path(path)
+    with open(path, "rb") as fh:
+        x, y, t, _, _ = _read_header(fh, path)
+    return x, y, t
+
+
+def read_volume(path: str | Path) -> ComplexVolume:
+    """Parse a .kvol file; malformed content raises :class:`FormatError`."""
+    path = Path(path)
+    with open(path, "rb") as fh:
+        x, y, t, domain, scale = _read_header(fh, path)
+        payload = fh.read()
     expected = x * y * t * 2 * 4
-    payload = blob[_HEADER.size :]
     if len(payload) != expected:
         raise FormatError(
             f"{path}: payload holds {len(payload)} bytes, header implies {expected}"
         )
     data = np.frombuffer(payload, dtype="<f4").reshape(t, y, x, 2)
-    domain = DOMAIN_IMAGE if domain_code == 0 else DOMAIN_KSPACE
     # ComplexVolume owns the finite-payload and positive-scale rules.
     try:
-        return ComplexVolume(data, domain, float(scale))
+        return ComplexVolume(data, domain, scale)
     except DegenerateInputError as exc:
         raise FormatError(f"{path}: {exc}") from exc

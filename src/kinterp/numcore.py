@@ -28,24 +28,27 @@ linear, layernorm, gelu and attention each have one body (``_linear``,
 and a backward closure that keeps what backward needs; the single-op nodes
 and both sublayer nodes are built from these bodies.  So a sublayer node
 keeps only what its bodies' closures keep (layernorm's normalized input and
-1 / sigma, each linear's input, attention's scaled q, k, v and kept chunk or
-log-sum-exp, gelu's input and tanh), not the outputs that the tape of single
-ops held, such as q and the output linear's result.  The composition of
-single ops that each sublayer must match bitwise, and the gelu and attention
-nodes it uses, live with the test oracles in ``tests/oracles.py``, as do the
-unfused references built from ``matmul``, ``transpose`` and
-``softmax_lastaxis`` nodes and the earlier bodies that gelu, layernorm and
-attention must match bitwise.  Each op runs only the passes and allocations
-its result needs, in the order of its written expression.
+1 / sigma, each linear's input, attention's scaled q, k, ``[v | 1]``, output,
+kept chunk, 1 / l and log-sum-exp, gelu's input and tanh), not the outputs
+that the tape of single ops held, such as q and the output linear's result.
+The composition of single ops that each sublayer must match bitwise, and
+the gelu and attention nodes it uses, live with the test oracles in
+``tests/oracles.py``, as do the unfused references built from ``matmul``,
+``transpose`` and ``softmax_lastaxis`` nodes and the reference bodies that
+gelu, layernorm and attention must match bitwise.  Each op runs only the
+passes and allocations its result needs, in the order of its written
+expression.
 Attention runs its query rows in chunks of at most ``ATTENTION_BLOCK``
-score entries, with the scale folded into q and no divide over the scores.
-It keeps the first chunk's probabilities for backward when that chunk fits
-one block, and for every other chunk only its rows' log-sum-exp, from which
-backward recomputes the chunk; so a node holds O(n d + block) memory instead
-of a [heads, n, n] map.  Adam runs over flat buffers: ``OptimizerState`` lays
-the parameters out once, each ``Tensor.data`` becomes a view into its buffer,
-and each ``adam_step`` packs the gradients and updates every parameter in one
-pass.
+score entries, with the scale folded into q and every sum of a row over its
+keys inside a matmul (``_attention`` says how), so a kept chunk costs three
+passes over its scores forward (max, subtract, exp) and one backward.  It
+keeps the first chunk unnormalized, as exp(S - m) and 1 / l, when that chunk
+fits one block, and for every other chunk only its rows' log-sum-exp, from
+which backward recomputes the chunk; so a node holds O(n d + block) memory
+instead of a [heads, n, n] map.  Adam runs over flat buffers:
+``OptimizerState`` lays the parameters out once, each ``Tensor.data``
+becomes a view into its buffer, and each ``adam_step`` packs the gradients
+and updates every parameter in one pass.
 
 An op's backward closure returns one gradient per operand, in operand order,
 each a view of the incoming gradient ``g``, an array the op made for that
@@ -78,8 +81,6 @@ ADAM_EPS = 1e-8
 _GELU_C = math.sqrt(2.0 / math.pi)
 # Score entries (heads x query rows x keys) that one attention chunk may hold.
 ATTENTION_BLOCK = 1 << 18
-# Entries of the row block that attention backward forms dP * P in.
-ATTENTION_D_BLOCK = 1 << 15
 
 
 def set_mode(mode: str) -> None:
@@ -291,17 +292,29 @@ def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int):
     """Multi-head scaled dot-product attention over [n, d] rows.
 
     Splits d into ``heads`` slices, computes softmax(q k^T / sqrt(d/heads)) v
-    per head and merges the heads back to [n, d].  The scale multiplies q once
-    (n d entries), and each row's output is divided by its exponent sum after
-    the ``p @ v`` product, so no pass over the scores scales or divides them.
+    per head and merges the heads back to [n, d].  Every sum of a row over
+    its keys runs inside a matmul, against a column appended to one operand,
+    so the passes over the scores are only the row max, its subtraction and
+    the exp: ``E = exp(S - m)`` times ``[v | 1]`` gives ``E v`` and the
+    exponent sum l in one product, and each row's output is ``E v / l``.
+    The scale multiplies q once (n d entries).
+
     Query rows run in chunks of at most ``ATTENTION_BLOCK`` score entries,
     each against every key, so each row's softmax is exact.  When ``heads * n
     <= ATTENTION_BLOCK`` the first ``ATTENTION_BLOCK // (heads * n)`` rows
-    form the first chunk, which backward keeps, normalized; the whole map is
-    one kept chunk only when ``heads * n * n <= ATTENTION_BLOCK``.  Every
-    other chunk keeps only its rows' log-sum-exp L, and backward recomputes
-    its probabilities P as exp(q k^T - L): one matmul and two passes, into a
-    buffer every recomputed chunk reuses, as every chunk's dP reuses another.
+    form the first chunk, which backward keeps unnormalized, as E and 1/l;
+    the whole map is one kept chunk only when ``heads * n * n <=
+    ATTENTION_BLOCK``.  Every other chunk keeps only its rows' log-sum-exp L,
+    and backward recomputes its probabilities as ``P = exp([q * scale | -L]
+    @ [k | 1]^T)``: one matmul and one pass, into a buffer every recomputed
+    chunk reuses, as every chunk's dS reuses another.  Backward widens q and
+    k only when some chunk is recomputed, and forward only v.
+
+    Backward takes D = rowsum(dO * O) from the output (n d entries) and forms
+    dS = P * (dO v^T - D) as ``[dO | -D] @ [v | 1]^T`` times P: one matmul
+    and one pass.  For the kept chunk the rows ``[dO | -D]`` are divided by
+    l first, so E stands in for P there.  With one key the softmax is the
+    constant 1, and backward returns exact zeros for q and k and dO for v.
     Backward applies the scale once, to dq, and returns dk as a column-major
     view.  Under ``no_grad`` nothing is kept.
     """
@@ -326,66 +339,65 @@ def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int):
     def merge(a):
         return a.transpose(1, 0, 2).reshape(n, d)
 
-    qs, kh, vh = split(q * scale), split(k), split(v)
+    def widened(a, column):
+        """Per-head [heads, n, dh] rows with one more column."""
+        out = np.empty((heads, n, dh + 1), dtype=a.dtype)
+        out[..., :dh] = a
+        out[..., dh:] = column
+        return out
+
+    qs, kh, vx = split(q * scale), split(k), widened(split(v), 1)
     kt = kh.transpose(0, 2, 1)
 
     data = np.empty((n, d), dtype=q.dtype)
-    kept = None
+    out = split(data)
+    kept = inv_l = None
     lse = np.empty((heads, n, 1), dtype=q.dtype)
     for s, e in spans:
         p = qs[:, s:e] @ kt
         m = p.max(axis=-1, keepdims=True)
         p -= m
         np.exp(p, out=p)
-        l = p.sum(axis=-1, keepdims=True)
-        o = p @ vh
-        o /= l
-        data.reshape(n, heads, dh)[s:e] = o.transpose(1, 0, 2)
+        ol = p @ vx  # [E v | l]
+        l = ol[..., dh:]
+        np.divide(ol[..., :dh], l, out=out[:, s:e])
         if not _recording:
             continue
         if s == 0 and heads * n <= ATTENTION_BLOCK:
-            p /= l
-            kept = p
+            kept, inv_l = p, 1 / l
         else:
             np.add(m, np.log(l), out=lse[:, s:e])
 
     def backward(g):
-        gh = split(g)
+        if n == 1:  # one key: P is the constant 1, whatever q and k are
+            return np.zeros_like(g), np.zeros_like(g), g
+        # [dO | -D] per head, D = rowsum(dO * O); the kept rows divided by l.
+        gx = widened(split(g), -split(g * data).sum(axis=-1, keepdims=True))
+        if kept is not None:
+            gx[:, : kept.shape[1]] *= inv_l
+        gh = gx[..., :dh]
         dq = np.empty_like(g)
-        block = np.empty((max(1, ATTENTION_D_BLOCK // n), n), dtype=g.dtype)
-        # Every recomputed P and every dP go to one reused buffer each, as
+        # Every recomputed P and every dS go to one reused buffer each, as
         # contiguous prefixes, so the chunk loop allocates no chunk-sized
         # array (a loop that did made glibc trim and refault them at n=1024).
         size = heads * min(rows, n) * n
         d_scores = np.empty(size, dtype=g.dtype)
-        recomputes = kept is None or len(spans) > 1
-        scores = np.empty(size, dtype=g.dtype) if recomputes else None
+        if kept is None or len(spans) > 1:
+            scores = np.empty(size, dtype=g.dtype)
+            # [q * scale | -L] @ [k | 1]^T is S - L; the kept rows' L is unused.
+            qx, kxt = widened(qs, -lse), widened(kh, 1).transpose(0, 2, 1)
+        vxt = vx.transpose(0, 2, 1)
         for s, e in spans:
             shape = (heads, e - s, n)
             if s == 0 and kept is not None:
                 p = kept
             else:
                 p = scores[: heads * (e - s) * n].reshape(shape)
-                np.matmul(qs[:, s:e], kt, out=p)
-                p -= lse[:, s:e]
+                np.matmul(qx[:, s:e], kxt, out=p)
                 np.exp(p, out=p)
-            gc = gh[:, s:e]
-            dv_part = p.transpose(0, 2, 1) @ gc
+            dv_part = p.transpose(0, 2, 1) @ gh[:, s:e]
             gs = d_scores[: heads * (e - s) * n].reshape(shape)
-            np.matmul(gc, vh.transpose(0, 2, 1), out=gs)
-            # D = rowsum(dP * P), summed as the unfused reference's softmax
-            # sums it.  Where a row's softmax saturates, dP - D cancels down to
-            # D's rounding, so rowsum(dO * O) or an einsum would not match it.
-            # The products go through one reused block of rows; each row sums
-            # the same contiguous values in the same order.
-            flat_gs, flat_p = gs.reshape(-1, n), p.reshape(-1, n)
-            total = len(flat_gs)
-            d_rows = np.empty((total, 1), dtype=g.dtype)
-            for r in range(0, total, len(block)):
-                stop = min(r + len(block), total)
-                part = np.multiply(flat_gs[r:stop], flat_p[r:stop], out=block[: stop - r])
-                part.sum(axis=-1, keepdims=True, out=d_rows[r:stop])
-            gs -= d_rows.reshape(heads, e - s, 1)
+            np.matmul(gx[:, s:e], vxt, out=gs)
             gs *= p
             dq.reshape(n, heads, dh)[s:e] = (gs @ kh).transpose(1, 0, 2)
             dkt_part = qs[:, s:e].transpose(0, 2, 1) @ gs  # [heads, dh, n]

@@ -17,11 +17,14 @@ are the model's layers as the single-op nodes they recorded before
 numcore's two sublayer nodes, which must match them bitwise; ``gelu`` and
 ``attention`` are nodes built from numcore's bodies of those ops, which
 only these compositions and the tests run.  ``reference_gelu``,
-``reference_layernorm``, ``reference_attention`` and ``scatter_gather`` are
-the engine's earlier bodies of gelu, layernorm, attention and the plane
-gather: one temporary per expression, a fresh array per attention chunk and
-a scatter for backward.  The engine's in-place ops, reused buffers and
-``permute`` must match them bitwise.
+``reference_layernorm`` and ``scatter_gather`` are the engine's earlier
+bodies of gelu, layernorm and the plane gather: one temporary per expression
+and a scatter for backward; ``reference_attention`` is attention's algebra
+with a fresh array per chunk and per product.  The engine's in-place ops,
+reused buffers and ``permute`` must match them bitwise.
+``exact_attention_gradients`` is attention's dq and dk in ``np.longdouble``
+with the error scale each entry is held to, the accuracy contract for
+gradients that need not round as the unfused composition does.
 ``frozen_hdr_loss`` and ``frozen_total_loss`` are the model's losses with
 the HDR denominators held at values captured once (``hdr_denominators``),
 the objective whose finite differences the loss's stop-gradient must match.
@@ -154,12 +157,15 @@ def reference_layernorm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
 
 def reference_attention(q, k, v, heads: int) -> Tensor:
-    """``numcore.attention`` with a fresh array per chunk in backward and D
-    as the whole ``(dP * P).sum(axis=-1)``; same chunks, same forward."""
+    """``numcore``'s attention body with a fresh array for every chunk and
+    every product in place of its reused buffers and in-place passes: the
+    same chunks and the same algebra, the row sums carried by the ones
+    columns of ``[k | 1]`` and ``[v | 1]``."""
     q, k, v = _coerce(q), _coerce(k), _coerce(v)
     n, d = q.shape
     dh = d // heads
-    scale = q.data.dtype.type(1.0 / math.sqrt(dh))
+    dtype = q.data.dtype
+    scale = dtype.type(1.0 / math.sqrt(dh))
     rows = max(1, nc.ATTENTION_BLOCK // (heads * n))
     spans = [(s, min(s + rows, n)) for s in range(0, n, rows)]
 
@@ -169,52 +175,88 @@ def reference_attention(q, k, v, heads: int) -> Tensor:
     def merge(a):
         return a.transpose(1, 0, 2).reshape(n, d)
 
-    qs, kh, vh = split(q.data * scale), split(k.data), split(v.data)
-    kt = kh.transpose(0, 2, 1)
-    data = np.empty((n, d), dtype=q.data.dtype)
-    kept = None
-    lse = np.empty((heads, n, 1), dtype=q.data.dtype)
+    def widened(a, column):
+        return np.concatenate([a, column], axis=-1)
+
+    ones = np.ones((heads, n, 1), dtype=dtype)
+    qs, kh = split(q.data * scale), split(k.data)
+    kx, vx = widened(kh, ones), widened(split(v.data), ones)
+    outs, kept, inv_l = [], None, None
+    neg_lse = np.zeros((heads, n, 1), dtype=dtype)
     for s, e in spans:
-        p = qs[:, s:e] @ kt
-        m = p.max(axis=-1, keepdims=True)
-        p -= m
-        np.exp(p, out=p)
-        l = p.sum(axis=-1, keepdims=True)
-        o = p @ vh
-        o /= l
-        data.reshape(n, heads, dh)[s:e] = o.transpose(1, 0, 2)
+        scores = qs[:, s:e] @ kh.transpose(0, 2, 1)
+        m = scores.max(axis=-1, keepdims=True)
+        p = np.exp(scores - m)
+        ol = p @ vx
+        l = ol[..., dh:]
+        outs.append(ol[..., :dh] / l)
         if s == 0 and heads * n <= nc.ATTENTION_BLOCK:
-            p /= l
-            kept = p
+            kept, inv_l = p, 1 / l
         else:
-            np.add(m, np.log(l), out=lse[:, s:e])
+            neg_lse[:, s:e] = -(m + np.log(l))
+    data = merge(np.concatenate(outs, axis=1))
 
     def backward(g):
-        gh = split(g)
-        dq = np.empty_like(g)
+        if n == 1:
+            return np.zeros_like(g), np.zeros_like(g), g
+        gx = widened(split(g), -split(g * data).sum(axis=-1, keepdims=True))
+        if kept is not None:
+            r = kept.shape[1]
+            gx = np.concatenate([gx[:, :r] * inv_l, gx[:, r:]], axis=1)
+        qx = widened(qs, neg_lse)
+        dq_parts, dv, dkt = [], None, None
         for s, e in spans:
             if s == 0 and kept is not None:
                 p = kept
             else:
-                p = qs[:, s:e] @ kt
-                p -= lse[:, s:e]
-                np.exp(p, out=p)
-            gc = gh[:, s:e]
-            dv_part = p.transpose(0, 2, 1) @ gc
-            gs = gc @ vh.transpose(0, 2, 1)
-            gs -= (gs * p).sum(axis=-1, keepdims=True)
-            gs *= p
-            dq.reshape(n, heads, dh)[s:e] = (gs @ kh).transpose(1, 0, 2)
+                p = np.exp(qx[:, s:e] @ kx.transpose(0, 2, 1))
+            gc = gx[:, s:e]
+            dv_part = p.transpose(0, 2, 1) @ gc[..., :dh]
+            gs = (gc @ vx.transpose(0, 2, 1)) * p
+            dq_parts.append(gs @ kh)
             dkt_part = qs[:, s:e].transpose(0, 2, 1) @ gs
-            if s == 0:
-                dv, dkt = dv_part, dkt_part
-            else:
-                dv += dv_part
-                dkt += dkt_part
-        dq *= scale
+            dv = dv_part if dv is None else dv + dv_part
+            dkt = dkt_part if dkt is None else dkt + dkt_part
+        dq = merge(np.concatenate(dq_parts, axis=1)) * scale
         return dq, merge(dkt.transpose(0, 2, 1)), merge(dv)
 
     return _result(data, (q, k, v), backward)
+
+
+def exact_attention_gradients(q, k, v, g, heads: int):
+    """dq and dk of attention under the upstream gradient ``g``, computed in
+    ``np.longdouble`` from the given values, and the scale each entry's
+    rounding error is held to.
+
+    With P the softmax, ``s`` the op's score scale and M = |g| |v|^T per
+    head, an entry of dS = P * (g v^T - rowsum(P * g v^T)) is bounded by
+    A = P * (M + rowsum(P * M)), so dq's scale is s A |k| and dk's is
+    s A^T |q|: a kernel whose dq and dk stay within c eps of them rounds
+    only the terms the gradient is made of."""
+    n, d = q.shape
+    dh = d // heads
+    s = np.longdouble(q.dtype.type(1.0 / math.sqrt(dh)))
+
+    def split(a):
+        return np.asarray(a, dtype=np.longdouble).reshape(n, heads, dh).transpose(1, 0, 2)
+
+    def merge(a):
+        return a.transpose(1, 0, 2).reshape(n, d)
+
+    qh, kh, vh, gh = split(q), split(k), split(v), split(g)
+    scores = (qh @ kh.transpose(0, 2, 1)) * s
+    p = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    p /= p.sum(axis=-1, keepdims=True)
+    dp = gh @ vh.transpose(0, 2, 1)
+    ds = p * (dp - (p * dp).sum(axis=-1, keepdims=True))
+    m = np.abs(gh) @ np.abs(vh).transpose(0, 2, 1)
+    a = p * (m + (p * m).sum(axis=-1, keepdims=True))
+    return (
+        merge(s * (ds @ kh)),
+        merge(s * (ds.transpose(0, 2, 1) @ qh)),
+        merge(s * (a @ np.abs(kh))),
+        merge(s * (a.transpose(0, 2, 1) @ np.abs(qh))),
+    )
 
 
 def gelu(x: Tensor) -> Tensor:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import kinterp
-from kinterp import cli
+from kinterp import cli, kspace, pipeline
 from kinterp import numcore as nc
 from kinterp.cli import (
     EXIT_DIMENSION,
@@ -264,6 +264,29 @@ def _record_train(monkeypatch) -> list[TrainConfig]:
 
     monkeypatch.setattr(cli, "train", fake_train)
     return seen
+
+
+def test_train_reads_each_volume_once(tmp_path, monkeypatch):
+    """``train`` sizes the model from the first training volume's header and
+    reads each volume's payload once: 16 reads for 16 volumes."""
+    data = tmp_path / "data"
+    assert main([
+        "dataset", "--out", str(data), "--dims", "16,16,2",
+        "--n-train", "16", "--n-test", "1", "--seed", "0",
+    ]) == EXIT_OK
+    reads = []
+
+    def counted(path):
+        reads.append(Path(path).name)
+        return read_volume(path)
+
+    for module in (kspace, pipeline, cli):
+        monkeypatch.setattr(module, "read_volume", counted)
+    assert main([
+        "train", "--tiny", "--out", str(tmp_path / "run"),
+        "--manifest", str(data / "manifest.txt"), "--steps", "1",
+    ]) == EXIT_OK
+    assert sorted(reads) == [f"train_{i:03d}.kspace.kvol" for i in range(16)]
 
 
 def test_train_echo_lists_every_key(workspace, tmp_path, monkeypatch):
@@ -533,6 +556,18 @@ def test_format_errors(workspace, tmp_path):
         "--checkpoint", str(workspace["run"] / "checkpoint.kgin"),
         "--mask", str(workspace["masks"] / "mask.kmask"),
     ]) == EXIT_FORMAT
+    # a first training volume whose header holds but whose payload does not:
+    # train sizes the model from the header, then exits 4 at the payload
+    short_kvol = tmp_path / "short.kvol"
+    short_kvol.write_bytes(bytes(blob[:-4]))
+    for volume in (nan_kvol, short_kvol):
+        bad_manifest.write_text(f"train image {volume}\ntrain kspace {volume}\n")
+        out = tmp_path / "train"
+        assert main([
+            "train", "--tiny", "--out", str(out), "--manifest", str(bad_manifest),
+            "--steps", "1",
+        ]) == EXIT_FORMAT, volume.name
+        assert not out.exists(), volume.name
     # an image-domain volume where k-space is expected: a wrong header tag
     assert main([
         "infer", str(workspace["data"] / "test_000.image.kvol"), "--out", str(tmp_path),

@@ -15,6 +15,7 @@ from kinterp.kspace import (
     ifft2,
     magnitude,
     normalize,
+    read_extents,
     read_volume,
     write_volume,
 )
@@ -201,6 +202,7 @@ def test_kvol_roundtrip_bitwise(tmp_path):
     assert np.array_equal(back.im, v.im)
     assert back.domain == v.domain
     assert back.scale == v.scale
+    assert read_extents(path) == (8, 4, 3)
 
 
 def test_kvol_payload_layout(tmp_path):
@@ -242,8 +244,9 @@ def test_kvol_write_quantizes_to_float32(tmp_path):
 def test_kvol_rejects_truncated_header(tmp_path):
     path = tmp_path / "short.kvol"
     path.write_bytes(b"KVOL\x01")
-    with pytest.raises(FormatError):
-        read_volume(path)
+    for read in (read_volume, read_extents):
+        with pytest.raises(FormatError):
+            read(path)
 
 
 def test_kvol_rejects_bad_magic(tmp_path):
@@ -253,8 +256,9 @@ def test_kvol_rejects_bad_magic(tmp_path):
     blob = bytearray(path.read_bytes())
     blob[:4] = b"JUNK"
     path.write_bytes(bytes(blob))
-    with pytest.raises(FormatError):
-        read_volume(path)
+    for read in (read_volume, read_extents):
+        with pytest.raises(FormatError):
+            read(path)
 
 
 def test_kvol_rejects_payload_length_mismatch(tmp_path):
@@ -265,6 +269,7 @@ def test_kvol_rejects_payload_length_mismatch(tmp_path):
     path.write_bytes(blob[:-4])
     with pytest.raises(FormatError):
         read_volume(path)
+    assert read_extents(path) == (4, 4, 2)  # the header alone holds
     path.write_bytes(blob + b"\x00" * 8)
     with pytest.raises(FormatError):
         read_volume(path)
