@@ -40,11 +40,14 @@ passes and allocations its result needs, in the order of its written
 expression.
 Attention runs its query rows in chunks of at most ``ATTENTION_BLOCK``
 score entries, with the scale folded into q and every sum of a row over its
-keys inside a matmul (``_attention`` says how), so a kept chunk costs three
-passes over its scores forward (max, subtract, exp) and one backward.  It
-keeps the first chunk unnormalized, as exp(S - m) and 1 / l, when that chunk
-fits one block, and for every other chunk only its rows' log-sum-exp, from
-which backward recomputes the chunk; so a node holds O(n d + block) memory
+keys inside a matmul (``_attention`` says how).  When one O(n d) bound
+puts every score within ``SCORE_BOUND``, the exp cannot overflow without a
+row max, so a chunk costs one pass over its scores forward (the exp);
+otherwise the row max is subtracted first, three passes (max, subtract,
+exp).  A kept chunk costs one pass backward.  Attention keeps the first
+chunk unnormalized, as exp(S - m) and 1 / l, when that chunk fits one
+block, and for every other chunk only its rows' log-sum-exp, from which
+backward recomputes the chunk; so a node holds O(n d + block) memory
 instead of a [heads, n, n] map.  Adam runs over flat buffers:
 ``OptimizerState`` lays the parameters out once, each ``Tensor.data``
 becomes a view into its buffer, and each ``adam_step`` packs the gradients
@@ -81,6 +84,10 @@ ADAM_EPS = 1e-8
 _GELU_C = math.sqrt(2.0 / math.pi)
 # Score entries (heads x query rows x keys) that one attention chunk may hold.
 ATTENTION_BLOCK = 1 << 18
+# Largest bound on |score| under which attention exponentiates its scores
+# without a row max: n e^16 stays far below float32's maximum, and e^-16
+# (1.1e-7) far above its smallest normal.
+SCORE_BOUND = 16.0
 
 
 def set_mode(mode: str) -> None:
@@ -294,21 +301,30 @@ def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int):
     Splits d into ``heads`` slices, computes softmax(q k^T / sqrt(d/heads)) v
     per head and merges the heads back to [n, d].  Every sum of a row over
     its keys runs inside a matmul, against a column appended to one operand,
-    so the passes over the scores are only the row max, its subtraction and
-    the exp: ``E = exp(S - m)`` times ``[v | 1]`` gives ``E v`` and the
+    so the passes over the scores are at most the row max, its subtraction
+    and the exp: ``E = exp(S - m)`` times ``[v | 1]`` gives ``E v`` and the
     exponent sum l in one product, and each row's output is ``E v / l``.
     The scale multiplies q once (n d entries).
+
+    The row max m is there only to keep the exp from overflowing.  Before
+    the chunks, one O(n d) pass bounds every score, over every head, by
+    ``max_i |q_i * scale| * max_j |k_j|`` (Cauchy-Schwarz).  When that bound
+    is at most ``SCORE_BOUND``, m is 0: each chunk's one pass over its
+    scores forward is the exp, and L is log l.  A larger bound, a NaN or
+    inf one, or a single key (whose shifted output is exactly v) takes the
+    shifted path, with the row max and its subtraction.
 
     Query rows run in chunks of at most ``ATTENTION_BLOCK`` score entries,
     each against every key, so each row's softmax is exact.  When ``heads * n
     <= ATTENTION_BLOCK`` the first ``ATTENTION_BLOCK // (heads * n)`` rows
     form the first chunk, which backward keeps unnormalized, as E and 1/l;
     the whole map is one kept chunk only when ``heads * n * n <=
-    ATTENTION_BLOCK``.  Every other chunk keeps only its rows' log-sum-exp L,
-    and backward recomputes its probabilities as ``P = exp([q * scale | -L]
-    @ [k | 1]^T)``: one matmul and one pass, into a buffer every recomputed
-    chunk reuses, as every chunk's dS reuses another.  Backward widens q and
-    k only when some chunk is recomputed, and forward only v.
+    ATTENTION_BLOCK``.  Every other chunk keeps only its rows' log-sum-exp
+    L = m + log l, and backward recomputes its probabilities as ``P =
+    exp([q * scale | -L] @ [k | 1]^T)``: one matmul and one pass, into a
+    buffer every recomputed chunk reuses, as every chunk's dS reuses
+    another.  Backward widens q and k only when some chunk is recomputed,
+    and forward only v.
 
     Backward takes D = rowsum(dO * O) from the output (n d entries) and forms
     dS = P * (dO v^T - D) as ``[dO | -D] @ [v | 1]^T`` times P: one matmul
@@ -346,7 +362,16 @@ def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int):
         out[..., dh:] = column
         return out
 
+    def largest_norm(a):
+        """The largest norm of a row of per-head [heads, n, dh] ``a``; inf
+        where a square overflows."""
+        with np.errstate(over="ignore"):
+            return math.sqrt(np.square(a).sum(axis=-1).max())
+
     qs, kh, vx = split(q * scale), split(k), widened(split(v), 1)
+    # No score exceeds this bound in magnitude (Cauchy-Schwarz).
+    bound = largest_norm(qs) * largest_norm(kh)
+    shift = n == 1 or not bound <= SCORE_BOUND
     kt = kh.transpose(0, 2, 1)
 
     data = np.empty((n, d), dtype=q.dtype)
@@ -355,8 +380,9 @@ def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int):
     lse = np.empty((heads, n, 1), dtype=q.dtype)
     for s, e in spans:
         p = qs[:, s:e] @ kt
-        m = p.max(axis=-1, keepdims=True)
-        p -= m
+        if shift:
+            m = p.max(axis=-1, keepdims=True)
+            p -= m
         np.exp(p, out=p)
         ol = p @ vx  # [E v | l]
         l = ol[..., dh:]
@@ -365,8 +391,10 @@ def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int):
             continue
         if s == 0 and heads * n <= ATTENTION_BLOCK:
             kept, inv_l = p, 1 / l
-        else:
+        elif shift:
             np.add(m, np.log(l), out=lse[:, s:e])
+        else:
+            np.log(l, out=lse[:, s:e])
 
     def backward(g):
         if n == 1:  # one key: P is the constant 1, whatever q and k are

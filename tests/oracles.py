@@ -20,7 +20,8 @@ only these compositions and the tests run.  ``reference_gelu``,
 ``reference_layernorm`` and ``scatter_gather`` are the engine's earlier
 bodies of gelu, layernorm and the plane gather: one temporary per expression
 and a scatter for backward; ``reference_attention`` is attention's algebra
-with a fresh array per chunk and per product.  The engine's in-place ops,
+with a fresh array per chunk and per product, and ``attention_shifts`` its
+rule for when the row max is subtracted.  The engine's in-place ops,
 reused buffers and ``permute`` must match them bitwise.
 ``exact_attention_gradients`` is attention's dq and dk in ``np.longdouble``
 with the error scale each entry is held to, the accuracy contract for
@@ -156,16 +157,34 @@ def reference_layernorm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return _result(data, (x, gain, bias), backward)
 
 
+def attention_shifts(q: np.ndarray, k: np.ndarray, heads: int) -> bool:
+    """Whether ``numcore``'s attention subtracts each row's max before the
+    exp: with one key, or when the bound max |q_i| max |k_j| / sqrt(d/heads)
+    on every score, over every head and in the arrays' precision, is above
+    ``nc.SCORE_BOUND`` or is not finite."""
+    n, d = q.shape
+    dh = d // heads
+    scale = q.dtype.type(1.0 / math.sqrt(dh))
+
+    def largest_norm(a):
+        with np.errstate(over="ignore"):
+            return np.linalg.norm(a.reshape(n, heads, dh), axis=-1).max()
+
+    return n == 1 or not largest_norm(q * scale) * largest_norm(k) <= nc.SCORE_BOUND
+
+
 def reference_attention(q, k, v, heads: int) -> Tensor:
     """``numcore``'s attention body with a fresh array for every chunk and
     every product in place of its reused buffers and in-place passes: the
     same chunks and the same algebra, the row sums carried by the ones
-    columns of ``[k | 1]`` and ``[v | 1]``."""
+    columns of ``[k | 1]`` and ``[v | 1]``, and the row max subtracted only
+    where ``attention_shifts``."""
     q, k, v = _coerce(q), _coerce(k), _coerce(v)
     n, d = q.shape
     dh = d // heads
     dtype = q.data.dtype
     scale = dtype.type(1.0 / math.sqrt(dh))
+    shift = attention_shifts(q.data, k.data, heads)
     rows = max(1, nc.ATTENTION_BLOCK // (heads * n))
     spans = [(s, min(s + rows, n)) for s in range(0, n, rows)]
 
@@ -185,7 +204,7 @@ def reference_attention(q, k, v, heads: int) -> Tensor:
     neg_lse = np.zeros((heads, n, 1), dtype=dtype)
     for s, e in spans:
         scores = qs[:, s:e] @ kh.transpose(0, 2, 1)
-        m = scores.max(axis=-1, keepdims=True)
+        m = scores.max(axis=-1, keepdims=True) if shift else dtype.type(0)
         p = np.exp(scores - m)
         ol = p @ vx
         l = ol[..., dh:]

@@ -344,16 +344,20 @@ def test_criterion_5_overfit(overfit_run, dataset_manifests):
     )
 
 
-@records(6, "held-out gain at R=4,6,8")
-def test_criterion_6_variable_r_generalization(generalize_run, dataset_manifests):
-    result = generalize_run["result"]
+def _held_out_reports(generalize_run, dataset_manifests):
+    """Criterion 6's evaluation of the 800-step checkpoint at R=4,6,8."""
     with nc.use_mode("train"):  # the precision `kinterp eval` runs at
-        model_reports, baseline_reports = evaluate(
-            result.checkpoint_path,
+        return evaluate(
+            generalize_run["result"].checkpoint_path,
             dataset_manifests["full"],
             r_values=[4.0, 6.0, 8.0],
             seed=0,
         )
+
+
+@records(6, "held-out gain at R=4,6,8")
+def test_criterion_6_variable_r_generalization(generalize_run, dataset_manifests):
+    model_reports, baseline_reports = _held_out_reports(generalize_run, dataset_manifests)
     for model_rep, base_rep in zip(model_reports, baseline_reports):
         assert len(model_rep.rows) == 5
         mean_model = model_rep.aggregate()["psnr"][0]
@@ -367,6 +371,23 @@ def test_criterion_6_variable_r_generalization(generalize_run, dataset_manifests
                 f"R={model_rep.r_nominal:g} {m_row.sequence}: "
                 f"{m_row.psnr:.2f} vs {b_row.psnr:.2f}"
             )
+
+
+def test_held_out_attention_takes_the_shift_free_path(generalize_run, dataset_manifests, monkeypatch):
+    """Every attention call of criterion 6's evaluation bounds its scores
+    within ``nc.SCORE_BOUND``, so none subtracts a row max: a spy on
+    numcore's attention body applies ``oracles.attention_shifts`` to each
+    call's q and k."""
+    shifts = []
+    body = nc._attention
+
+    def spy(q, k, v, heads):
+        shifts.append(oracles.attention_shifts(q, k, heads))
+        return body(q, k, v, heads)
+
+    monkeypatch.setattr(nc, "_attention", spy)
+    _held_out_reports(generalize_run, dataset_manifests)
+    assert shifts and not any(shifts), f"{sum(shifts)} of {len(shifts)} calls shift"
 
 
 @records(7, "zero-residual refinement init")

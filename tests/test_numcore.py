@@ -302,8 +302,9 @@ def _assert_matches_composition(fused, unfused, arrays, weight):
 
 # c in the bound c * eps * scale that attention's dq and dk keep to the exact
 # gradients, entry by entry (``oracles.exact_attention_gradients``).  Over
-# 20000 draws of the fused-op test's strategy the worst was 12.3, and 13.5
-# for the unfused composition.
+# 20000 draws of the fused-op test's strategy the worst was 15.1 on the
+# shifted path and 8.0 on the shift-free one, and 13.1 for the unfused
+# composition; with the draws at 0.25 instead of 2.0, 2.2 and 2.4.
 ATTENTION_GRAD_C = 32
 
 
@@ -376,22 +377,54 @@ def test_fused_ops_reject_mismatched_shapes():
         oracles.attention(empty, empty, empty, 2)  # no query rows
 
 
+# Attention's two paths, by the scale of the draws: at 0.25 every case below
+# bounds its scores within ``nc.SCORE_BOUND`` and takes the shift-free path,
+# and at the scale the cases drew at before that path (2.0 for q, k and v)
+# most take the shifted one.  Each case asserts the path it takes.
+SHIFT_FREE = 0.25
+
+
+def _path_cases(cases, shifted=2.0, free_at_shifted=()):
+    """Each (id, *args) case at the draw scale ``shifted`` under its id and
+    at ``SHIFT_FREE`` under id-shift-free, with whether it shifts: at
+    ``shifted`` it does, but for the ids in ``free_at_shifted``."""
+    return [
+        pytest.param(
+            *args,
+            scale,
+            scale == shifted and name not in free_at_shifted,
+            id=name if scale == shifted else f"{name}-shift-free",
+        )
+        for scale in (shifted, SHIFT_FREE)
+        for name, *args in cases
+    ]
+
+
 # rows per chunk = max(1, block // (heads * n)): 1 with every chunk over the
 # block (none kept); 4, as chunks of 4 + 4 + 1 rows (the first kept); 2, as
 # four chunks of 32 entries of which only the first fits the block of 40; and
-# 5, the whole map as one kept chunk.  Every other chunk keeps its rows'
-# log-sum-exp, and the output must not depend on whether the tape records.
+# 5, the whole map as one kept chunk, whose scores at 2.0 stay within the
+# bound (13.2).  Every other chunk keeps its rows' log-sum-exp, and the
+# output must not depend on whether the tape records.
 @pytest.mark.parametrize(
-    "n, heads, block",
-    [(7, 2, 9), (9, 2, 72), (8, 2, 40), (5, 2, 50)],
-    ids=["one-row-chunks", "ragged-last-chunk", "partly-kept-prefix", "whole-map-kept"],
+    "n, heads, block, scale, shifts",
+    _path_cases(
+        [
+            ("one-row-chunks", 7, 2, 9),
+            ("ragged-last-chunk", 9, 2, 72),
+            ("partly-kept-prefix", 8, 2, 40),
+            ("whole-map-kept", 5, 2, 50),
+        ],
+        free_at_shifted=("whole-map-kept",),
+    ),
 )
-def test_chunked_attention_matches_unfused_composition(monkeypatch, n, heads, block):
+def test_chunked_attention_matches_unfused_composition(monkeypatch, n, heads, block, scale, shifts):
     assert nc.get_mode() == "test"  # float64
     monkeypatch.setattr(nc, "ATTENTION_BLOCK", block)
     rng = np.random.default_rng(n * heads)
     d = heads * 3
-    qkv = [rng.normal(size=(n, d)) * 2.0 for _ in range(3)]
+    qkv = [rng.normal(size=(n, d)) * scale for _ in range(3)]
+    assert oracles.attention_shifts(*qkv[:2], heads) == shifts
     _assert_attention_matches_composition(qkv, rng.normal(size=(n, d)), heads)
     taped = oracles.attention(*(Tensor(a, requires_grad=True) for a in qkv), heads)
     with nc.no_grad():
@@ -403,20 +436,32 @@ def test_chunked_attention_matches_unfused_composition(monkeypatch, n, heads, bl
 @pytest.mark.parametrize("mode", ["test", "train"])
 @pytest.mark.parametrize("grad_rows", [slice(-1, None), slice(0, 3), None], ids=["row", "3-rows", "default"])
 @pytest.mark.parametrize(
-    "n, heads, block",
-    [(10, 2, None), (7, 2, 9), (10, 2, 60), (8, 2, 40)],
-    ids=["one-kept-chunk", "one-row-chunks", "ragged-last-chunk", "partly-kept-prefix"],
+    "n, heads, block, scale, shifts",
+    _path_cases(
+        [
+            ("one-kept-chunk", 10, 2, None),
+            ("one-row-chunks", 7, 2, 9),
+            ("ragged-last-chunk", 10, 2, 60),
+            ("partly-kept-prefix", 8, 2, 40),
+        ]
+    ),
 )
-def test_attention_matches_its_reference_body_bitwise(monkeypatch, mode, grad_rows, n, heads, block):
+def test_attention_matches_its_reference_body_bitwise(
+    monkeypatch, mode, grad_rows, n, heads, block, scale, shifts
+):
     """Reused chunk buffers, in-place passes and the widened operands built
     once give the bytes of a fresh array per chunk and per product, with the
     upstream gradient on every query row (the default), or on the last row
     or the first three only, so that other chunks' rows of dO and D are zero
-    and their scores go through the reused buffers as zeros."""
+    and their scores go through the reused buffers as zeros.  The reference
+    subtracts the row max on the shifted path and 0 on the other."""
     if block is not None:
         monkeypatch.setattr(nc, "ATTENTION_BLOCK", block)
     rng = np.random.default_rng(784)
-    arrays = [rng.normal(size=(n, 2 * heads)) * 2.0 for _ in range(4)]
+    arrays = [rng.normal(size=(n, 2 * heads)) * scale for _ in range(4)]
+    with nc.use_mode(mode):
+        q, k = (Tensor(a).data for a in arrays[:2])
+    assert oracles.attention_shifts(q, k, heads) == shifts
     if grad_rows is not None:
         weight = np.zeros_like(arrays[3])
         weight[grad_rows] = arrays[3][grad_rows]
@@ -482,6 +527,41 @@ def test_attention_over_one_key_passes_gradient_only_to_v(mode, heads, head_dim)
     assert np.all(q.grad == 0) and np.all(k.grad == 0)
 
 
+@pytest.mark.parametrize("case", ["squares-overflow", "scores-above-88"])
+def test_attention_shifts_float32_scores_it_cannot_bound(monkeypatch, case):
+    """In float32, q whose squared norms overflow (its true bound is small,
+    but the computed one is inf) and scores above 88, where exp overflows,
+    take the shifted path: the output is finite, and output and gradients
+    are the reference body's bytes.  Unshifted, the scores above 88 would
+    give a non-finite output."""
+    rng = np.random.default_rng(789)
+    n, heads, d = 6, 2, 8
+    q, k, v, weight = (rng.normal(size=(n, d)) for _ in range(4))
+    if case == "squares-overflow":
+        q, k = q * 1e20, k * 1e-20
+        assert not oracles.attention_shifts(q, k, heads)  # in float64
+    else:
+        q, k = q * 12.0, k * 12.0
+        scores = np.einsum("ihc,jhc->hij", q.reshape(n, heads, -1), k.reshape(n, heads, -1))
+        assert scores.max() / math.sqrt(d // heads) > 88.0
+
+    def run(op):
+        with nc.use_mode("train"):
+            leaves = [Tensor(a, requires_grad=True) for a in (q, k, v)]
+            out = op(*leaves, heads)
+            nc.mean_all(out * Tensor(weight)).backward()
+        assert out.data.dtype == np.float32 and np.all(np.isfinite(out.data))
+        return [t.tobytes() for t in (out.data, *(t.grad for t in leaves))]
+
+    assert oracles.attention_shifts(q.astype(np.float32), k.astype(np.float32), heads)
+    assert run(oracles.attention) == run(oracles.reference_attention)
+    if case == "scores-above-88":
+        monkeypatch.setattr(nc, "SCORE_BOUND", math.inf)
+        with nc.use_mode("train"), np.errstate(over="ignore", invalid="ignore"):
+            unshifted = oracles.attention(*(Tensor(a) for a in (q, k, v)), heads)
+        assert not np.all(np.isfinite(unshifted.data))
+
+
 def test_attention_memory_stays_below_half_a_probability_map():
     n, heads, d = 1024, 4, 32
     half_map = heads * n * n * np.dtype(np.float32).itemsize // 2  # 8 MiB
@@ -509,10 +589,14 @@ def _sublayer_operands(rng, n, d, hidden):
 
 
 # 9 rows of 2 heads: one kept chunk, chunks of 4 + 4 + 1 rows (the first
-# kept) and one-row chunks that are all recomputed.
+# kept) and one-row chunks that are all recomputed; the attention
+# sublayer's parameters drawn at scale 1 or ``SHIFT_FREE``.
 @pytest.mark.parametrize("mode", ["test", "train"])
-@pytest.mark.parametrize("block", [None, 72, 9], ids=["one-kept-chunk", "ragged", "one-row"])
-def test_sublayers_match_their_composition_bitwise(monkeypatch, mode, block):
+@pytest.mark.parametrize(
+    "block, scale, shifts",
+    _path_cases([("one-kept-chunk", None), ("ragged", 72), ("one-row", 9)], shifted=1.0),
+)
+def test_sublayers_match_their_composition_bitwise(monkeypatch, mode, block, scale, shifts):
     """Each sublayer node gives the bytes of the nodes it replaces: its
     output, every operand's gradient, and its output under ``no_grad``."""
     if block is not None:
@@ -520,7 +604,12 @@ def test_sublayers_match_their_composition_bitwise(monkeypatch, mode, block):
     rng = np.random.default_rng(785)
     n, heads = 9, 2
     x, attention, mlp = _sublayer_operands(rng, n, 4 * heads, 16 * heads)
+    attention = [a * scale for a in attention]
     weight = rng.normal(size=x.shape)
+    with nc.use_mode(mode):
+        h = nc.layernorm(*(Tensor(a) for a in [x, *attention[:2]]))
+        q, k = (nc.linear(h, *(Tensor(a) for a in wb)).data for wb in (attention[2:4], attention[4:6]))
+    assert oracles.attention_shifts(q, k, heads) == shifts
     cases = {
         "attention": (
             lambda *t: nc.attention_sublayer(*t, heads=heads),
