@@ -39,16 +39,18 @@ gelu, layernorm and attention must match bitwise.  Each op runs only the
 passes and allocations its result needs, in the order of its written
 expression.
 Attention runs its query rows in chunks of at most ``ATTENTION_BLOCK``
-score entries, with the scale folded into q and every sum of a row over its
-keys inside a matmul (``_attention`` says how).  When one O(n d) bound
-puts every score within ``SCORE_BOUND``, the exp cannot overflow without a
-row max, so a chunk costs one pass over its scores forward (the exp);
-otherwise the row max is subtracted first, three passes (max, subtract,
-exp).  A kept chunk costs one pass backward.  Attention keeps the first
-chunk unnormalized, as exp(S - m) and 1 / l, when that chunk fits one
-block, and for every other chunk only its rows' log-sum-exp, from which
-backward recomputes the chunk; so a node holds O(n d + block) memory
-instead of a [heads, n, n] map.  Adam runs over flat buffers:
+score entries, with the scale and log2 e folded into q, so the scores are
+in base 2 and exponentiated by ``exp2``, every sum of a row over its keys
+inside a matmul and every score-shaped matmul against a C-contiguous
+transposed operand built once per call (``_attention`` says how).  When
+one O(n d) bound puts every score within ``SCORE_BOUND``, the exp cannot
+overflow without a row max, so a chunk costs one pass over its scores
+forward (the exp); otherwise the row max is subtracted first, three passes
+(max, subtract, exp).  A kept chunk costs one pass backward.  Attention
+keeps the first chunk unnormalized, as exp2(S - m) and 1 / l, when that
+chunk fits one block, and for every other chunk only its rows' log-sum-exp,
+from which backward recomputes the chunk; so a node holds O(n d + block)
+memory instead of a [heads, n, n] map.  Adam runs over flat buffers:
 ``OptimizerState`` lays the parameters out once, each ``Tensor.data``
 becomes a view into its buffer, and each ``adam_step`` packs the gradients
 and updates every parameter in one pass.
@@ -85,9 +87,10 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 # Score entries (heads x query rows x keys) that one attention chunk may hold.
 ATTENTION_BLOCK = 1 << 18
 # Largest bound on |score| under which attention exponentiates its scores
-# without a row max: n e^16 stays far below float32's maximum, and e^-16
-# (1.1e-7) far above its smallest normal.
-SCORE_BOUND = 16.0
+# without a row max.  The scores are in base 2, so 2^SCORE_BOUND = e^16:
+# n e^16 stays far below float32's maximum, and e^-16 (1.1e-7) far above
+# its smallest normal.
+SCORE_BOUND = 16.0 / math.log(2.0)
 
 
 def set_mode(mode: str) -> None:
@@ -299,18 +302,24 @@ def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int):
     """Multi-head scaled dot-product attention over [n, d] rows.
 
     Splits d into ``heads`` slices, computes softmax(q k^T / sqrt(d/heads)) v
-    per head and merges the heads back to [n, d].  Every sum of a row over
+    per head and merges the heads back to [n, d].  The scores are in base
+    2: q is multiplied once (n d entries) by ``scale2 = 1 / (sqrt(d/heads)
+    ln 2)``, so ``S = (q * scale2) k^T`` and ``exp2(S)`` is the softmax's
+    exponent, and ``exp2`` is the cheaper pass.  Every sum of a row over
     its keys runs inside a matmul, against a column appended to one operand,
     so the passes over the scores are at most the row max, its subtraction
-    and the exp: ``E = exp(S - m)`` times ``[v | 1]`` gives ``E v`` and the
+    and the exp: ``E = exp2(S - m)`` times ``[v | 1]`` gives ``E v`` and the
     exponent sum l in one product, and each row's output is ``E v / l``.
-    The scale multiplies q once (n d entries).
+    The right operand of every score-shaped matmul, ``K^T`` forward and
+    ``[k | 1]^T`` and ``[v | 1]^T`` backward, is a C-contiguous [heads,
+    dh(+1), n] copy made once per call (O(n d)), which BLAS reads faster
+    than a transposed view.
 
     The row max m is there only to keep the exp from overflowing.  Before
     the chunks, one O(n d) pass bounds every score, over every head, by
-    ``max_i |q_i * scale| * max_j |k_j|`` (Cauchy-Schwarz).  When that bound
-    is at most ``SCORE_BOUND``, m is 0: each chunk's one pass over its
-    scores forward is the exp, and L is log l.  A larger bound, a NaN or
+    ``max_i |q_i * scale2| * max_j |k_j|`` (Cauchy-Schwarz).  When that
+    bound is at most ``SCORE_BOUND``, m is 0: each chunk's one pass over its
+    scores forward is the exp, and L is log2 l.  A larger bound, a NaN or
     inf one, or a single key (whose shifted output is exactly v) takes the
     shifted path, with the row max and its subtraction.
 
@@ -319,19 +328,20 @@ def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int):
     <= ATTENTION_BLOCK`` the first ``ATTENTION_BLOCK // (heads * n)`` rows
     form the first chunk, which backward keeps unnormalized, as E and 1/l;
     the whole map is one kept chunk only when ``heads * n * n <=
-    ATTENTION_BLOCK``.  Every other chunk keeps only its rows' log-sum-exp
-    L = m + log l, and backward recomputes its probabilities as ``P =
-    exp([q * scale | -L] @ [k | 1]^T)``: one matmul and one pass, into a
-    buffer every recomputed chunk reuses, as every chunk's dS reuses
-    another.  Backward widens q and k only when some chunk is recomputed,
-    and forward only v.
+    ATTENTION_BLOCK``.  Every other chunk keeps only its rows' base-2
+    log-sum-exp L = m + log2 l, and backward recomputes its probabilities
+    as ``P = exp2([q * scale2 | -L] @ [k | 1]^T)``: one matmul and one
+    pass, into a buffer every recomputed chunk reuses, as every chunk's dS
+    reuses another.  Backward widens q and k only when some chunk is
+    recomputed, and forward only v.
 
     Backward takes D = rowsum(dO * O) from the output (n d entries) and forms
     dS = P * (dO v^T - D) as ``[dO | -D] @ [v | 1]^T`` times P: one matmul
     and one pass.  For the kept chunk the rows ``[dO | -D]`` are divided by
     l first, so E stands in for P there.  With one key the softmax is the
     constant 1, and backward returns exact zeros for q and k and dO for v.
-    Backward applies the scale once, to dq, and returns dk as a column-major
+    Backward applies the natural scale once, to dq, and ln 2 once to dk,
+    which it forms from the base-2 q, and returns dk as a column-major
     view.  Under ``no_grad`` nothing is kept.
     """
     if q.ndim != 2 or q.shape != k.shape or q.shape != v.shape:
@@ -345,7 +355,9 @@ def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int):
         raise DimensionError(f"attention width {d} not divisible by {heads} heads")
     dh = d // heads
     # A float64 scalar would promote the float32 scores to float64.
+    ln2 = q.dtype.type(math.log(2.0))
     scale = q.dtype.type(1.0 / math.sqrt(dh))
+    scale2 = q.dtype.type(1.0 / (math.sqrt(dh) * math.log(2.0)))
     rows = max(1, ATTENTION_BLOCK // (heads * n))
     spans = [(s, min(s + rows, n)) for s in range(0, n, rows)]
 
@@ -362,17 +374,22 @@ def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int):
         out[..., dh:] = column
         return out
 
+    def transposed(a):
+        """Per-head [heads, n, c] rows as a C-contiguous [heads, c, n] array,
+        the right operand of a score-shaped matmul."""
+        return np.ascontiguousarray(a.transpose(0, 2, 1))
+
     def largest_norm(a):
         """The largest norm of a row of per-head [heads, n, dh] ``a``; inf
         where a square overflows."""
         with np.errstate(over="ignore"):
             return math.sqrt(np.square(a).sum(axis=-1).max())
 
-    qs, kh, vx = split(q * scale), split(k), widened(split(v), 1)
+    qs, kh, vx = split(q * scale2), split(k), widened(split(v), 1)
     # No score exceeds this bound in magnitude (Cauchy-Schwarz).
     bound = largest_norm(qs) * largest_norm(kh)
     shift = n == 1 or not bound <= SCORE_BOUND
-    kt = kh.transpose(0, 2, 1)
+    kt = transposed(kh)
 
     data = np.empty((n, d), dtype=q.dtype)
     out = split(data)
@@ -383,7 +400,7 @@ def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int):
         if shift:
             m = p.max(axis=-1, keepdims=True)
             p -= m
-        np.exp(p, out=p)
+        np.exp2(p, out=p)
         ol = p @ vx  # [E v | l]
         l = ol[..., dh:]
         np.divide(ol[..., :dh], l, out=out[:, s:e])
@@ -392,9 +409,9 @@ def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int):
         if s == 0 and heads * n <= ATTENTION_BLOCK:
             kept, inv_l = p, 1 / l
         elif shift:
-            np.add(m, np.log(l), out=lse[:, s:e])
+            np.add(m, np.log2(l), out=lse[:, s:e])
         else:
-            np.log(l, out=lse[:, s:e])
+            np.log2(l, out=lse[:, s:e])
 
     def backward(g):
         if n == 1:  # one key: P is the constant 1, whatever q and k are
@@ -412,9 +429,9 @@ def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int):
         d_scores = np.empty(size, dtype=g.dtype)
         if kept is None or len(spans) > 1:
             scores = np.empty(size, dtype=g.dtype)
-            # [q * scale | -L] @ [k | 1]^T is S - L; the kept rows' L is unused.
-            qx, kxt = widened(qs, -lse), widened(kh, 1).transpose(0, 2, 1)
-        vxt = vx.transpose(0, 2, 1)
+            # [q * scale2 | -L] @ [k | 1]^T is S - L; the kept rows' L is unused.
+            qx, kxt = widened(qs, -lse), transposed(widened(kh, 1))
+        vxt = transposed(vx)
         for s, e in spans:
             shape = (heads, e - s, n)
             if s == 0 and kept is not None:
@@ -422,7 +439,7 @@ def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int):
             else:
                 p = scores[: heads * (e - s) * n].reshape(shape)
                 np.matmul(qx[:, s:e], kxt, out=p)
-                np.exp(p, out=p)
+                np.exp2(p, out=p)
             dv_part = p.transpose(0, 2, 1) @ gh[:, s:e]
             gs = d_scores[: heads * (e - s) * n].reshape(shape)
             np.matmul(gx[:, s:e], vxt, out=gs)
@@ -435,6 +452,7 @@ def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int):
                 dv += dv_part
                 dkt += dkt_part
         dq *= scale
+        dkt *= ln2  # qs carries 1 / ln 2
         return dq, merge(dkt.transpose(0, 2, 1)), merge(dv)
 
     return data, backward

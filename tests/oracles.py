@@ -159,12 +159,12 @@ def reference_layernorm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
 def attention_shifts(q: np.ndarray, k: np.ndarray, heads: int) -> bool:
     """Whether ``numcore``'s attention subtracts each row's max before the
-    exp: with one key, or when the bound max |q_i| max |k_j| / sqrt(d/heads)
-    on every score, over every head and in the arrays' precision, is above
-    ``nc.SCORE_BOUND`` or is not finite."""
+    exp: with one key, or when the bound max |q_i| max |k_j| / (sqrt(d/heads)
+    ln 2) on every base-2 score, over every head and in the arrays'
+    precision, is above ``nc.SCORE_BOUND`` or is not finite."""
     n, d = q.shape
     dh = d // heads
-    scale = q.dtype.type(1.0 / math.sqrt(dh))
+    scale = q.dtype.type(1.0 / (math.sqrt(dh) * math.log(2.0)))
 
     def largest_norm(a):
         with np.errstate(over="ignore"):
@@ -176,14 +176,17 @@ def attention_shifts(q: np.ndarray, k: np.ndarray, heads: int) -> bool:
 def reference_attention(q, k, v, heads: int) -> Tensor:
     """``numcore``'s attention body with a fresh array for every chunk and
     every product in place of its reused buffers and in-place passes: the
-    same chunks and the same algebra, the row sums carried by the ones
-    columns of ``[k | 1]`` and ``[v | 1]``, and the row max subtracted only
-    where ``attention_shifts``."""
+    same chunks and the same algebra, base-2 scores from q scaled by
+    1 / (sqrt(d/heads) ln 2) and exponentiated by ``exp2``, the row sums
+    carried by the ones columns of ``[k | 1]`` and ``[v | 1]``, every
+    score-shaped product against a C-contiguous transposed operand, and
+    the row max subtracted only where ``attention_shifts``."""
     q, k, v = _coerce(q), _coerce(k), _coerce(v)
     n, d = q.shape
     dh = d // heads
     dtype = q.data.dtype
     scale = dtype.type(1.0 / math.sqrt(dh))
+    scale2 = dtype.type(1.0 / (math.sqrt(dh) * math.log(2.0)))
     shift = attention_shifts(q.data, k.data, heads)
     rows = max(1, nc.ATTENTION_BLOCK // (heads * n))
     spans = [(s, min(s + rows, n)) for s in range(0, n, rows)]
@@ -197,22 +200,25 @@ def reference_attention(q, k, v, heads: int) -> Tensor:
     def widened(a, column):
         return np.concatenate([a, column], axis=-1)
 
+    def transposed(a):
+        return a.transpose(0, 2, 1).copy()
+
     ones = np.ones((heads, n, 1), dtype=dtype)
-    qs, kh = split(q.data * scale), split(k.data)
+    qs, kh = split(q.data * scale2), split(k.data)
     kx, vx = widened(kh, ones), widened(split(v.data), ones)
     outs, kept, inv_l = [], None, None
     neg_lse = np.zeros((heads, n, 1), dtype=dtype)
     for s, e in spans:
-        scores = qs[:, s:e] @ kh.transpose(0, 2, 1)
+        scores = qs[:, s:e] @ transposed(kh)
         m = scores.max(axis=-1, keepdims=True) if shift else dtype.type(0)
-        p = np.exp(scores - m)
+        p = np.exp2(scores - m)
         ol = p @ vx
         l = ol[..., dh:]
         outs.append(ol[..., :dh] / l)
         if s == 0 and heads * n <= nc.ATTENTION_BLOCK:
             kept, inv_l = p, 1 / l
         else:
-            neg_lse[:, s:e] = -(m + np.log(l))
+            neg_lse[:, s:e] = -(m + np.log2(l))
     data = merge(np.concatenate(outs, axis=1))
 
     def backward(g):
@@ -228,16 +234,17 @@ def reference_attention(q, k, v, heads: int) -> Tensor:
             if s == 0 and kept is not None:
                 p = kept
             else:
-                p = np.exp(qx[:, s:e] @ kx.transpose(0, 2, 1))
+                p = np.exp2(qx[:, s:e] @ transposed(kx))
             gc = gx[:, s:e]
             dv_part = p.transpose(0, 2, 1) @ gc[..., :dh]
-            gs = (gc @ vx.transpose(0, 2, 1)) * p
+            gs = (gc @ transposed(vx)) * p
             dq_parts.append(gs @ kh)
             dkt_part = qs[:, s:e].transpose(0, 2, 1) @ gs
             dv = dv_part if dv is None else dv + dv_part
             dkt = dkt_part if dkt is None else dkt + dkt_part
         dq = merge(np.concatenate(dq_parts, axis=1)) * scale
-        return dq, merge(dkt.transpose(0, 2, 1)), merge(dv)
+        dk = merge(dkt.transpose(0, 2, 1)) * dtype.type(math.log(2.0))
+        return dq, dk, merge(dv)
 
     return _result(data, (q, k, v), backward)
 

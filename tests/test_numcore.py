@@ -302,9 +302,9 @@ def _assert_matches_composition(fused, unfused, arrays, weight):
 
 # c in the bound c * eps * scale that attention's dq and dk keep to the exact
 # gradients, entry by entry (``oracles.exact_attention_gradients``).  Over
-# 20000 draws of the fused-op test's strategy the worst was 15.1 on the
-# shifted path and 8.0 on the shift-free one, and 13.1 for the unfused
-# composition; with the draws at 0.25 instead of 2.0, 2.2 and 2.4.
+# 20000 draws of the fused-op test's strategy the worst was 10.7 on the
+# shifted path and 8.0 on the shift-free one, and 10.5 for the unfused
+# composition; with the draws at 0.25 instead of 2.0, 2.2 and 1.9.
 ATTENTION_GRAD_C = 32
 
 
@@ -404,8 +404,9 @@ def _path_cases(cases, shifted=2.0, free_at_shifted=()):
 # block (none kept); 4, as chunks of 4 + 4 + 1 rows (the first kept); 2, as
 # four chunks of 32 entries of which only the first fits the block of 40; and
 # 5, the whole map as one kept chunk, whose scores at 2.0 stay within the
-# bound (13.2).  Every other chunk keeps its rows' log-sum-exp, and the
-# output must not depend on whether the tape records.
+# bound (19.0 in base-2 units, 13.2 natural).  Every other chunk keeps its
+# rows' log-sum-exp, and the output must not depend on whether the tape
+# records.
 @pytest.mark.parametrize(
     "n, heads, block, scale, shifts",
     _path_cases(
