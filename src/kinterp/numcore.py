@@ -37,7 +37,11 @@ the gelu and attention nodes it uses, live with the test oracles in
 ``transpose`` and ``softmax_lastaxis`` nodes and the reference bodies that
 gelu, layernorm and attention must match bitwise.  Each op runs only the
 passes and allocations its result needs, in the order of its written
-expression.
+expression.  Every reduction over a narrow axis is a matrix-vector product,
+which BLAS runs in one call where a NumPy axis reduction runs one inner loop
+per row: layernorm's row means are its [rows, dim] views times a vector of
+1 / dim, the gain, bias and linear bias gradients a ones vector times the
+rows, and attention's per-head row sums its [n heads, dh] rows times ones.
 Attention runs its query rows in chunks of at most ``ATTENTION_BLOCK``
 score entries, with the scale and log2 e folded into q, so the scores are
 in base 2 and exponentiated by ``exp2``, every sum of a row over its keys
@@ -292,7 +296,7 @@ def _linear(x: np.ndarray, w: np.ndarray, b: np.ndarray):
         return (
             g @ w.T if want_x else None,
             x.T @ g if want_w else None,
-            g.sum(axis=0) if want_b else None,
+            np.ones(len(g), dtype=g.dtype) @ g if want_b else None,
         )
 
     return data, backward
@@ -317,7 +321,9 @@ def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int):
 
     The row max m is there only to keep the exp from overflowing.  Before
     the chunks, one O(n d) pass bounds every score, over every head, by
-    ``max_i |q_i * scale2| * max_j |k_j|`` (Cauchy-Schwarz).  When that
+    ``max_i |q_i * scale2| * max_j |k_j|`` (Cauchy-Schwarz), each squared
+    norm a matvec of the squares' [n heads, dh] rows against ones; a square
+    or a sum that overflows makes the bound inf.  When that
     bound is at most ``SCORE_BOUND``, m is 0: each chunk's one pass over its
     scores forward is the exp, and L is log2 l.  A larger bound, a NaN or
     inf one, or a single key (whose shifted output is exactly v) takes the
@@ -335,7 +341,8 @@ def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int):
     reuses another.  Backward widens q and k only when some chunk is
     recomputed, and forward only v.
 
-    Backward takes D = rowsum(dO * O) from the output (n d entries) and forms
+    Backward takes D = rowsum(dO * O) from the output (n d entries), as
+    ``dO * O``'s [n heads, dh] rows times ones, and forms
     dS = P * (dO v^T - D) as ``[dO | -D] @ [v | 1]^T`` times P: one matmul
     and one pass.  For the kept chunk the rows ``[dO | -D]`` are divided by
     l first, so E stands in for P there.  With one key the softmax is the
@@ -379,16 +386,24 @@ def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int):
         the right operand of a score-shaped matmul."""
         return np.ascontiguousarray(a.transpose(0, 2, 1))
 
+    ones = np.ones(dh, dtype=q.dtype)
+
+    def head_sums(a):
+        """The sum of each head's slice of each row of [n, d] ``a``, as
+        [heads, n, 1]: one matvec over [n * heads, dh] rows."""
+        return (a.reshape(n * heads, dh) @ ones).reshape(n, heads).T[..., None]
+
     def largest_norm(a):
-        """The largest norm of a row of per-head [heads, n, dh] ``a``; inf
+        """The largest norm of a head's slice of a row of [n, d] ``a``; inf
         where a square overflows."""
         with np.errstate(over="ignore"):
-            return math.sqrt(np.square(a).sum(axis=-1).max())
+            return math.sqrt(head_sums(np.square(a)).max())
 
-    qs, kh, vx = split(q * scale2), split(k), widened(split(v), 1)
+    qs = q * scale2
     # No score exceeds this bound in magnitude (Cauchy-Schwarz).
-    bound = largest_norm(qs) * largest_norm(kh)
+    bound = largest_norm(qs) * largest_norm(k)
     shift = n == 1 or not bound <= SCORE_BOUND
+    qs, kh, vx = split(qs), split(k), widened(split(v), 1)
     kt = transposed(kh)
 
     data = np.empty((n, d), dtype=q.dtype)
@@ -417,7 +432,7 @@ def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int):
         if n == 1:  # one key: P is the constant 1, whatever q and k are
             return np.zeros_like(g), np.zeros_like(g), g
         # [dO | -D] per head, D = rowsum(dO * O); the kept rows divided by l.
-        gx = widened(split(g), -split(g * data).sum(axis=-1, keepdims=True))
+        gx = widened(split(g), -head_sums(g * data))
         if kept is not None:
             gx[:, : kept.shape[1]] *= inv_l
         gh = gx[..., :dh]
@@ -500,21 +515,32 @@ def _gelu(v: np.ndarray):
 def _layernorm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
     """Normalize the last axis to zero mean / unit variance, then affine-map it.
 
-    The variance is the sequence ``np.var`` runs (sum, divide, subtract,
-    square, sum, divide) with the subtraction kept as the normalized input,
-    so one subtract and one sum are saved and the bits are ``np.var``'s.
-    Backward keeps the normalized input and 1 / sigma.
+    The input viewed as [rows, dim] times a vector of 1 / dim gives each
+    row's mean, and the squares of the centred input times the same vector
+    its variance; the centred input is kept as the normalized input, so no
+    row's deviation is formed twice.  So a row's statistics are sums of its
+    entries times 1 / dim in BLAS's order, not ``np.var``'s bits.  Backward
+    keeps the normalized input and 1 / sigma, takes its two row means by
+    the same matvec, and the gain and bias gradients as a ones vector times
+    the [rows, dim] views of ``g * xhat`` and ``g``.
     """
     dim = x.shape[-1] if x.ndim else 0
     if dim < 1:
         raise DimensionError("layernorm needs a non-empty last axis")
     if gain.shape != (dim,) or bias.shape != (dim,):
         raise DimensionError("layernorm gain/bias must match the last axis extent")
-    mu = x.mean(axis=-1, keepdims=True)
-    xhat = x - mu
+    lead = (*x.shape[:-1], 1)
+    avg = np.full(dim, 1 / dim, dtype=x.dtype)
+
+    def row_means(a):
+        return (a.reshape(-1, dim) @ avg).reshape(lead)
+
+    def column_sums(a):
+        return np.ones(a.size // dim, dtype=a.dtype) @ a.reshape(-1, dim)
+
+    xhat = x - row_means(x)
     data = np.square(xhat)  # the squares first, then the output
-    inv = data.sum(axis=-1, keepdims=True)
-    inv /= dim
+    inv = row_means(data)
     # inv = 1.0 / sqrt(var + eps)
     inv += LAYERNORM_EPS
     np.sqrt(inv, out=inv)
@@ -526,14 +552,12 @@ def _layernorm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
     def backward(g):
         gy = g * gain
         scratch = gy * xhat
-        m1 = gy.mean(axis=-1, keepdims=True)
-        m2 = scratch.mean(axis=-1, keepdims=True)
+        m1, m2 = row_means(gy), row_means(scratch)
         # dx = ((gy - m1) - xhat * m2) * inv
         gy -= m1
         gy -= np.multiply(xhat, m2, out=scratch)
         gy *= inv
-        axes = tuple(range(g.ndim - 1))
-        return gy, np.multiply(g, xhat, out=scratch).sum(axis=axes), g.sum(axis=axes)
+        return gy, column_sums(np.multiply(g, xhat, out=scratch)), column_sums(g)
 
     return data, backward
 

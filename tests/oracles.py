@@ -19,10 +19,11 @@ numcore's two sublayer nodes, which must match them bitwise; ``gelu`` and
 only these compositions and the tests run.  ``reference_gelu``,
 ``reference_layernorm`` and ``scatter_gather`` are the engine's earlier
 bodies of gelu, layernorm and the plane gather: one temporary per expression
-and a scatter for backward; ``reference_attention`` is attention's algebra
-with a fresh array per chunk and per product, and ``attention_shifts`` its
-rule for when the row max is subtracted.  The engine's in-place ops,
-reused buffers and ``permute`` must match them bitwise.
+(layernorm's row means and column sums the engine's matvecs) and a scatter
+for backward; ``reference_attention`` is attention's algebra with a fresh
+array per chunk and per product, and ``attention_shifts`` its rule for when
+the row max is subtracted, stated through ``np.linalg.norm``.  The engine's
+in-place ops, reused buffers and ``permute`` must match them bitwise.
 ``exact_attention_gradients`` is attention's dq and dk in ``np.longdouble``
 with the error scale each entry is held to, the accuracy contract for
 gradients that need not round as the unfused composition does.
@@ -138,21 +139,30 @@ def reference_gelu(x: Tensor) -> Tensor:
 
 
 def reference_layernorm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """``numcore.layernorm`` through ``np.mean``/``np.var`` and whole-array
-    expressions, one temporary each."""
+    """``numcore.layernorm`` as whole-array expressions, one temporary each,
+    with its reductions: each row's mean a matvec against a vector of
+    1 / dim, and each column's sum a ones vector times the rows."""
     x, gain, bias = _coerce(x), _coerce(gain), _coerce(bias)
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + nc.LAYERNORM_EPS)
-    xhat = (x.data - mu) * inv
+    dim = x.shape[-1]
+    lead = (*x.shape[:-1], 1)
+    avg = np.full(dim, 1 / dim, dtype=x.data.dtype)
+    ones = np.ones(x.size // dim, dtype=x.data.dtype)
+
+    def row_means(a):
+        return (a.reshape(-1, dim) @ avg).reshape(lead)
+
+    def column_sums(a):
+        return ones @ a.reshape(-1, dim)
+
+    centered = x.data - row_means(x.data)
+    inv = 1.0 / np.sqrt(row_means(centered * centered) + nc.LAYERNORM_EPS)
+    xhat = centered * inv
     data = xhat * gain.data + bias.data
 
     def backward(g):
         gy = g * gain.data
-        m1 = gy.mean(axis=-1, keepdims=True)
-        m2 = (gy * xhat).mean(axis=-1, keepdims=True)
-        axes = tuple(range(g.ndim - 1))
-        return (gy - m1 - xhat * m2) * inv, (g * xhat).sum(axis=axes), g.sum(axis=axes)
+        dx = (gy - row_means(gy) - xhat * row_means(gy * xhat)) * inv
+        return dx, column_sums(g * xhat), column_sums(g)
 
     return _result(data, (x, gain, bias), backward)
 
@@ -178,9 +188,10 @@ def reference_attention(q, k, v, heads: int) -> Tensor:
     every product in place of its reused buffers and in-place passes: the
     same chunks and the same algebra, base-2 scores from q scaled by
     1 / (sqrt(d/heads) ln 2) and exponentiated by ``exp2``, the row sums
-    carried by the ones columns of ``[k | 1]`` and ``[v | 1]``, every
-    score-shaped product against a C-contiguous transposed operand, and
-    the row max subtracted only where ``attention_shifts``."""
+    carried by the ones columns of ``[k | 1]`` and ``[v | 1]``, D a matvec
+    of ``dO * O``'s per-head rows against ones, every score-shaped product
+    against a C-contiguous transposed operand, and the row max subtracted
+    only where ``attention_shifts``."""
     q, k, v = _coerce(q), _coerce(k), _coerce(v)
     n, d = q.shape
     dh = d // heads
@@ -224,7 +235,9 @@ def reference_attention(q, k, v, heads: int) -> Tensor:
     def backward(g):
         if n == 1:
             return np.zeros_like(g), np.zeros_like(g), g
-        gx = widened(split(g), -split(g * data).sum(axis=-1, keepdims=True))
+        # D = rowsum(dO * O) per head, as a matvec over [n * heads, dh] rows.
+        d_rows = (g * data).reshape(n * heads, dh) @ np.ones(dh, dtype=dtype)
+        gx = widened(split(g), -d_rows.reshape(n, heads).T[..., None])
         if kept is not None:
             r = kept.shape[1]
             gx = np.concatenate([gx[:, :r] * inv_l, gx[:, r:]], axis=1)
