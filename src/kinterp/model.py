@@ -461,36 +461,62 @@ class KSpaceInterpolator:
 # ---- losses --------------------------------------------------------------
 
 
-def l1_loss(pred: Tensor, target) -> Tensor:
-    """Mean absolute error over every real scalar."""
-    return nc.mean_all(nc.abs_(pred - target))
-
-
-def hdr_loss(stages, target, eps: float) -> Tensor:
-    """Sum over stages of mean squared relative error.
-
-    The denominator |stage| + eps is a frozen constant: no gradient flows
-    through it.
-    """
-    _check_hdr_eps(eps)
-    total = None
-    for stage in stages:
-        denom = np.abs(stage.data) + eps
-        ratio = (stage - target) * (1.0 / denom)
-        term = nc.mean_all(ratio * ratio)
-        total = term if total is None else total + term
-    if total is None:
-        raise DimensionError("hdr_loss needs at least one stage")
-    return total
-
-
 def total_loss(
     result: ForwardResult, target, weight: float, eps: float
 ) -> tuple[Tensor, Tensor, Tensor]:
-    """Interpolation l1 plus ``weight`` times the refinement HDR term."""
-    l1 = l1_loss(result.interpolated, target)
-    hdr = hdr_loss(result.stages, target, eps)
-    return l1 + weight * hdr, l1, hdr
+    """Interpolation l1 plus ``weight`` times the refinement HDR term, and
+    the two terms, as (total, l1, hdr).
+
+    l1 is the mean absolute error of the interpolated volume over every real
+    scalar.  HDR is the sum over stages of the mean of ``r * r``, with each
+    stage's ratio ``r = (stage - target) * (1 / (|stage| + eps))``; that
+    denominator is a frozen constant, through which no gradient flows.
+
+    The total is one tape node whose operands are the interpolated volume
+    and the stages, in that order; l1 and hdr record nothing.  Every value
+    and gradient is bitwise that of the single-op composition in
+    ``tests/oracles.py``, in its elementwise order: the interpolated
+    volume's gradient is ``sign(d) * (g / size)`` with ``d`` its difference
+    from the target, and a stage's ``((c * r) + (c * r)) * (1 / denom)``
+    with ``c = (g * weight) / size``.  The node keeps only ``d``, each ratio
+    and each reciprocal denominator.
+    """
+    _check_hdr_eps(eps)
+    pred, stages = result.interpolated, result.stages
+    if not stages:
+        raise DimensionError("total_loss needs at least one stage")
+    parents = (pred, *stages)
+    dtype = nc.active_dtype()
+    target = np.asarray(target, dtype=dtype)
+    if any(t.shape != target.shape for t in parents):
+        raise DimensionError(f"loss operands do not all match the target's {target.shape}")
+    w = dtype(weight)
+    d = pred.data - target
+    l1 = np.abs(d).mean()
+    ratios, inverses, hdr = [], [], None
+    for stage in stages:
+        inv = 1.0 / (np.abs(stage.data) + eps)
+        r = stage.data - target
+        r *= inv
+        term = (r * r).mean()
+        hdr = term if hdr is None else hdr + term
+        ratios.append(r)
+        inverses.append(inv)
+
+    def backward(g):
+        dpred = np.sign(d)
+        dpred *= g / d.size
+        grads = [dpred]
+        c = (g * w) / target.size
+        for r, inv in zip(ratios, inverses):
+            cr = r * c
+            cr += cr
+            cr *= inv
+            grads.append(cr)
+        return grads
+
+    total = nc._result(l1 + hdr * w, parents, backward)
+    return total, Tensor(l1), Tensor(hdr)
 
 
 # ---- checkpoints -----------------------------------------------------------

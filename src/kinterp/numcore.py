@@ -1,13 +1,14 @@
 """Dense-tensor engine: tape-based reverse-mode autodiff, Adam, one-cycle LR.
 
 Tensors wrap contiguous numpy arrays and record their producing operation so
-that ``backward()`` can replay the tape in reverse topological order.  The
-engine runs in one of two global precision modes: ``"train"`` (float32), the
-default for training and inference alike, and ``"test"`` (float64), the mode
-of the gradient checks.  The graph is freed as it is consumed by
-``backward()``, so one step's activations never outlive the step.  Inside
-``no_grad()`` ops record nothing, neither parents nor backward closures, so an
-inference forward holds each activation only until its last reader is done.
+that ``backward()`` can replay the tape's op nodes in reverse topological
+order.  The engine runs in one of two global precision modes: ``"train"``
+(float32), the default for training and inference alike, and ``"test"``
+(float64), the mode of the gradient checks.  The graph is freed as it is
+consumed by ``backward()``, so one step's activations never outlive the
+step.  Inside ``no_grad()`` ops record nothing, neither parents nor backward
+closures, so an inference forward holds each activation only until its last
+reader is done.
 
 Finiteness is checked where data enters, not per tensor: ``ComplexVolume``
 rejects a non-finite volume, ``load_params`` a non-finite checkpoint tensor,
@@ -18,11 +19,12 @@ overflows on finite inputs yields inf/NaN that the next boundary catches.
 
 The engine holds only the ops the model runs: ``add``, ``sub``, ``mul``,
 ``reshape``, ``concat_rows``, ``gather`` (token rows, repeats allowed),
-``permute`` ((re, im) pairs, by a split and an axis order), ``linear``,
-``layernorm``, ``abs_`` and ``mean_all``, plus one node per pre-LN
-Transformer sublayer: ``attention_sublayer`` (layernorm, the q, k and v
-linears, attention, the output linear and the residual add) and
-``mlp_sublayer`` (layernorm, linear, gelu, linear and the residual add).
+``permute`` ((re, im) pairs, by a split and an axis order), ``linear`` and
+``layernorm``, plus one node per pre-LN Transformer sublayer:
+``attention_sublayer`` (layernorm, the q, k and v linears, attention, the
+output linear and the residual add) and ``mlp_sublayer`` (layernorm,
+linear, gelu, linear and the residual add).  The training loss is one node
+too, which ``model.total_loss`` builds with ``_result``.
 linear, layernorm, gelu and attention each have one body (``_linear``,
 ``_layernorm``, ``_gelu``, ``_attention``) on arrays, returning the output
 and a backward closure that keeps what backward needs; the single-op nodes
@@ -33,7 +35,8 @@ kept chunk, 1 / l and log-sum-exp, gelu's input and tanh), not the outputs
 that the tape of single ops held, such as q and the output linear's result.
 The composition of single ops that each sublayer must match bitwise, and
 the gelu and attention nodes it uses, live with the test oracles in
-``tests/oracles.py``, as do the unfused references built from ``matmul``,
+``tests/oracles.py``, as do the loss's composition of ``abs_`` and
+``mean_all`` nodes, the unfused references built from ``matmul``,
 ``transpose`` and ``softmax_lastaxis`` nodes and the reference bodies that
 gelu, layernorm and attention must match bitwise.  Each op runs only the
 passes and allocations its result needs, in the order of its written
@@ -60,13 +63,19 @@ becomes a view into its buffer, and each ``adam_step`` packs the gradients
 and updates every parameter in one pass.
 
 An op's backward closure returns one gradient per operand, in operand order,
-each a view of the incoming gradient ``g``, an array the op made for that
-operand alone, or None for an operand that records none (``add``, ``sub``,
-``mul`` and ``linear`` form no product for one).  ``Tensor.backward`` is the
-one place a gradient lands: it skips operands that record none, stores a
-first gradient that may share memory with ``g`` as a C-ordered copy (the
-node or another operand still holds that memory), takes any other first
-gradient over, and adds later ones in place.
+each ``g`` (the incoming gradient) or a view of it, an array the op made for
+that operand alone, or None for an operand that records none (``add``,
+``sub``, ``mul`` and ``linear`` form no product for one).
+``Tensor.backward`` walks depth first from the root through op nodes only,
+the tensors that hold a closure; a parameter or other leaf is never visited,
+so the walk's bookkeeping grows with the op nodes, not with the parameters.
+Each gradient lands on the edge from the node that returned it, by one rule
+for op nodes and leaves alike: an operand that records none is skipped, a
+first gradient that is ``g`` or a view that may share memory with it is
+stored as a C-ordered copy (the node or another operand still holds that
+memory), any other first gradient is taken over, and later ones are added
+in place.  Only a view needs the memory test: an array that owns its memory
+and is not ``g`` is one the op made.
 """
 
 from __future__ import annotations
@@ -175,7 +184,7 @@ class Tensor:
         return f"Tensor(shape={self.shape}, grad={self.requires_grad})"
 
     def backward(self) -> None:
-        """Backpropagate from a scalar root, then free the recorded graph."""
+        """Backpropagate from a scalar root through its op nodes, then free them."""
         if self.size != 1:
             raise DimensionError("backward() requires a scalar root")
         order: list[Tensor] = []
@@ -191,7 +200,7 @@ class Tensor:
             seen.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
-                if parent.requires_grad:
+                if parent._backward is not None:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.data)
         for node in reversed(order):
@@ -202,8 +211,13 @@ class Tensor:
                     if not parent.requires_grad:
                         continue
                     if parent.grad is None:
-                        # A view of the incoming gradient is copied, never shared.
-                        copy = True if np.may_share_memory(g, node.grad) else None
+                        # ``g`` or a view of it is copied, never shared; an
+                        # array that owns its memory and is not ``g`` is one
+                        # the op made.
+                        shares = g is node.grad or (
+                            g.base is not None and np.may_share_memory(g, node.grad)
+                        )
+                        copy = True if shares else None
                         parent.grad = np.array(g, parent.data.dtype, copy=copy, order="C")
                     else:
                         parent.grad += g
@@ -718,26 +732,6 @@ def permute(x: Tensor, split: tuple, axes: tuple, shape: tuple) -> Tensor:
         grad = np.empty(split, dtype=pairs.dtype)
         grad.transpose(axes)[...] = pairs.reshape([split[a] for a in axes])
         return (grad.view(g.dtype).reshape(x.shape),)
-
-    return _result(data, (x,), backward)
-
-
-def abs_(x: Tensor) -> Tensor:
-    x = _coerce(x)
-    data = np.abs(x.data)
-
-    def backward(g):
-        return (g * np.sign(x.data),)
-
-    return _result(data, (x,), backward)
-
-
-def mean_all(x: Tensor) -> Tensor:
-    x = _coerce(x)
-    data = np.asarray(x.data.mean(), dtype=x.data.dtype)
-
-    def backward(g):
-        return (np.broadcast_to(g / x.size, x.shape).astype(x.data.dtype),)
 
     return _result(data, (x,), backward)
 

@@ -27,9 +27,14 @@ in-place ops, reused buffers and ``permute`` must match them bitwise.
 ``exact_attention_gradients`` is attention's dq and dk in ``np.longdouble``
 with the error scale each entry is held to, the accuracy contract for
 gradients that need not round as the unfused composition does.
-``frozen_hdr_loss`` and ``frozen_total_loss`` are the model's losses with
-the HDR denominators held at values captured once (``hdr_denominators``),
-the objective whose finite differences the loss's stop-gradient must match.
+``l1_loss``, ``hdr_loss`` and ``composed_total_loss`` are
+``model.total_loss`` as the sub, ``abs_``, mul, ``mean_all`` and add nodes
+it recorded before its one node, which must match them bitwise; ``abs_``
+and ``mean_all`` serve only these compositions and the gradient checks, so
+they live here too.  ``frozen_hdr_loss`` and ``frozen_total_loss`` are the
+same compositions with the HDR denominators held at values captured once
+(``hdr_denominators``), the objective whose finite differences the loss's
+stop-gradient must match.
 ``loop_adam_step`` is Adam as one update per tensor, the reference for
 ``numcore.adam_step``'s flat buffers.  ``full_grid_frame`` is the phantom
 renderer's earlier body, every ellipse evaluated on the whole supersampled
@@ -47,7 +52,6 @@ import numpy as np
 from kinterp import numcore as nc
 from kinterp import DimensionError
 from kinterp.kspace import ComplexVolume
-from kinterp.model import l1_loss
 from kinterp.numcore import Tensor, _coerce, _result, _unbroadcast
 
 FD_STEP = 1e-6
@@ -347,24 +351,64 @@ def unfused_attention(q, k, v, heads: int):
     return nc.reshape(transpose(out, (1, 0, 2)), (n, d))
 
 
+def abs_(x: Tensor) -> Tensor:
+    x = _coerce(x)
+    data = np.abs(x.data)
+
+    def backward(g):
+        return (g * np.sign(x.data),)
+
+    return _result(data, (x,), backward)
+
+
+def mean_all(x: Tensor) -> Tensor:
+    x = _coerce(x)
+    data = np.asarray(x.data.mean(), dtype=x.data.dtype)
+
+    def backward(g):
+        return (np.broadcast_to(g / x.size, x.shape).astype(x.data.dtype),)
+
+    return _result(data, (x,), backward)
+
+
+def l1_loss(pred, target) -> Tensor:
+    """Mean absolute error over every real scalar, as sub, abs and mean nodes."""
+    return mean_all(abs_(pred - target))
+
+
 def hdr_denominators(stages, eps: float) -> list[np.ndarray]:
-    """The per-stage denominators |stage| + eps that ``model.hdr_loss`` freezes."""
+    """The per-stage denominators |stage| + eps that ``model.total_loss`` freezes."""
     return [np.abs(stage.data) + eps for stage in stages]
 
 
 def frozen_hdr_loss(stages, target, denominators) -> Tensor:
-    """``model.hdr_loss`` with each stage's denominator given, in the same ops
-    and order, so at the capture point both return the same value."""
+    """The sum over stages of the mean squared ratio of each stage's error
+    to its given denominator, as sub, mul, mean and add nodes."""
     total = None
     for stage, denom in zip(stages, denominators):
         ratio = (stage - target) * (1.0 / denom)
-        term = nc.mean_all(ratio * ratio)
+        term = mean_all(ratio * ratio)
         total = term if total is None else total + term
     return total
 
 
+def hdr_loss(stages, target, eps: float) -> Tensor:
+    """``frozen_hdr_loss`` with the denominators of the stages' own values."""
+    return frozen_hdr_loss(stages, target, hdr_denominators(stages, eps))
+
+
+def composed_total_loss(result, target, weight: float, eps: float):
+    """``model.total_loss`` as the single-op nodes it recorded before its one
+    node: (l1 + weight * hdr, l1, hdr)."""
+    l1 = l1_loss(result.interpolated, target)
+    hdr = hdr_loss(result.stages, target, eps)
+    return l1 + weight * hdr, l1, hdr
+
+
 def frozen_total_loss(result, target, weight: float, denominators) -> Tensor:
-    """``model.total_loss``'s total with the HDR denominators given."""
+    """``model.total_loss``'s total with the HDR denominators given, in the
+    composition's ops and order, so at the capture point both give the same
+    value."""
     l1 = l1_loss(result.interpolated, target)
     hdr = frozen_hdr_loss(result.stages, target, denominators)
     if weight == 0.0:

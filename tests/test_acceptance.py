@@ -20,9 +20,9 @@ from kinterp import numcore as nc
 from kinterp.kspace import fft2, magnitude, normalize, read_volume
 from kinterp.model import (
     ALL_PLANES,
+    ForwardResult,
     KSpaceInterpolator,
     ModelConfig,
-    hdr_loss,
     tiny_config,
     total_loss,
 )
@@ -129,90 +129,103 @@ def test_criterion_1_gradient_suite():
     # hold rounding to, so it stays a constant here.
     key_bias = Tensor(attention_params.pop(5))
     mlp_params = [sublayer_draw(*s) for s in [(4,), (4,), (4, 8), (8,), (8, 4), (4,)]]
+    # The loss node's gradient for the interpolated volume, with the stages
+    # held constant (their gradient is the stop-gradient check's below) and
+    # every |interpolated - target| away from the kink at zero.
+    loss_rng = np.random.default_rng(783)
+    loss_target = loss_rng.normal(size=(3, 4))
+    loss_stages = tuple(Tensor(loss_rng.normal(size=(3, 4))) for _ in range(3))
+    loss_offset = loss_rng.uniform(0.2, 1.0, size=(3, 4)) * loss_rng.choice([-1.0, 1.0], (3, 4))
     per_op = {
-        "add": (lambda a, b: nc.mean_all((a + b) * (a + b)), [draw(3, 4), draw(4)]),
-        "sub": (lambda a, b: nc.mean_all((a - b) * (a - b)), [draw(3, 4), draw(3, 4)]),
-        "mul": (lambda a, b: nc.mean_all(a * b * a), [draw(2, 5), draw(2, 5)]),
+        "add": (lambda a, b: oracles.mean_all((a + b) * (a + b)), [draw(3, 4), draw(4)]),
+        "sub": (lambda a, b: oracles.mean_all((a - b) * (a - b)), [draw(3, 4), draw(3, 4)]),
+        "mul": (lambda a, b: oracles.mean_all(a * b * a), [draw(2, 5), draw(2, 5)]),
         # matmul, transpose and softmax_lastaxis are the oracles' copies: they
         # build the unfused references the fused linear and attention meet.
         "matmul": (
-            lambda a, b: nc.mean_all(oracles.matmul(a, b) * oracles.matmul(a, b)),
+            lambda a, b: oracles.mean_all(oracles.matmul(a, b) * oracles.matmul(a, b)),
             [draw(3, 4), draw(4, 2)],
         ),
         "transpose": (
-            lambda a: nc.mean_all(oracles.matmul(oracles.transpose(a, (1, 0)), a)),
+            lambda a: oracles.mean_all(oracles.matmul(oracles.transpose(a, (1, 0)), a)),
             [draw(4, 3)],
         ),
-        "reshape": (lambda a: nc.mean_all(nc.reshape(a, (2, 6)) * 2.0), [draw(3, 4)]),
+        "reshape": (lambda a: oracles.mean_all(nc.reshape(a, (2, 6)) * 2.0), [draw(3, 4)]),
         "concat_rows": (
-            lambda a, b: nc.mean_all(nc.concat_rows([a, b]) * nc.concat_rows([a, b])),
+            lambda a, b: oracles.mean_all(nc.concat_rows([a, b]) * nc.concat_rows([a, b])),
             [draw(2, 3), draw(4, 3)],
         ),
         "gather (rows)": (
-            lambda a: nc.mean_all(nc.gather(a, row_table) * nc.gather(a, row_table)),
+            lambda a: oracles.mean_all(nc.gather(a, row_table) * nc.gather(a, row_table)),
             [draw(5, 3)],
         ),
         "gather": (
-            lambda a, w: nc.mean_all(nc.gather(a, gather_index) * w),
+            lambda a, w: oracles.mean_all(nc.gather(a, gather_index) * w),
             [gather_rng.normal(size=(2, 4)), gather_rng.normal(size=(2, 5))],
         ),
         "permute": (
-            lambda a, w: nc.mean_all(nc.permute(a, (2, 3, 2), (2, 0, 1), (4, 6)) * w),
+            lambda a, w: oracles.mean_all(nc.permute(a, (2, 3, 2), (2, 0, 1), (4, 6)) * w),
             [permute_rng.normal(size=(2, 3, 4)), permute_rng.normal(size=(4, 6))],
         ),
-        "gelu": (lambda a: nc.mean_all(oracles.gelu(a) * oracles.gelu(a)), [draw(4, 4)]),
+        "gelu": (lambda a: oracles.mean_all(oracles.gelu(a) * oracles.gelu(a)), [draw(4, 4)]),
         "layernorm": (
-            lambda a, g, b: nc.mean_all(nc.layernorm(a, g, b) * nc.layernorm(a, g, b)),
+            lambda a, g, b: oracles.mean_all(nc.layernorm(a, g, b) * nc.layernorm(a, g, b)),
             [draw(3, 6), draw(6), draw(6)],
         ),
         "softmax_lastaxis": (
-            lambda a, w: nc.mean_all(oracles.softmax_lastaxis(a) * w),
+            lambda a, w: oracles.mean_all(oracles.softmax_lastaxis(a) * w),
             [draw(3, 5), draw(3, 5)],
         ),
         "linear": (
-            lambda x, w, b: nc.mean_all(nc.linear(x, w, b) * nc.linear(x, w, b)),
+            lambda x, w, b: oracles.mean_all(nc.linear(x, w, b) * nc.linear(x, w, b)),
             [fused_draw(3, 4), fused_draw(4, 2), fused_draw(2)],
         ),
         "attention": (
-            lambda q, k, v, w: nc.mean_all(oracles.attention(q, k, v, 2) * w),
+            lambda q, k, v, w: oracles.mean_all(oracles.attention(q, k, v, 2) * w),
             [fused_draw(5, 4), fused_draw(5, 4), fused_draw(5, 4), fused_draw(5, 4)],
         ),
         # 2 heads x 7 rows: chunks of 2 + 2 + 2 + 1 query rows, only the
         # first kept by the 28-entry block, the rest recomputed in backward
         "attention (chunked)": (
             _with_attention_block(
-                28, lambda q, k, v, w: nc.mean_all(oracles.attention(q, k, v, 2) * w)
+                28, lambda q, k, v, w: oracles.mean_all(oracles.attention(q, k, v, 2) * w)
             ),
             [chunked_draw(7, 4) for _ in range(4)],
         ),
         "attention_sublayer": (
-            lambda x, w, *p: nc.mean_all(
+            lambda x, w, *p: oracles.mean_all(
                 nc.attention_sublayer(x, *p[:5], key_bias, *p[5:], heads=2) * w
             ),
             [sublayer_draw(5, 4), sublayer_draw(5, 4), *attention_params],
         ),
         "mlp_sublayer": (
-            lambda x, w, *p: nc.mean_all(nc.mlp_sublayer(x, *p) * w),
+            lambda x, w, *p: oracles.mean_all(nc.mlp_sublayer(x, *p) * w),
             [sublayer_draw(5, 4), sublayer_draw(5, 4), *mlp_params],
         ),
-        "abs": (lambda a: nc.mean_all(nc.abs_(a) * nc.abs_(a)), [safe]),
-        "mean_all": (lambda a: nc.mean_all(a * a), [draw(7)]),
+        "abs": (lambda a: oracles.mean_all(oracles.abs_(a) * oracles.abs_(a)), [safe]),
+        "mean_all": (lambda a: oracles.mean_all(a * a), [draw(7)]),
+        "total_loss": (
+            lambda a: total_loss(ForwardResult(a, loss_stages), loss_target, 1.0, 0.5)[0],
+            [loss_target + loss_offset],
+        ),
     }
     for name, (build, arrays) in per_op.items():
         _grad_matches_fd(build, *arrays, tol=1e-4)
 
-    # -- HDR stop-gradient: frozen-vs-unfrozen denominator oracle
+    # -- HDR stop-gradient through the loss node: frozen-vs-live denominators
     base = RNG.uniform(0.5, 1.5, size=(2, 4))
     target = RNG.uniform(-0.5, 0.5, size=(2, 4))
+    pred = Tensor(target)  # the l1 term is 0 and records nothing
     stage = Tensor(base.copy(), requires_grad=True)
-    hdr_loss([stage], target, eps=0.5).backward()
+    total_loss(ForwardResult(pred, (stage,)), target, 1.0, 0.5)[0].backward()
     frozen = oracles.hdr_denominators([Tensor(base)], eps=0.5)
-    frozen_at = lambda x: oracles.frozen_hdr_loss([Tensor(x)], target, frozen).item()
-    assert frozen_at(base) == hdr_loss([Tensor(base)], target, 0.5).item()
+    frozen_at = lambda x: oracles.frozen_total_loss(
+        ForwardResult(pred, (Tensor(x),)), target, 1.0, frozen
+    ).item()
+    live_at = lambda x: total_loss(ForwardResult(pred, (Tensor(x),)), target, 1.0, 0.5)[0].item()
+    assert frozen_at(base) == live_at(base)
     fd_frozen = oracles.fd_gradient(frozen_at, base)
-    fd_live = oracles.fd_gradient(
-        lambda x: hdr_loss([Tensor(x)], target, 0.5).item(), base
-    )
+    fd_live = oracles.fd_gradient(live_at, base)
     assert oracles.rel_err(stage.grad, fd_frozen) < 1e-6
     assert oracles.rel_err(stage.grad, fd_live) > 1e-3
 

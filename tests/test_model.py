@@ -41,8 +41,6 @@ from kinterp.model import (
     array_to_volume,
     from_checkpoint,
     full_config,
-    hdr_loss,
-    l1_loss,
     load_params,
     param_table,
     save_params,
@@ -289,7 +287,7 @@ def test_forward_without_tape_matches_taped_forward(mode):
         assert b.requires_grad is False and b._parents == () and b._backward is None
 
 
-def _tiny_step_loss(x_dim, y_dim, t_dim, seed=0):
+def _tiny_step_loss(x_dim, y_dim, t_dim, seed=0, loss=total_loss):
     """The loss of one tiny-preset training step's forward, as ``train``
     builds it: a normalized masked volume in, its own target as the array."""
     rng = np.random.default_rng(seed)
@@ -303,7 +301,7 @@ def _tiny_step_loss(x_dim, y_dim, t_dim, seed=0):
     normed = normalize(masked)
     target = volume_to_array(volume) / (normed.scale / volume.scale)
     cfg = model.config
-    total, _, _ = total_loss(model.forward(normed, mask), target, cfg.loss_weight_hdr, cfg.hdr_eps)
+    total, _, _ = loss(model.forward(normed, mask), target, cfg.loss_weight_hdr, cfg.hdr_eps)
     return model, total
 
 
@@ -321,10 +319,11 @@ def _op_nodes(root: Tensor) -> int:
 
 
 def test_a_tiny_step_records_one_tape_node_per_sublayer():
-    """A tiny step's tape has 74 op nodes at every extent: each of the ten
+    """A tiny step's tape has 56 op nodes at every extent: each of the ten
     Transformer layers (two per stack, five stacks) records one node per
-    sublayer, where it recorded twelve as single ops."""
-    assert [_op_nodes(_tiny_step_loss(*dims)[1]) for dims in ((8, 8, 2), (16, 16, 4))] == [74, 74]
+    sublayer, where it recorded twelve as single ops, and the loss is one
+    node, where it was nineteen."""
+    assert [_op_nodes(_tiny_step_loss(*dims)[1]) for dims in ((8, 8, 2), (16, 16, 4))] == [56, 56]
 
 
 @pytest.mark.parametrize("mode", ["test", "train"])
@@ -510,7 +509,7 @@ def test_plane_permute_matches_scatter_gather_bitwise(plane, mode):
             with nc.use_mode(mode):
                 leaf = Tensor(source, requires_grad=True)
                 out = op(leaf)
-                nc.mean_all(out * Tensor(upstream)).backward()
+                oracles.mean_all(out * Tensor(upstream)).backward()
             results.append((out.data.tobytes(), leaf.grad.tobytes()))
         assert results[0] == results[1]
         assert np.signbit(leaf.grad).any() and (leaf.grad == 0).sum() >= 2 * index.size // 5
@@ -534,25 +533,29 @@ def test_plane_layouts_are_shared_per_geometry_and_read_only():
 def test_l1_value_and_gradient():
     pred = Tensor(np.array([[1.0, -2.0], [0.5, 3.0]]), requires_grad=True)
     target = np.array([[0.0, 0.0], [0.0, 0.0]])
-    loss = l1_loss(pred, target)
-    assert abs(loss.item() - (1 + 2 + 0.5 + 3) / 4) < 1e-12
+    loss, l1, _ = total_loss(ForwardResult(pred, (Tensor(target),)), target, 0.0, eps=0.5)
+    assert abs(l1.item() - (1 + 2 + 0.5 + 3) / 4) < 1e-12
+    assert loss.item() == l1.item()
     loss.backward()
     assert np.array_equal(pred.grad, np.sign(pred.data) / 4)
 
 
 def test_hdr_value():
     target = np.zeros((2, 2))
-    stages = [Tensor(np.ones((2, 2))) for _ in range(3)]
-    loss = hdr_loss(stages, target, eps=0.5)
-    assert abs(loss.item() - 3 * (1.0 / 1.5) ** 2) < 1e-12
+    stages = tuple(Tensor(np.ones((2, 2))) for _ in range(3))
+    _, _, hdr = total_loss(ForwardResult(Tensor(target), stages), target, 1.0, eps=0.5)
+    assert abs(hdr.item() - 3 * (1.0 / 1.5) ** 2) < 1e-12
 
 
 def test_hdr_validation():
+    ones = Tensor(np.ones(2))
     for eps in (0.0, math.inf, math.nan):
         with pytest.raises(ConfigError):
-            hdr_loss([Tensor(np.ones(2))], np.zeros(2), eps=eps)
+            total_loss(ForwardResult(ones, (ones,)), np.zeros(2), weight=1.0, eps=eps)
     with pytest.raises(DimensionError):
-        hdr_loss([], np.zeros(2), eps=0.5)
+        total_loss(ForwardResult(ones, ()), np.zeros(2), weight=1.0, eps=0.5)
+    with pytest.raises(DimensionError):
+        total_loss(ForwardResult(ones, (Tensor(np.ones(3)),)), np.zeros(2), 1.0, 0.5)
 
 
 def test_hdr_gradient_freezes_denominator():
@@ -561,22 +564,71 @@ def test_hdr_gradient_freezes_denominator():
     rng = np.random.default_rng(9)
     base = rng.uniform(0.5, 1.5, size=(2, 3))  # away from the |.| kink
     target = rng.uniform(-0.5, 0.5, size=(2, 3))
+    pred = Tensor(target)  # the l1 term is 0 and records nothing
     stage = Tensor(base.copy(), requires_grad=True)
-    loss = hdr_loss([stage], target, eps=0.5)
-    loss.backward()
+    total_loss(ForwardResult(pred, (stage,)), target, 1.0, eps=0.5)[0].backward()
     frozen = oracles.hdr_denominators([Tensor(base)], eps=0.5)
 
     def f_frozen(x):
-        return oracles.frozen_hdr_loss([Tensor(x)], target, frozen).item()
+        result = ForwardResult(pred, (Tensor(x),))
+        return oracles.frozen_total_loss(result, target, 1.0, frozen).item()
 
     def f_live(x):
-        return hdr_loss([Tensor(x)], target, eps=0.5).item()
+        return total_loss(ForwardResult(pred, (Tensor(x),)), target, 1.0, eps=0.5)[0].item()
 
     assert f_frozen(base) == f_live(base)
     fd_frozen = oracles.fd_gradient(f_frozen, base)
     fd_live = oracles.fd_gradient(f_live, base)
     assert oracles.rel_err(stage.grad, fd_frozen) < 1e-6
     assert oracles.rel_err(stage.grad, fd_live) > 1e-3
+
+
+def _loss_operands(rng):
+    """An interpolated volume equal to the target at a quarter of its entries
+    (so sign 0 there) and three stages, the second with exact zeros (so a
+    denominator of eps there)."""
+    shape = (2, 4, 4, 2)
+    target = rng.normal(size=shape)
+    pred = rng.normal(size=shape)
+    ties = rng.random(shape) < 0.25
+    pred[ties] = target[ties]
+    stages = [rng.normal(size=shape) for _ in range(3)]
+    stages[1][rng.random(shape) < 0.25] = 0.0
+    return target, pred, stages
+
+
+@pytest.mark.parametrize("mode", ["test", "train"])
+@pytest.mark.parametrize("weight", [0.0, 1.0])
+def test_loss_node_matches_its_composition_bitwise(mode, weight):
+    """The loss node gives the total, l1, hdr and every operand's gradient
+    of the single-op composition it replaces, to the bit."""
+    target, pred, stages = _loss_operands(np.random.default_rng(31))
+    results = []
+    with nc.use_mode(mode):
+        for loss in (total_loss, oracles.composed_total_loss):
+            leaves = [Tensor(a, requires_grad=True) for a in (pred, *stages)]
+            total, l1, hdr = loss(ForwardResult(leaves[0], tuple(leaves[1:])), target, weight, 0.5)
+            total.backward()
+            assert all(t.grad.dtype == nc.active_dtype() for t in leaves)
+            results.append([t.data.tobytes() for t in (total, l1, hdr)]
+                           + [t.grad.tobytes() for t in leaves])
+    assert results[0] == results[1]
+    assert np.count_nonzero(leaves[0].grad == 0) > 0  # the ties' sign-0 entries
+
+
+@pytest.mark.parametrize("mode", ["test", "train"])
+def test_a_tiny_step_through_the_loss_node_gives_the_composed_loss_bits(mode):
+    """The node is the tape's root, so each stage's loss gradient still
+    arrives before the refinement's: every parameter gradient of a tiny
+    step is bitwise that of the single-op loss."""
+    results = []
+    for loss in (total_loss, oracles.composed_total_loss):
+        with nc.use_mode(mode):
+            model, total = _tiny_step_loss(8, 8, 2, loss=loss)
+            total.backward()
+        results.append([total.data.tobytes()] + [p.grad.tobytes() for p in model.params.values()])
+    assert len(results[0]) == 1 + len(model.params)
+    assert results[0] == results[1]
 
 
 def test_total_loss_composition():

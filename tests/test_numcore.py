@@ -48,19 +48,19 @@ def check_grad(build, *arrays, tol=1e-4):
 def test_add_gradients_with_broadcast():
     a = RNG.normal(size=(3, 4))
     b = RNG.normal(size=(4,))
-    check_grad(lambda x, y: nc.mean_all((x + y) * (x + y)), a, b)
+    check_grad(lambda x, y: oracles.mean_all((x + y) * (x + y)), a, b)
 
 
 def test_sub_mul_gradients():
     a = RNG.normal(size=(2, 5))
     b = RNG.normal(size=(2, 5))
-    check_grad(lambda x, y: nc.mean_all((x - y) * x * y), a, b)
+    check_grad(lambda x, y: oracles.mean_all((x - y) * x * y), a, b)
 
 
 def test_mul_broadcast_scalar_gradient():
     a = RNG.normal(size=(3, 2))
     b = np.array(0.7)
-    check_grad(lambda x, y: nc.mean_all(x * y * x), a, b)
+    check_grad(lambda x, y: oracles.mean_all(x * y * x), a, b)
 
 
 def test_matmul_identity():
@@ -78,13 +78,13 @@ def test_matmul_annihilator():
 def test_matmul_gradient_matches_finite_differences():
     a = RNG.normal(size=(3, 4))
     b = RNG.normal(size=(4, 2))
-    check_grad(lambda x, y: nc.mean_all(oracles.matmul(x, y)), a, b, tol=1e-5)
+    check_grad(lambda x, y: oracles.mean_all(oracles.matmul(x, y)), a, b, tol=1e-5)
 
 
 def test_matmul_batched_gradient():
     a = RNG.normal(size=(2, 3, 4))
     b = RNG.normal(size=(4, 5))
-    check_grad(lambda x, y: nc.mean_all(oracles.matmul(x, y) * oracles.matmul(x, y)), a, b)
+    check_grad(lambda x, y: oracles.mean_all(oracles.matmul(x, y) * oracles.matmul(x, y)), a, b)
 
 
 def test_matmul_shape_mismatch():
@@ -95,7 +95,7 @@ def test_matmul_shape_mismatch():
 def test_transpose_reshape_gradients():
     a = RNG.normal(size=(2, 3, 4))
     check_grad(
-        lambda x: nc.mean_all(nc.reshape(oracles.transpose(x, (2, 0, 1)), (8, 3)) * 2.0), a
+        lambda x: oracles.mean_all(nc.reshape(oracles.transpose(x, (2, 0, 1)), (8, 3)) * 2.0), a
     )
 
 
@@ -105,7 +105,7 @@ def test_concat_rows_gradient():
 
     def build(x, y):
         joined = nc.concat_rows([x, y])
-        return nc.mean_all(joined * joined)
+        return oracles.mean_all(joined * joined)
 
     check_grad(build, a, b)
 
@@ -113,7 +113,7 @@ def test_concat_rows_gradient():
 def test_gather_rows_gradient_sums_duplicates():
     a = RNG.normal(size=(4, 3))
     idx = np.array([0, 2, 2, 1])[:, None] * 3 + np.arange(3)
-    check_grad(lambda x: nc.mean_all(nc.gather(x, idx) * nc.gather(x, idx)), a)
+    check_grad(lambda x: oracles.mean_all(nc.gather(x, idx) * nc.gather(x, idx)), a)
 
 
 def test_gather():
@@ -127,7 +127,7 @@ def test_gather():
     rows = np.array([2, 0, 2, 2])
     weight = rng.normal(size=(4, 4))
     leaf = Tensor(a, requires_grad=True)
-    nc.mean_all(nc.gather(leaf, rows[:, None] * 4 + np.arange(4)) * Tensor(weight)).backward()
+    oracles.mean_all(nc.gather(leaf, rows[:, None] * 4 + np.arange(4)) * Tensor(weight)).backward()
     want = np.zeros_like(a)
     np.add.at(want, rows, weight / weight.size)
     assert np.array_equal(leaf.grad, want)
@@ -139,7 +139,7 @@ def test_gather():
     g = rng.normal(size=12)
     g[[3, 7]] = -0.0
     leaf = Tensor(a, requires_grad=True)
-    nc.mean_all(nc.gather(leaf, perm) * Tensor(g)).backward()
+    oracles.mean_all(nc.gather(leaf, perm) * Tensor(g)).backward()
     want = np.empty(12)
     want[perm] = np.full(12, 1.0 / 12) * g  # the upstream gradient, entry by entry
     assert np.array_equal(leaf.grad.reshape(-1), want)
@@ -153,7 +153,7 @@ def test_permute_moves_pairs_both_ways():
     leaf = Tensor(a, requires_grad=True)
     out = nc.permute(leaf, split, axes, shape)
     weight = rng.normal(size=shape)
-    nc.mean_all(out * Tensor(weight)).backward()
+    oracles.mean_all(out * Tensor(weight)).backward()
     # pair (i, j, k), entries a[i, j, 2k:2k+2], lands at pair (k, i, j) of [2, 2, 3]
     at = {(i, j, k): 2 * ((k * 2 + i) * 3 + j) for i, j, k in np.ndindex(split)}
     assert sorted(at.values()) == list(range(0, a.size, 2))
@@ -161,7 +161,7 @@ def test_permute_moves_pairs_both_ways():
     for (i, j, k), s in at.items():
         assert np.array_equal(values[s : s + 2], a[i, j, 2 * k : 2 * k + 2])
         assert np.array_equal(leaf.grad[i, j, 2 * k : 2 * k + 2], upstream[s : s + 2])
-    check_grad(lambda x: nc.mean_all(nc.permute(x, split, axes, shape) * Tensor(weight)), a)
+    check_grad(lambda x: oracles.mean_all(nc.permute(x, split, axes, shape) * Tensor(weight)), a)
     for bad in (
         ((2, 3, 3), axes, shape),  # a split of other than the pairs
         (split, (0, 0, 1), shape),  # an axis twice
@@ -197,7 +197,7 @@ def test_first_gradients_sum_and_share_no_buffer():
     biases = [Tensor(rng.normal(size=d), requires_grad=True) for _ in range(3)]
     q, k, v = (nc.linear(h, w, b) for w, b in zip(weights, biases))
     out = oracles.attention(q, k, v, heads)
-    nc.mean_all(out * Tensor(rng.normal(size=(n, d)))).backward()
+    oracles.mean_all(out * Tensor(rng.normal(size=(n, d)))).backward()
     want = sum(t.grad @ w.data.T for t, w in zip((q, k, v), weights))
     assert oracles.rel_err(h.grad, want) <= 1e-12
     _assert_own_gradients([h, *weights, *biases], [out, q, k, v])
@@ -206,12 +206,12 @@ def test_first_gradients_sum_and_share_no_buffer():
     # mul two products.
     x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     doubled = x + x
-    nc.mean_all(doubled * Tensor(rng.normal(size=(3, 4)))).backward()
+    oracles.mean_all(doubled * Tensor(rng.normal(size=(3, 4)))).backward()
     assert x.grad.tobytes() == (doubled.grad + doubled.grad).tobytes()
     _assert_own_gradients([x], [doubled])
     x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     squared = x * x
-    nc.mean_all(squared * Tensor(rng.normal(size=(3, 4)))).backward()
+    oracles.mean_all(squared * Tensor(rng.normal(size=(3, 4)))).backward()
     assert x.grad.tobytes() == (squared.grad * x.data + squared.grad * x.data).tobytes()
     _assert_own_gradients([x], [squared])
 
@@ -222,7 +222,7 @@ def test_first_gradients_sum_and_share_no_buffer():
     rows = nc.reshape(a, (3, 2))
     joined = nc.concat_rows([rows, c])
     shifted = joined + bias
-    nc.mean_all(shifted * Tensor(rng.normal(size=(5, 2)))).backward()
+    oracles.mean_all(shifted * Tensor(rng.normal(size=(5, 2)))).backward()
     g = shifted.grad
     assert a.grad.tobytes() == g[:3].reshape(2, 3).tobytes()
     assert c.grad.tobytes() == g[3:].tobytes()
@@ -237,7 +237,7 @@ def test_backward_rejects_a_wrong_number_of_gradients():
     for returned in (lambda g: (g, g), lambda g: ()):
         node = nc._result(x.data.copy(), (x,), returned)
         with pytest.raises(ValueError):
-            nc.mean_all(node).backward()
+            oracles.mean_all(node).backward()
 
 
 _REFERENCE_SHAPES = [(), (1,), (7,), (1, 6), (4, 6), (2, 3, 5)]
@@ -266,7 +266,7 @@ def test_in_place_ops_match_their_reference_bodies_bitwise(shape, mode, scale, s
                       for a in arrays]
             out = op(*leaves)
             w = upstream if reshape is None else upstream.reshape(reshape)
-            nc.mean_all(out * Tensor(w)).backward()
+            oracles.mean_all(out * Tensor(w)).backward()
         return [out.data.tobytes()] + [t.grad.tobytes() for t in leaves]
 
     ref_shape = (1,) if shape == () else None
@@ -302,7 +302,7 @@ def _layernorm_errors(shape, scale, seed):
     with nc.use_mode("train"):
         leaves = [Tensor(a, requires_grad=True) for a in arrays]
         out = nc.layernorm(*leaves)
-        nc.mean_all(out * Tensor(rng.normal(size=shape))).backward()
+        oracles.mean_all(out * Tensor(rng.normal(size=shape))).backward()
     x, gain, bias, g = (a.astype(np.float64) for a in (*(t.data for t in leaves), out.grad))
     inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + nc.LAYERNORM_EPS)
     xhat = (x - x.mean(axis=-1, keepdims=True)) * inv
@@ -343,7 +343,7 @@ def _run_with_grads(build, arrays, weight):
     and the gradient the output received."""
     leaves = [Tensor(a, requires_grad=True) for a in arrays]
     out = build(*leaves)
-    nc.mean_all(out * Tensor(weight)).backward()
+    oracles.mean_all(out * Tensor(weight)).backward()
     return out.data, [t.grad for t in leaves], out.grad
 
 
@@ -529,7 +529,7 @@ def test_attention_matches_its_reference_body_bitwise(
         with nc.use_mode(mode):
             q, k, v = (Tensor(a, requires_grad=True) for a in arrays[:3])
             out = op(q, k, v, heads)
-            nc.mean_all(out * Tensor(arrays[3])).backward()
+            oracles.mean_all(out * Tensor(arrays[3])).backward()
         return [t.tobytes() for t in (out.data, q.grad, k.grad, v.grad)]
 
     assert run(oracles.attention) == run(oracles.reference_attention)
@@ -555,7 +555,7 @@ def test_kept_and_recomputed_chunks_agree(monkeypatch, mode):
         with nc.use_mode(mode):
             leaves = [Tensor(a, requires_grad=True) for a in qkv]
             out = oracles.attention(*leaves, heads)
-            nc.mean_all(out * Tensor(weight)).backward()
+            oracles.mean_all(out * Tensor(weight)).backward()
         q, k, v = leaves
         _assert_attention_gradients_accurate(
             [t.data for t in leaves], out.grad, heads, q.grad, k.grad
@@ -573,16 +573,21 @@ def test_kept_and_recomputed_chunks_agree(monkeypatch, mode):
 def test_attention_over_one_key_passes_gradient_only_to_v(mode, heads, head_dim):
     # One key makes the softmax the constant 1: the output is v, dv is the
     # upstream gradient and dq, dk are exactly zero, in either precision.
+    # The closure returns the upstream gradient itself for v, so v's stored
+    # gradient must be a copy of it.  A linear reads the output, so that
+    # gradient is an array that owns its memory, not a view.
     rng = np.random.default_rng(10 * heads + head_dim)
     d = heads * head_dim
     with nc.use_mode(mode):
         q, k, v = (Tensor(rng.normal(size=(1, d)) * 2.0, requires_grad=True) for _ in range(3))
         out = oracles.attention(q, k, v, heads)
-        nc.mean_all(out * Tensor(rng.normal(size=(1, d)))).backward()
+        oracles.mean_all(nc.linear(out, rng.normal(size=(d, d)), np.zeros(d))).backward()
+        assert out.grad.base is None
         assert out.data.dtype == nc.active_dtype()
     assert np.array_equal(out.data, v.data)
     assert v.grad.tobytes() == out.grad.tobytes()
     assert np.all(q.grad == 0) and np.all(k.grad == 0)
+    _assert_own_gradients([v], [out])
 
 
 @pytest.mark.parametrize("case", ["squares-overflow", "scores-above-88"])
@@ -607,7 +612,7 @@ def test_attention_shifts_float32_scores_it_cannot_bound(monkeypatch, case):
         with nc.use_mode("train"):
             leaves = [Tensor(a, requires_grad=True) for a in (q, k, v)]
             out = op(*leaves, heads)
-            nc.mean_all(out * Tensor(weight)).backward()
+            oracles.mean_all(out * Tensor(weight)).backward()
         assert out.data.dtype == np.float32 and np.all(np.isfinite(out.data))
         return [t.tobytes() for t in (out.data, *(t.grad for t in leaves))]
 
@@ -645,7 +650,7 @@ def test_attention_bounds_scores_head_by_head(mode):
         with nc.use_mode(mode):
             leaves = [Tensor(a, requires_grad=True) for a in (q, k, v)]
             out = op(*leaves, heads)
-            nc.mean_all(out * Tensor(weight)).backward()
+            oracles.mean_all(out * Tensor(weight)).backward()
         return [t.tobytes() for t in (out.data, *(t.grad for t in leaves))]
 
     assert run(oracles.attention) == run(oracles.reference_attention)
@@ -660,7 +665,7 @@ def test_attention_memory_stays_below_half_a_probability_map():
         w = Tensor(rng.normal(size=(n, d)))
         tracemalloc.start()
         try:
-            nc.mean_all(oracles.attention(q, k, v, heads) * w).backward()
+            oracles.mean_all(oracles.attention(q, k, v, heads) * w).backward()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -712,7 +717,7 @@ def test_sublayers_match_their_composition_bitwise(monkeypatch, mode, block, sca
         with nc.use_mode(mode):
             leaves = [Tensor(a, requires_grad=True) for a in [x, *params]]
             out = op(*leaves)
-            nc.mean_all(out * Tensor(weight)).backward()
+            oracles.mean_all(out * Tensor(weight)).backward()
             with nc.no_grad():
                 untaped = op(*(Tensor(a, requires_grad=True) for a in [x, *params]))
         assert not untaped.requires_grad and untaped._parents == ()
@@ -772,7 +777,7 @@ def test_gelu_values_and_gradient():
     assert oracles.gelu(Tensor(np.array(0.0))).item() == 0.0
     assert abs(oracles.gelu(Tensor(np.array(10.0))).item() - 10.0) < 1e-6
     x = np.array([-2.0, -0.5, 0.5, 2.0])
-    check_grad(lambda t: nc.mean_all(oracles.gelu(t)), x)
+    check_grad(lambda t: oracles.mean_all(oracles.gelu(t)), x)
 
 
 def test_layernorm_constant_input_is_zero():
@@ -795,7 +800,7 @@ def test_layernorm_gradient():
     g = RNG.normal(size=(5,))
     b = RNG.normal(size=(5,))
     check_grad(
-        lambda t, gg, bb: nc.mean_all(
+        lambda t, gg, bb: oracles.mean_all(
             nc.layernorm(t, gg, bb) * nc.layernorm(t, gg, bb)
         ),
         x,
@@ -814,7 +819,7 @@ def test_softmax_symmetry_and_stability():
 def test_softmax_gradient():
     x = RNG.normal(size=(3, 4))
     w = RNG.normal(size=(3, 4))
-    check_grad(lambda t: nc.mean_all(oracles.softmax_lastaxis(t) * Tensor(w)), x)
+    check_grad(lambda t: oracles.mean_all(oracles.softmax_lastaxis(t) * Tensor(w)), x)
 
 
 @given(st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=8))
@@ -828,7 +833,7 @@ def test_softmax_rows_sum_to_one(values):
 
 def test_abs_and_mean_gradients_away_from_kink():
     x = RNG.normal(size=(3, 3)) + np.sign(RNG.normal(size=(3, 3))) * 0.5
-    check_grad(lambda t: nc.mean_all(nc.abs_(t)), x)
+    check_grad(lambda t: oracles.mean_all(oracles.abs_(t)), x)
 
 
 def test_two_layer_mlp_composite_gradient():
@@ -838,7 +843,7 @@ def test_two_layer_mlp_composite_gradient():
     w2 = RNG.normal(size=(8, 1)) * 0.5
 
     def mlp(xx, ww1, bb1, ww2):
-        return nc.mean_all(oracles.matmul(oracles.gelu(oracles.matmul(xx, ww1) + bb1), ww2))
+        return oracles.mean_all(oracles.matmul(oracles.gelu(oracles.matmul(xx, ww1) + bb1), ww2))
 
     check_grad(mlp, x, w1, b1, w2)
 
@@ -853,7 +858,7 @@ def test_nan_parameter_is_caught_at_adam():
     # A leaf is not scanned: a NaN parameter flows through forward and
     # backward, and the optimizer names it.
     p = Tensor(np.array([1.0, np.nan]), requires_grad=True)
-    loss = nc.mean_all(p * p)
+    loss = oracles.mean_all(p * p)
     loss.backward()
     assert np.isnan(p.grad).any()
     with pytest.raises(TrainingError, match="dec.w"):
@@ -865,7 +870,7 @@ def test_overflowing_op_is_caught_at_adam_not_per_op():
     # overflow without raising; the optimizer then names the bad parameter.
     p = Tensor(np.array([1e200, 1.0]), requires_grad=True)
     with np.errstate(over="ignore", invalid="ignore"):
-        loss = nc.mean_all(p * p * p)
+        loss = oracles.mean_all(p * p * p)
         assert not np.isfinite(loss.data).all()
         loss.backward()
     assert not np.isfinite(p.grad).all()
@@ -875,7 +880,7 @@ def test_overflowing_op_is_caught_at_adam_not_per_op():
 
 def test_grad_shape_matches_parameter():
     t = Tensor(RNG.normal(size=(3, 2)), requires_grad=True)
-    nc.mean_all(t * t).backward()
+    oracles.mean_all(t * t).backward()
     assert t.grad.shape == t.data.shape
 
 
