@@ -57,7 +57,12 @@ forward (the exp); otherwise the row max is subtracted first, three passes
 keeps the first chunk unnormalized, as exp2(S - m) and 1 / l, when that
 chunk fits one block, and for every other chunk only its rows' log-sum-exp,
 from which backward recomputes the chunk; so a node holds O(n d + block)
-memory instead of a [heads, n, n] map.  Adam runs over flat buffers:
+memory instead of a [heads, n, n] map.  A call of more than one chunk,
+on a process that may use two CPUs, runs its chunk loops for the two
+halves of its heads on two threads, the calling one and one helper joined
+before the loop returns; as a stacked matmul makes one BLAS call per head
+and every other pass is elementwise or per row, the bytes are the serial
+loop's.  Adam runs over flat buffers:
 ``OptimizerState`` lays the parameters out once, each ``Tensor.data``
 becomes a view into its buffer, and each ``adam_step`` packs the gradients
 and updates every parameter in one pass.
@@ -80,7 +85,10 @@ and is not ``g`` is one the op made.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -364,6 +372,19 @@ def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int):
     Backward applies the natural scale once, to dq, and ln 2 once to dk,
     which it forms from the base-2 q, and returns dk as a column-major
     view.  Under ``no_grad`` nothing is kept.
+
+    Heads are independent, so the forward and backward chunk loops each run
+    over a range of heads.  A call with more than one chunk (``heads * n *
+    n > ATTENTION_BLOCK``), at least two heads and at least two CPUs that
+    the process may use runs heads [0, heads // 2) on the calling thread
+    and the rest on one helper thread, started for that loop and joined
+    before it returns.  The split is bitwise: a stacked matmul makes one
+    BLAS call per head slice, every other pass is elementwise or per row,
+    and each half keeps the serial order (the same chunk spans, its head
+    slice of the kept chunk, dv and dk^T summed in chunk order, and its own
+    part of each score buffer), writing disjoint head slices.  Everything else, the
+    bound under ``np.errstate`` included, runs on the calling thread before
+    the split.  A one-chunk call runs the loop once over every head.
     """
     if q.ndim != 2 or q.shape != k.shape or q.shape != v.shape:
         raise DimensionError(
@@ -417,30 +438,45 @@ def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int):
     # No score exceeds this bound in magnitude (Cauchy-Schwarz).
     bound = largest_norm(qs) * largest_norm(k)
     shift = n == 1 or not bound <= SCORE_BOUND
+    recording = _recording
+    # A one-chunk call (n <= 256 at 4 heads) gained nothing from a second thread.
+    two = len(spans) > 1 and heads > 1 and _usable_cpus() > 1
     qs, kh, vx = split(qs), split(k), widened(split(v), 1)
     kt = transposed(kh)
 
     data = np.empty((n, d), dtype=q.dtype)
     out = split(data)
-    kept = inv_l = None
     lse = np.empty((heads, n, 1), dtype=q.dtype)
-    for s, e in spans:
-        p = qs[:, s:e] @ kt
-        if shift:
-            m = p.max(axis=-1, keepdims=True)
-            p -= m
-        np.exp2(p, out=p)
-        ol = p @ vx  # [E v | l]
-        l = ol[..., dh:]
-        np.divide(ol[..., :dh], l, out=out[:, s:e])
-        if not _recording:
-            continue
-        if s == 0 and heads * n <= ATTENTION_BLOCK:
-            kept, inv_l = p, 1 / l
-        elif shift:
-            np.add(m, np.log2(l), out=lse[:, s:e])
-        else:
-            np.log2(l, out=lse[:, s:e])
+    kept = inv_l = None
+    if recording and heads * n <= ATTENTION_BLOCK:
+        kept = np.empty((heads, spans[0][1], n), dtype=q.dtype)
+        inv_l = np.empty((heads, spans[0][1], 1), dtype=q.dtype)
+
+    def forward(h0, h1):
+        """The chunk loop over heads [h0, h1)."""
+        for s, e in spans:
+            first = s == 0 and kept is not None
+            p = np.matmul(qs[h0:h1, s:e], kt[h0:h1], out=kept[h0:h1] if first else None)
+            if shift:
+                m = p.max(axis=-1, keepdims=True)
+                p -= m
+            np.exp2(p, out=p)
+            ol = p @ vx[h0:h1]  # [E v | l]
+            l = ol[..., dh:]
+            np.divide(ol[..., :dh], l, out=out[h0:h1, s:e])
+            if first:
+                np.divide(1, l, out=inv_l[h0:h1])
+            elif not recording:
+                continue
+            elif shift:
+                np.add(m, np.log2(l), out=lse[h0:h1, s:e])
+            else:
+                np.log2(l, out=lse[h0:h1, s:e])
+
+    if two:
+        _on_two_threads(forward, heads)
+    else:
+        forward(0, heads)
 
     def backward(g):
         if n == 1:  # one key: P is the constant 1, whatever q and k are
@@ -461,30 +497,78 @@ def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int):
             # [q * scale2 | -L] @ [k | 1]^T is S - L; the kept rows' L is unused.
             qx, kxt = widened(qs, -lse), transposed(widened(kh, 1))
         vxt = transposed(vx)
-        for s, e in spans:
-            shape = (heads, e - s, n)
-            if s == 0 and kept is not None:
-                p = kept
-            else:
-                p = scores[: heads * (e - s) * n].reshape(shape)
-                np.matmul(qx[:, s:e], kxt, out=p)
-                np.exp2(p, out=p)
-            dv_part = p.transpose(0, 2, 1) @ gh[:, s:e]
-            gs = d_scores[: heads * (e - s) * n].reshape(shape)
-            np.matmul(gx[:, s:e], vxt, out=gs)
-            gs *= p
-            dq.reshape(n, heads, dh)[s:e] = (gs @ kh).transpose(1, 0, 2)
-            dkt_part = qs[:, s:e].transpose(0, 2, 1) @ gs  # [heads, dh, n]
-            if s == 0:
-                dv, dkt = dv_part, dkt_part
-            else:
-                dv += dv_part
-                dkt += dkt_part
+
+        def chunks(h0, h1):
+            """The chunk loop over heads [h0, h1), in their own part of each
+            buffer (heads [0, h0) own the part before it): their dv and dk^T."""
+            at = h0 * min(rows, n) * n
+            for s, e in spans:
+                shape = (h1 - h0, e - s, n)
+                part = slice(at, at + math.prod(shape))
+                if s == 0 and kept is not None:
+                    p = kept[h0:h1]
+                else:
+                    p = scores[part].reshape(shape)
+                    np.matmul(qx[h0:h1, s:e], kxt[h0:h1], out=p)
+                    np.exp2(p, out=p)
+                dv_part = p.transpose(0, 2, 1) @ gh[h0:h1, s:e]
+                gs = d_scores[part].reshape(shape)
+                np.matmul(gx[h0:h1, s:e], vxt[h0:h1], out=gs)
+                gs *= p
+                dq.reshape(n, heads, dh)[s:e, h0:h1] = (gs @ kh[h0:h1]).transpose(1, 0, 2)
+                dkt_part = qs[h0:h1, s:e].transpose(0, 2, 1) @ gs  # [heads, dh, n]
+                if s == 0:
+                    dv, dkt = dv_part, dkt_part
+                else:
+                    dv += dv_part
+                    dkt += dkt_part
+            return dv, dkt
+
+        if two:
+            halves = _on_two_threads(chunks, heads)
+            dv, dkt = (np.concatenate(parts) for parts in zip(*halves))
+        else:
+            dv, dkt = chunks(0, heads)
         dq *= scale
         dkt *= ln2  # qs carries 1 / ln 2
         return dq, merge(dkt.transpose(0, 2, 1)), merge(dv)
 
     return data, backward
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _on_two_threads(loop, heads: int):
+    """``loop(0, heads // 2)`` on this thread and ``loop(heads // 2, heads)``
+    on one helper thread, joined before return, also when either raises;
+    their two results in head order.  The helper runs in a copy of this
+    thread's context, so NumPy's error state is the caller's, and an
+    exception it raises is raised here after the join."""
+    half = heads // 2
+    result = error = None
+
+    def helper():
+        nonlocal result, error
+        try:
+            result = loop(half, heads)
+        except BaseException as exc:  # re-raised on the calling thread
+            error = exc
+
+    thread = threading.Thread(target=contextvars.copy_context().run, args=(helper,))
+    thread.start()
+    try:
+        mine = loop(0, half)
+    finally:
+        thread.join()
+    if error is not None:
+        raise error
+    return mine, result
 
 
 def _gelu(v: np.ndarray):

@@ -735,33 +735,42 @@ def test_cli_defaults_to_one_blas_thread():
 
 
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
-    """train and eval at 32x32x8 write the same bytes with one BLAS thread
-    and with two."""
-    data = tmp_path / "data"
-    assert main(["dataset", "--out", str(data), "--dims", "32,32,8",
-                 "--n-train", "2", "--n-test", "1", "--seed", "0"]) == EXIT_OK
-    manifest = str(data / "manifest.txt")
-    written = []
-    for threads in ("1", "2"):
-        run, scores = tmp_path / f"run{threads}", tmp_path / f"scores{threads}"
-        script = (
-            "from kinterp.cli import main; "
-            f"assert main(['train', '--tiny', '--out', {str(run)!r}, '--manifest', {manifest!r}, "
-            "'--steps', '10', '--seed', '0']) == 0; "
-            f"assert main(['eval', '--out', {str(scores)!r}, '--manifest', {manifest!r}, "
-            f"'--checkpoint', {str(run / 'checkpoint.kgin')!r}, '--R', '4,8']) == 0"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", script], env=_child_env(OPENBLAS_NUM_THREADS=threads),
-            capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        written.append([
-            (run / "checkpoint.kgin").read_bytes(),
-            (run / "loss_log.csv").read_bytes(),
-            (scores / "report.csv").read_bytes(),
-        ])
-    assert written[0] == written[1]
+    """train and eval write the same bytes with one BLAS thread and with
+    two: at 32x32x8, where every attention call is one chunk, and at
+    16x32x16, where the ky-t plane and the decoder attend over 512 tokens
+    in four chunks.  There a process that may use two CPUs runs each call's
+    two head halves on two threads, and a third run, pinned to one CPU,
+    runs them on one."""
+    pinned = "import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+    for dims, runs in (
+        ("32,32,8", [("1", ""), ("2", "")]),
+        ("16,32,16", [("1", ""), ("2", ""), ("1", pinned)]),
+    ):
+        data = tmp_path / dims / "data"
+        assert main(["dataset", "--out", str(data), "--dims", dims,
+                     "--n-train", "2", "--n-test", "1", "--seed", "0"]) == EXIT_OK
+        manifest = str(data / "manifest.txt")
+        written = []
+        for i, (threads, pin) in enumerate(runs):
+            run, scores = tmp_path / dims / f"run{i}", tmp_path / dims / f"scores{i}"
+            script = pin + (
+                "from kinterp.cli import main; "
+                f"assert main(['train', '--tiny', '--out', {str(run)!r}, '--manifest', {manifest!r}, "
+                "'--steps', '10', '--seed', '0']) == 0; "
+                f"assert main(['eval', '--out', {str(scores)!r}, '--manifest', {manifest!r}, "
+                f"'--checkpoint', {str(run / 'checkpoint.kgin')!r}, '--R', '4,8']) == 0"
+            )
+            proc = subprocess.run(
+                [sys.executable, "-c", script], env=_child_env(OPENBLAS_NUM_THREADS=threads),
+                capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            written.append([
+                (run / "checkpoint.kgin").read_bytes(),
+                (run / "loss_log.csv").read_bytes(),
+                (scores / "report.csv").read_bytes(),
+            ])
+        assert all(w == written[0] for w in written[1:]), dims
 
 
 def test_end_to_end_smoke_under_five_minutes(tmp_path):

@@ -6,6 +6,8 @@ oracle in 64-bit mode (h=1e-6, rel. 1e-4), per the gradient acceptance gate.
 
 import itertools
 import math
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -673,6 +675,154 @@ def test_attention_memory_stays_below_half_a_probability_map():
     assert peak < half_map, f"peak {peak / 2**20:.1f} MiB"
 
 
+# ---- attention's head halves on two threads ------------------------------------
+
+
+def _spy_threads(monkeypatch) -> list:
+    """The threads started from here on, as a list that fills as they start."""
+    started = []
+
+    class Spy(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Spy)
+    return started
+
+
+def _attention_run(arrays, heads, mode="train"):
+    """Output and q, k, v gradients of ``mean(attention(q, k, v) * weight)``
+    as bytes, then the output under ``no_grad``."""
+    q, k, v, weight = arrays
+    with nc.use_mode(mode):
+        leaves = [Tensor(a, requires_grad=True) for a in (q, k, v)]
+        out = oracles.attention(*leaves, heads)
+        oracles.mean_all(out * Tensor(weight)).backward()
+        with nc.no_grad():
+            untaped = oracles.attention(*leaves, heads)
+    return [t.tobytes() for t in (out.data, *(t.grad for t in leaves), untaped.data)]
+
+
+@pytest.mark.parametrize("mode", ["test", "train"])
+@pytest.mark.parametrize("heads", [1, 2, 3, 4])
+@pytest.mark.parametrize(
+    "block, scale, shifts",
+    _path_cases([("one-kept-chunk", None), ("ragged", 72), ("one-row", 9)], shifted=3.0),
+)
+def test_head_split_gives_the_serial_bytes(monkeypatch, mode, heads, block, scale, shifts):
+    """Attention with its head halves on two threads (two usable CPUs) and
+    on one (one CPU) gives the same output, taped and under ``no_grad``,
+    and the same three gradients, byte for byte.  Three heads split 1 + 2.
+    With 9 rows, the ragged block gives chunks of 8 + 1 rows at one head
+    and 4 + 4 + 1 or 2 + 2 + 2 + 2 + 1 at more, the first kept; the
+    one-row block keeps the first chunk at one head and none at more.
+    Only a call of more than one chunk over two or more heads splits:
+    forward taped, backward and forward under ``no_grad``, one thread
+    each."""
+    if block is not None:
+        monkeypatch.setattr(nc, "ATTENTION_BLOCK", block)
+    rng = np.random.default_rng(791 + heads)
+    arrays = [rng.normal(size=(9, 3 * heads)) * scale for _ in range(4)]
+    with nc.use_mode(mode):
+        q, k = (Tensor(a).data for a in arrays[:2])
+    assert oracles.attention_shifts(q, k, heads) == shifts
+    runs = []
+    for cpus in (2, 1):
+        monkeypatch.setattr(nc, "_usable_cpus", lambda cpus=cpus: cpus)
+        started = _spy_threads(monkeypatch)
+        runs.append(_attention_run(arrays, heads, mode))
+        assert len(started) == (3 if cpus > 1 and block is not None and heads > 1 else 0)
+    assert runs[0] == runs[1]
+
+
+class _Injected(Exception):
+    pass
+
+
+@pytest.mark.parametrize("stage", ["forward", "backward"])
+def test_head_split_raises_the_helpers_error_and_leaves_no_thread(monkeypatch, stage):
+    """An exception raised in the helper's head range, forward or backward,
+    reaches the caller, and no thread outlives a call, whether it returns
+    or raises.  Three heads split 1 + 2, so a 2-head slice is the helper's
+    alone."""
+    monkeypatch.setattr(nc, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(nc, "ATTENTION_BLOCK", 72)
+    rng = np.random.default_rng(792)
+    q, k, v, weight = (rng.normal(size=(9, 6)) for _ in range(4))
+    before = threading.active_count()
+    _attention_run([q, k, v, weight], 3)
+    assert threading.active_count() == before
+    exp2, raised_on = np.exp2, []
+
+    def failing(p, *args, **kwargs):
+        if p.shape[0] == 2:
+            raised_on.append(threading.current_thread())
+            raise _Injected
+        return exp2(p, *args, **kwargs)
+
+    with nc.use_mode("train"):
+        leaves = [Tensor(a, requires_grad=True) for a in (q, k, v)]
+        with pytest.raises(_Injected):
+            if stage == "backward":
+                out = oracles.attention(*leaves, 3)
+                monkeypatch.setattr(np, "exp2", failing)
+            else:
+                monkeypatch.setattr(np, "exp2", failing)
+                out = oracles.attention(*leaves, 3)
+            oracles.mean_all(out * Tensor(weight)).backward()
+    assert raised_on and threading.main_thread() not in raised_on
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("case", ["one-chunk", "one-cpu", "four-chunks"])
+def test_head_split_only_where_chunks_and_cpus_allow(monkeypatch, case):
+    """A spy on ``threading.Thread``: a one-chunk call (256 rows over 4
+    heads fill ``ATTENTION_BLOCK`` exactly) starts no thread with two
+    CPUs, nor does a 4-chunk call (512 rows) on a process pinned to one
+    CPU, while with two CPUs that call starts one thread forward and one
+    backward."""
+    n = 256 if case == "one-chunk" else 512
+    rng = np.random.default_rng(793)
+    q, k, v, weight = (rng.normal(size=(n, 32)) for _ in range(4))
+    if case == "one-cpu":
+        if not hasattr(os, "sched_setaffinity"):
+            pytest.skip("no affinity call on this platform")
+        cpus = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {min(cpus)})
+    else:
+        cpus = None
+        monkeypatch.setattr(nc, "_usable_cpus", lambda: 2)
+    started = _spy_threads(monkeypatch)
+    try:
+        with nc.use_mode("train"):
+            out = oracles.attention(*(Tensor(a, requires_grad=True) for a in (q, k, v)), 4)
+            forward = len(started)
+            oracles.mean_all(out * Tensor(weight)).backward()
+    finally:
+        if cpus is not None:
+            os.sched_setaffinity(0, cpus)
+    expected = 1 if case == "four-chunks" else 0
+    assert (forward, len(started) - forward) == (expected, expected)
+
+
+def test_head_split_keeps_the_callers_numpy_error_state(monkeypatch):
+    """The helper thread runs under the caller's ``np.errstate``: with the
+    row max off, scores above 128 in the helper's two heads alone overflow
+    float32's exp2, which raises there as it does in the serial loop."""
+    monkeypatch.setattr(nc, "ATTENTION_BLOCK", 72)
+    monkeypatch.setattr(nc, "SCORE_BOUND", math.inf)
+    rng = np.random.default_rng(794)
+    q, k, v = (rng.normal(size=(9, 6)) for _ in range(3))
+    q[:, 2:] *= 30.0
+    k[:, 2:] *= 30.0
+    for cpus in (2, 1):
+        monkeypatch.setattr(nc, "_usable_cpus", lambda cpus=cpus: cpus)
+        with nc.use_mode("train"), np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError):
+                oracles.attention(*(Tensor(a) for a in (q, k, v)), 3)
+
+
 def _sublayer_operands(rng, n, d, hidden):
     """An input row block and both sublayers' parameters, in their nodes'
     argument order."""
@@ -1131,3 +1281,4 @@ def test_schedule_validation():
                 dict(final_div=math.nan), dict(warmup_fraction=math.nan)):
         with pytest.raises(ConfigError):
             LrSchedule(**{"max_lr": 1e-4, "total_steps": 10, **bad})
+
